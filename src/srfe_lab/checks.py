@@ -14,7 +14,6 @@ report fields.
 """
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -37,6 +36,7 @@ from .discrete import (
     tail_bound,
 )
 from .estimators import exact_second_moment, softmax
+from .experiments import max_workers
 from .gaussians import DiagonalGaussian, srfe_equal_covariance
 
 TAU_GRID_9 = tuple(round(0.1 * k, 1) for k in range(1, 10))
@@ -427,15 +427,6 @@ def check_second_moment_bounds(p: DiscreteDist, logits: np.ndarray,
     )
 
 
-def _max_workers() -> int:
-    env = os.environ.get("SRFE_LAB_THREADS")
-    if env:
-        n = int(env)
-        if n > 0:
-            return n
-    return os.cpu_count() or 1
-
-
 def run_all(seed: int = 0, inject_failure: bool = False) -> list[CheckReport]:
     """The full battery, deterministic for a given seed.
 
@@ -490,7 +481,7 @@ def run_all(seed: int = 0, inject_failure: bool = False) -> list[CheckReport]:
         lambda: check_not_f_divergence(0.9),
         lambda: check_second_moment_bounds(moment_p, moment_logits),
     ]
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
+    with ThreadPoolExecutor(max_workers=max_workers()) as pool:
         futures = [pool.submit(t) for t in tasks]
         reports = [f.result() for f in futures]
 

@@ -19,6 +19,7 @@ from .experiments import (
     RunConfig,
     benchmark_target,
     density_grid,
+    max_workers,
     run_exp1,
     run_exp2,
     run_exp3,
@@ -170,11 +171,15 @@ def _cmd_density_grid(args: argparse.Namespace) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command in _EXPERIMENTS:
-        return _cmd_experiment(args)
+    if args.command == "density-grid":
+        return _cmd_density_grid(args)
+    try:
+        max_workers()  # fail before any work, not inside a pool
+    except ValueError as exc:
+        raise SystemExit(f"srfe-lab: {exc}")
     if args.command == "verify":
         return _cmd_verify(args)
-    return _cmd_density_grid(args)
+    return _cmd_experiment(args)
 
 
 if __name__ == "__main__":

@@ -118,13 +118,21 @@ def _log(x: np.ndarray) -> np.ndarray:
         return np.log(x)
 
 
-def _logsumexp(a: np.ndarray) -> float:
-    # scipy's version spends ~1000x the arithmetic on array-API dispatch
-    # for vectors this small, and this sits in every divergence call
-    m = float(a.max())
-    if m == -math.inf:
-        return m
-    return m + math.log(float(np.exp(a - m).sum()))
+def _logsumexp(a: np.ndarray, axis: int | None = None):
+    """log sum exp(a), over all of a (a float) or along axis (an array).
+
+    The whole-array form is scalar code because it sits in every divergence
+    call on vectors of a few entries, where a general keepdims version costs
+    about three times as much.
+    """
+    if axis is None:
+        m = float(a.max())
+        if m == -math.inf:
+            return m
+        return m + math.log(float(np.exp(a - m).sum()))
+    m = a.max(axis=axis, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    return np.log(np.exp(a - m).sum(axis=axis)) + np.squeeze(m, axis=axis)
 
 
 def _check_pair(p: DiscreteDist, q: DiscreteDist):

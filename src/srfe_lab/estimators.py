@@ -8,6 +8,12 @@ clamp the overlap estimate into [f_clamp_low, f_clamp_high], and take
 the gradient is zero.  Forward and reverse KL losses use the same sample-in,
 numbers-out style so the training loop can treat all three uniformly.
 
+Targets are duck-typed.  On a batch x of shape (n, d), log_prob(x) gives
+the (n,) log densities, score_x(x) their (n, d) x-gradients, and
+log_prob_and_score(x) both from one pass (the free-energy step uses it);
+sample(n, rng) draws (n, d) points for forward KL.  The Gaussian models in
+srfe_lab.gaussians provide all four.
+
 The second-moment tools at the bottom work on a finite support with a
 softmax-parameterized model, where everything can also be enumerated exactly.
 """
@@ -77,18 +83,6 @@ class SecondMomentReport:
     bound: float
 
 
-def _log_ratios(q: DiagonalGaussian, target, eps: np.ndarray) -> np.ndarray:
-    x = q.transform(eps)
-    return np.asarray(target.log_prob(x)) - np.asarray(q.log_prob(x))
-
-
-def _log_f_hat(r: np.ndarray, tau: float) -> tuple[float, float]:
-    """(log f_hat, max log ratio) for f_hat = mean exp(tau r), shift-stabilized."""
-    r_max = float(r.max())
-    w = np.exp(tau * (r - r_max))
-    return tau * r_max + math.log(float(w.mean())), r_max
-
-
 def _clamp_log_f(log_f: float, cfg: SrfeConfig) -> tuple[float, bool]:
     if log_f < math.log(cfg.f_clamp_low):
         return cfg.f_clamp_low, True
@@ -97,76 +91,51 @@ def _clamp_log_f(log_f: float, cfg: SrfeConfig) -> tuple[float, bool]:
     return math.exp(log_f), False
 
 
-def srfe_mc_loss(q: DiagonalGaussian, target, cfg: SrfeConfig,
-                 eps: np.ndarray) -> LossReport:
-    """Clamped free-energy loss from a fixed noise batch eps of shape (n, d).
+def _pathwise_grad(q: DiagonalGaussian, score: np.ndarray, eps: np.ndarray,
+                   w: np.ndarray, scale: float) -> GradReport:
+    """scale * sum_i w_i dr_i/dtheta for r = log p - log q at x = mu + sigma eps.
 
-    Deterministic given eps.  loss = -log f_hat / (tau (1 - tau)) with f_hat
-    the clamped mean of exp(tau (log p - log q)) at x = mu + sigma eps.
-    """
-    eps = np.asarray(eps, dtype=np.float64)
-    if eps.shape != (cfg.n_samples, q.dim):
-        raise ValueError(f"eps must have shape {(cfg.n_samples, q.dim)}")
-    log_f, r_max = _log_f_hat(_log_ratios(q, target, eps), cfg.tau)
-    f_hat, clamped = _clamp_log_f(log_f, cfg)
-    loss = -math.log(f_hat) / (cfg.tau * (1.0 - cfg.tau))
-    return LossReport(loss=loss, f_hat=f_hat, max_log_ratio=r_max,
-                      clamped=clamped)
-
-
-def srfe_mc_grad(q: DiagonalGaussian, target, cfg: SrfeConfig,
-                 eps: np.ndarray) -> GradReport:
-    """Exact (mu, log_sigma) derivative of srfe_mc_loss for the same eps.
-
-    Differentiating -log f_hat / (tau(1-tau)) gives a weighted average with
-    weights exp(tau r_i) over the per-sample derivative of r_i.  For the
-    mean-field Gaussian the model-score term cancels against the sampling
-    path, leaving
+    For the mean-field Gaussian the model-score term cancels against the
+    sampling path, leaving
 
         dr/dmu_k       = s_k(x)                    (target x-score)
         dr/dlogsigma_k = s_k(x) sigma_k eps_k + 1
 
-    and d loss/dtheta = -mean_w[dr/dtheta] / (1 - tau).  Zero when the clamp
-    is active (the loss is locally flat there).
+    second_moment is the mean squared norm of the per-sample contributions
+    g_i = scale * n w_i dr_i/dtheta, whose mean is the gradient.
     """
-    eps = np.asarray(eps, dtype=np.float64)
-    if eps.shape != (cfg.n_samples, q.dim):
-        raise ValueError(f"eps must have shape {(cfg.n_samples, q.dim)}")
-    x = q.transform(eps)
-    r = np.asarray(target.log_prob(x)) - np.asarray(q.log_prob(x))
-    log_f, _ = _log_f_hat(r, cfg.tau)
-    _, clamped = _clamp_log_f(log_f, cfg)
-    if clamped:
-        zero = np.zeros(q.dim)
-        return GradReport(d_mu=zero, d_log_sigma=zero.copy(), second_moment=0.0)
-
-    w = np.exp(cfg.tau * (r - r.max()))
-    w /= w.sum()
-    target_score = np.asarray(target.score_x(x))
-    b_mu = target_score
-    b_ls = target_score * (q.sigma * eps) + 1.0
-    scale = -1.0 / (1.0 - cfg.tau)
-    d_mu = scale * (w[:, None] * b_mu).sum(axis=0)
-    d_ls = scale * (w[:, None] * b_ls).sum(axis=0)
-    # per-sample contributions g_i with mean equal to the full gradient
-    g = scale * (cfg.n_samples * w)[:, None] * np.concatenate([b_mu, b_ls], axis=1)
-    second = float((g * g).sum(axis=1).mean())
-    return GradReport(d_mu=d_mu, d_log_sigma=d_ls, second_moment=second)
+    b = np.concatenate([score, score * (q.sigma * eps) + 1.0], axis=1)
+    d = scale * (w[:, None] * b).sum(axis=0)
+    g = scale * (w.size * w)[:, None] * b
+    return GradReport(d_mu=d[:q.dim], d_log_sigma=d[q.dim:],
+                      second_moment=float((g * g).sum(axis=1).mean()))
 
 
 def srfe_mc_step(q: DiagonalGaussian, target, cfg: SrfeConfig,
                  eps: np.ndarray) -> tuple[LossReport, GradReport]:
-    """Loss and gradient from one pass over the batch.
+    """Clamped free-energy loss and its exact gradient from a fixed noise
+    batch eps of shape (n, d), with one target pass over the batch.
 
-    Same numbers as calling srfe_mc_loss and srfe_mc_grad separately; the
-    target density and score are evaluated once.
+    Deterministic given eps.  loss = -log f_hat / (tau (1 - tau)) with f_hat
+    the clamped mean of exp(tau r), r = log p - log q at x = mu + sigma eps.
+    Differentiating gives -mean_w[dr/dtheta] / (1 - tau) with weights
+    proportional to exp(tau r_i) (see _pathwise_grad).  When the clamp is
+    active the loss is locally flat and the gradient is zero; a batch with
+    no sample in the target's support (every r = -inf, f_hat = 0) clamps low.
     """
     eps = np.asarray(eps, dtype=np.float64)
     if eps.shape != (cfg.n_samples, q.dim):
         raise ValueError(f"eps must have shape {(cfg.n_samples, q.dim)}")
     x = q.transform(eps)
-    r = np.asarray(target.log_prob(x)) - np.asarray(q.log_prob(x))
-    log_f, r_max = _log_f_hat(r, cfg.tau)
+    log_p, score = target.log_prob_and_score(x)
+    r = np.asarray(log_p) - np.asarray(q.log_prob(x))
+    r_max = float(r.max())
+    if r_max == -math.inf:
+        log_f = -math.inf
+    else:
+        # shift by the max so the largest weight is exactly 1
+        w = np.exp(cfg.tau * (r - r_max))
+        log_f = cfg.tau * r_max + math.log(float(w.mean()))
     f_hat, clamped = _clamp_log_f(log_f, cfg)
     loss = LossReport(loss=-math.log(f_hat) / (cfg.tau * (1.0 - cfg.tau)),
                       f_hat=f_hat, max_log_ratio=r_max, clamped=clamped)
@@ -174,17 +143,21 @@ def srfe_mc_step(q: DiagonalGaussian, target, cfg: SrfeConfig,
         zero = np.zeros(q.dim)
         return loss, GradReport(d_mu=zero, d_log_sigma=zero.copy(),
                                 second_moment=0.0)
-    w = np.exp(cfg.tau * (r - r_max))
-    w /= w.sum()
-    target_score = np.asarray(target.score_x(x))
-    b_mu = target_score
-    b_ls = target_score * (q.sigma * eps) + 1.0
-    scale = -1.0 / (1.0 - cfg.tau)
-    d_mu = scale * (w[:, None] * b_mu).sum(axis=0)
-    d_ls = scale * (w[:, None] * b_ls).sum(axis=0)
-    g = scale * (cfg.n_samples * w)[:, None] * np.concatenate([b_mu, b_ls], axis=1)
-    second = float((g * g).sum(axis=1).mean())
-    return loss, GradReport(d_mu=d_mu, d_log_sigma=d_ls, second_moment=second)
+    return loss, _pathwise_grad(q, np.asarray(score), eps, w / w.sum(),
+                                -1.0 / (1.0 - cfg.tau))
+
+
+def srfe_mc_loss(q: DiagonalGaussian, target, cfg: SrfeConfig,
+                 eps: np.ndarray) -> LossReport:
+    """The loss half of srfe_mc_step."""
+    return srfe_mc_step(q, target, cfg, eps)[0]
+
+
+def srfe_mc_grad(q: DiagonalGaussian, target, cfg: SrfeConfig,
+                 eps: np.ndarray) -> GradReport:
+    """The gradient half of srfe_mc_step: the exact (mu, log_sigma)
+    derivative of srfe_mc_loss for the same eps."""
+    return srfe_mc_step(q, target, cfg, eps)[1]
 
 
 def forward_kl_loss(q: DiagonalGaussian, target, xs: np.ndarray) -> float:
@@ -207,21 +180,18 @@ def forward_kl_grad(q: DiagonalGaussian, xs: np.ndarray) -> GradReport:
 
 def reverse_kl_loss(q: DiagonalGaussian, target, eps: np.ndarray) -> float:
     """mean[log q(x) - log p(x)] at x = mu + sigma eps."""
-    return float(-np.mean(_log_ratios(q, target, np.asarray(eps, dtype=np.float64))))
+    x = q.transform(np.asarray(eps, dtype=np.float64))
+    return float(-np.mean(np.asarray(target.log_prob(x))
+                          - np.asarray(q.log_prob(x))))
 
 
 def reverse_kl_grad(q: DiagonalGaussian, target, eps: np.ndarray) -> GradReport:
-    """Pathwise derivative of reverse_kl_loss; the same score cancellation as
-    in srfe_mc_grad applies, with uniform weights and opposite sign."""
+    """Pathwise derivative of reverse_kl_loss: the srfe gradient's kernel
+    with uniform weights and scale -1 (the tau -> 0 endpoint)."""
     eps = np.asarray(eps, dtype=np.float64)
-    x = q.transform(eps)
-    target_score = np.asarray(target.score_x(x))
-    b_mu = target_score
-    b_ls = target_score * (q.sigma * eps) + 1.0
-    g = -np.concatenate([b_mu, b_ls], axis=1)
-    second = float((g * g).sum(axis=1).mean())
-    return GradReport(d_mu=-b_mu.mean(axis=0), d_log_sigma=-b_ls.mean(axis=0),
-                      second_moment=second)
+    score = np.asarray(target.score_x(q.transform(eps)))
+    n = eps.shape[0]
+    return _pathwise_grad(q, score, eps, np.full(n, 1.0 / n), -1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
+from srfe_lab.discrete import _logsumexp
 from srfe_lab.gaussians import DiagonalGaussian, GaussianMixture
 
 __all__ = ["EvalConfig", "EvalMetrics", "mode_coverage", "ess",
@@ -56,8 +56,8 @@ def ess(q: DiagonalGaussian, target, n: int, rng: np.random.Generator) -> float:
     """
     xs = q.sample(n, rng)
     logw = np.asarray(target.log_prob(xs)) - np.asarray(q.log_prob(xs))
-    logw = logw - logsumexp(logw)
-    return float(np.exp(-logsumexp(2.0 * logw)))
+    logw = logw - _logsumexp(logw)
+    return float(np.exp(-_logsumexp(2.0 * logw)))
 
 
 def entropy_error(q: DiagonalGaussian, target, n: int,

@@ -117,19 +117,27 @@ def _run_cell(cell: _Cell, modes: GaussianMixture) -> tuple[ResultRow, np.ndarra
     return row, np.asarray(result.loss_history)
 
 
-def _max_workers() -> int:
+def max_workers() -> int:
+    """Worker threads for the cell and check pools: SRFE_LAB_THREADS if
+    set, else the CPU count.  Raises ValueError unless it is a positive
+    integer."""
     env = os.environ.get("SRFE_LAB_THREADS")
-    if env:
+    if not env:
+        return os.cpu_count() or 1
+    try:
         n = int(env)
-        if n > 0:
-            return n
-    return os.cpu_count() or 1
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ValueError(
+            f"SRFE_LAB_THREADS must be a positive integer, got {env!r}")
+    return n
 
 
 def _execute(cells: list[_Cell], cfg: RunConfig, modes: GaussianMixture,
              csv_name: str, trial_of: dict[str, int] | None = None
              ) -> ExperimentResult:
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
+    with ThreadPoolExecutor(max_workers=max_workers()) as pool:
         futures = [pool.submit(_run_cell, c, modes) for c in cells]
         outcomes = [f.result() for f in futures]
 

@@ -13,7 +13,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
+
+from srfe_lab.discrete import _logsumexp
 
 __all__ = [
     "DiagonalGaussian",
@@ -93,6 +94,10 @@ class DiagonalGaussian:
         out = -(xb - self.mu) / self.sigma ** 2
         return out[0] if single else out
 
+    def log_prob_and_score(self, x):
+        """(log_prob(x), score_x(x))."""
+        return self.log_prob(x), self.score_x(x)
+
     def param_score(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Per-sample gradients of log q in (mu, log_sigma).
 
@@ -153,17 +158,25 @@ class GaussianMixture:
 
     def log_prob(self, x):
         xb, single = _as_batch(x)
-        out = logsumexp(self._component_log_probs(xb), axis=1)
+        out = _logsumexp(self._component_log_probs(xb), axis=1)
         return float(out[0]) if single else out
 
-    def score_x(self, x):
-        """Gradient of log density: responsibility-weighted pulls to the means."""
+    def log_prob_and_score(self, x):
+        """Log density and its x-gradient from one pass over the components.
+
+        The gradient is the responsibility-weighted pull towards the means.
+        """
         xb, single = _as_batch(x)
         comp = self._component_log_probs(xb)
-        resp = np.exp(comp - logsumexp(comp, axis=1, keepdims=True))
+        lp = _logsumexp(comp, axis=1)
+        resp = np.exp(comp - lp[:, None])
         pull = (self.means[None, :, :] - xb[:, None, :]) / self.variance
-        out = (resp[:, :, None] * pull).sum(axis=1)
-        return out[0] if single else out
+        score = (resp[:, :, None] * pull).sum(axis=1)
+        return (float(lp[0]), score[0]) if single else (lp, score)
+
+    def score_x(self, x):
+        """Gradient of log density in x."""
+        return self.log_prob_and_score(x)[1]
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         comps = rng.choice(self.n_components, size=n, p=self.weights)
@@ -203,19 +216,21 @@ class ContaminatedMixture:
     def _in_box(self, xb: np.ndarray) -> np.ndarray:
         return np.all((xb >= self.box_low) & (xb <= self.box_high), axis=1)
 
+    def _blend(self, xb: np.ndarray, base_lp: np.ndarray):
+        """(log (1-w) + base log density, log density of the blend)."""
+        base_lp = np.log1p(-self.outlier_weight) + base_lp
+        if self.outlier_weight == 0.0:
+            return base_lp, base_lp
+        box_lp = np.where(self._in_box(xb), self._log_box_density(), -np.inf)
+        return base_lp, np.logaddexp(base_lp, box_lp)
+
     def log_prob(self, x):
         xb, single = _as_batch(x)
-        base_lp = np.log1p(-self.outlier_weight) \
-            + np.asarray(self.base.log_prob(xb))
-        if self.outlier_weight == 0.0:
-            out = base_lp
-        else:
-            box_lp = np.where(self._in_box(xb), self._log_box_density(), -np.inf)
-            out = np.logaddexp(base_lp, box_lp)
+        out = self._blend(xb, self.base.log_prob(xb))[1]
         return float(out[0]) if single else out
 
-    def score_x(self, x):
-        """Gradient of log density in x.
+    def log_prob_and_score(self, x):
+        """Log density and its x-gradient from one pass over the base mixture.
 
         The uniform component is flat, so inside the box the base gradient is
         shrunk by the base component's posterior share; outside it passes
@@ -223,21 +238,22 @@ class ContaminatedMixture:
         density jumps) get the base gradient and a warning.
         """
         xb, single = _as_batch(x)
-        base_score = np.asarray(self.base.score_x(xb))
-        if self.outlier_weight == 0.0:
-            return base_score[0] if single else base_score
-        on_edge = np.any((xb == self.box_low) | (xb == self.box_high), axis=1)
-        if on_edge.any():
-            warnings.warn("score requested exactly on the outlier box boundary;"
-                          " returning the base-mixture gradient there",
-                          RuntimeWarning, stacklevel=2)
-        base_lp = np.log1p(-self.outlier_weight) \
-            + np.asarray(self.base.log_prob(xb))
-        total_lp = np.asarray(self.log_prob(xb))
-        share = np.exp(base_lp - total_lp)  # posterior weight of the base part
-        share = np.where(self._in_box(xb) & ~on_edge, share, 1.0)
-        out = share[:, None] * base_score
-        return out[0] if single else out
+        base_lp, score = self.base.log_prob_and_score(xb)
+        base_lp, out = self._blend(xb, base_lp)
+        if self.outlier_weight > 0.0:
+            on_edge = np.any((xb == self.box_low) | (xb == self.box_high), axis=1)
+            if on_edge.any():
+                warnings.warn("score requested exactly on the outlier box "
+                              "boundary; returning the base-mixture gradient "
+                              "there", RuntimeWarning, stacklevel=2)
+            share = np.exp(base_lp - out)  # posterior weight of the base part
+            share = np.where(self._in_box(xb) & ~on_edge, share, 1.0)
+            score = share[:, None] * score
+        return (float(out[0]), score[0]) if single else (out, score)
+
+    def score_x(self, x):
+        """Gradient of log density in x; see log_prob_and_score."""
+        return self.log_prob_and_score(x)[1]
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         # Fixed draw order keeps results reproducible for a given generator.

@@ -137,7 +137,11 @@ class TrainResult:
 def train(target, cfg: TrainConfig) -> TrainResult:
     """Fit a mean-field Gaussian to target under cfg.  Deterministic per seed.
 
-    Raises RuntimeError naming the step index if any recorded loss is
+    target is duck-typed: log_prob(x) and sample(n, rng) for forward KL,
+    log_prob(x) and score_x(x) for reverse KL, log_prob_and_score(x) for
+    srfe (x of shape (n, d); see srfe_lab.estimators).
+
+    Raises RuntimeError naming the step index if a loss or a gradient is
     non-finite (the clamp makes the free-energy loss finite by construction,
     so this can only trip on a degenerate target).
     """
@@ -170,9 +174,11 @@ def train(target, cfg: TrainConfig) -> TrainResult:
 
         if not np.isfinite(loss):
             raise RuntimeError(f"non-finite loss at step {t}")
+        flat_grad = np.concatenate([grad.d_mu, grad.d_log_sigma])
+        if not np.all(np.isfinite(flat_grad)):
+            raise RuntimeError(f"non-finite gradient at step {t}")
         losses[t - 1] = loss
-        theta = opt.step(np.concatenate([mu, log_sigma]),
-                         np.concatenate([grad.d_mu, grad.d_log_sigma]))
+        theta = opt.step(np.concatenate([mu, log_sigma]), flat_grad)
         mu, log_sigma = theta[:cfg.dim], theta[cfg.dim:]
 
     return TrainResult(model=DiagonalGaussian(mu, log_sigma),

@@ -136,11 +136,8 @@ def test_console_script_installed():
 
     args = ["density-grid", "--target", "model", "--bounds=0,1,0,1",
             "--res", "2"]
-    env = dict(os.environ)
-    src = str(Path(srfe_lab.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", launcher, *args], env=env,
+    proc = subprocess.run([sys.executable, "-c", launcher, *args],
+                          env=_child_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("x,y,log_density")
@@ -151,6 +148,44 @@ def test_console_script_installed():
                                    text=True, timeout=120)
         assert installed.returncode == 0, installed.stderr
         assert installed.stdout == proc.stdout
+
+
+def _child_env():
+    env = dict(os.environ)
+    src = str(Path(srfe_lab.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_runtime_imports_no_scipy():
+    code = ("import sys, srfe_lab, srfe_lab.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+@pytest.mark.parametrize("command", ["verify", "exp1"])
+def test_bad_thread_count_is_a_clean_error(monkeypatch, tmp_path, command,
+                                           value):
+    monkeypatch.setenv("SRFE_LAB_THREADS", value)
+    out = tmp_path / "out"
+    if command == "verify":
+        argv = ["verify", "--json", str(out)]
+    else:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "iterations": 1, "batch_size": 10, "tau_grid": [0.5]}))
+        argv = ["exp1", "--config", str(cfg_path), "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert str(exc.value) == ("srfe-lab: SRFE_LAB_THREADS must be a "
+                              f"positive integer, got {value!r}")
+    assert not out.exists()  # stopped before any work
 
 
 def test_missing_subcommand_is_an_error():

@@ -21,7 +21,11 @@ from srfe_lab.estimators import (
     srfe_mc_loss,
     srfe_mc_step,
 )
-from srfe_lab.gaussians import DiagonalGaussian, GaussianMixture
+from srfe_lab.gaussians import (
+    ContaminatedMixture,
+    DiagonalGaussian,
+    GaussianMixture,
+)
 
 MEANS = np.array([[-3.0, 0.0], [3.0, 0.0], [0.0, 4.0]])
 BENCH = GaussianMixture(means=MEANS, variance=0.5,
@@ -57,6 +61,48 @@ class TestLoss:
         assert np.all(grad.d_mu == 0.0)
         assert np.all(grad.d_log_sigma == 0.0)
         assert grad.second_moment == 0.0
+
+    def test_no_overlap_clamps_low(self):
+        # every log ratio is -inf, so f_hat = 0: the loss must clamp low
+        # with a zero gradient, not come out NaN
+        class NoSupport:
+            def log_prob_and_score(self, x):
+                x = np.asarray(x)
+                return np.full(x.shape[0], -np.inf), np.zeros_like(x)
+
+        q = DiagonalGaussian(mu=np.zeros(2), log_sigma=np.zeros(2))
+        eps = np.random.default_rng(5).standard_normal((32, 2))
+        rep, grad = srfe_mc_step(q, NoSupport(), SrfeConfig(tau=0.5, n_samples=32),
+                                 eps)
+        assert rep.clamped
+        assert rep.f_hat == 1e-10
+        assert rep.loss == pytest.approx(-math.log(1e-10) / 0.25, abs=1e-12)
+        assert rep.max_log_ratio == -math.inf
+        assert np.all(grad.d_mu == 0.0)
+        assert np.all(grad.d_log_sigma == 0.0)
+        assert grad.second_moment == 0.0
+
+    @pytest.mark.parametrize("outlier_weight", [None, 0.2])
+    def test_one_component_pass_per_step(self, outlier_weight):
+        passes = []
+
+        class CountingMixture(GaussianMixture):
+            def _component_log_probs(self, xb):
+                passes.append(xb.shape[0])
+                return super()._component_log_probs(xb)
+
+        target = CountingMixture(means=MEANS, variance=0.5,
+                                 weights=np.array([0.3, 0.3, 0.4]))
+        if outlier_weight is not None:
+            target = ContaminatedMixture(base=target,
+                                         outlier_weight=outlier_weight)
+        q = DiagonalGaussian(mu=np.array([0.5, 1.0]),
+                             log_sigma=np.array([0.3, 0.1]))
+        eps = np.random.default_rng(6).standard_normal((100, 2))
+        rep, _ = srfe_mc_step(q, target, SrfeConfig(tau=0.5, n_samples=100),
+                              eps)
+        assert not rep.clamped
+        assert passes == [100]
 
     def test_gradient_noise_at_target_is_statistical(self):
         # at q = target the expected gradient vanishes; the sample gradient

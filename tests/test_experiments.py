@@ -106,6 +106,17 @@ class TestExp4:
 
 
 class TestFailureIsolation:
+    def assert_failed_cell(self, target):
+        cell = _Cell("bad", "srfe", 0.5, None, None,
+                     TrainConfig(objective="reverse_kl", iterations=2,
+                                 batch_size=10),
+                     target)
+        row, history = _run_cell(cell, benchmark_target())
+        assert row.metrics.mode_coverage == -1
+        assert math.isnan(row.metrics.ess)
+        assert math.isnan(row.final_loss)
+        assert history.size == 0
+
     def test_broken_target_yields_nan_row(self):
         class BrokenTarget:
             def log_prob(self, x):
@@ -117,15 +128,18 @@ class TestFailureIsolation:
             def sample(self, n, rng):
                 return rng.standard_normal((n, 2))
 
-        cell = _Cell("bad", "srfe", 0.5, None, None,
-                     TrainConfig(objective="reverse_kl", iterations=2,
-                                 batch_size=10),
-                     BrokenTarget())
-        row, history = _run_cell(cell, benchmark_target())
-        assert row.metrics.mode_coverage == -1
-        assert math.isnan(row.metrics.ess)
-        assert math.isnan(row.final_loss)
-        assert history.size == 0
+        self.assert_failed_cell(BrokenTarget())
+
+    def test_nan_score_target_yields_nan_row(self):
+        # the loss is finite, the gradient is not
+        class NanScoreTarget:
+            def log_prob(self, x):
+                return np.zeros(np.asarray(x).shape[0])
+
+            def score_x(self, x):
+                return np.full(np.asarray(x).shape, np.nan)
+
+        self.assert_failed_cell(NanScoreTarget())
 
 
 class TestCsvRoundTrip:

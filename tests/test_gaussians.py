@@ -221,6 +221,25 @@ class TestContaminatedMixture:
             ContaminatedMixture(base=make_mixture(), outlier_weight=-0.1)
 
 
+@pytest.mark.parametrize("dist", [
+    DiagonalGaussian(mu=np.array([0.5, -1.0]), log_sigma=np.array([0.2, -0.3])),
+    make_mixture(),
+    ContaminatedMixture(base=make_mixture(), outlier_weight=0.0),
+    ContaminatedMixture(base=make_mixture(), outlier_weight=0.2),
+], ids=["diagonal", "mixture", "contaminated_w0", "contaminated_w0.2"])
+def test_log_prob_and_score_matches_separate_calls(dist):
+    # one pass must give exactly the numbers of the two separate methods,
+    # inside and outside the outlier box
+    xs = np.random.default_rng(12).uniform(-12, 12, size=(40, 2))
+    lp, score = dist.log_prob_and_score(xs)
+    np.testing.assert_array_equal(lp, dist.log_prob(xs))
+    np.testing.assert_array_equal(score, dist.score_x(xs))
+    lp1, score1 = dist.log_prob_and_score(xs[3])
+    assert isinstance(lp1, float) and lp1 == dist.log_prob(xs[3])
+    assert score1.shape == (2,)
+    np.testing.assert_array_equal(score1, dist.score_x(xs[3]))
+
+
 class TestEqualCovarianceValue:
     def test_unit_shift(self):
         assert srfe_equal_covariance([0.0], [1.0], 0.5) == 1.0

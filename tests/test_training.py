@@ -130,6 +130,18 @@ class TestTrain:
         with pytest.raises(RuntimeError, match="non-finite loss at step 1"):
             train(BrokenTarget(), self.small_cfg(objective="reverse_kl"))
 
+    def test_non_finite_gradient_raises(self):
+        class NanScoreTarget:
+            def log_prob(self, x):
+                return np.zeros(np.asarray(x).shape[0])
+
+            def score_x(self, x):
+                return np.full(np.asarray(x).shape, np.nan)
+
+        with pytest.raises(RuntimeError,
+                           match="non-finite gradient at step 1"):
+            train(NanScoreTarget(), self.small_cfg(objective="reverse_kl"))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(objective="hellinger")
