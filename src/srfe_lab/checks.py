@@ -14,7 +14,6 @@ report fields.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +35,6 @@ from .discrete import (
     tail_bound,
 )
 from .estimators import exact_second_moment, softmax
-from .experiments import max_workers
 from .gaussians import DiagonalGaussian, srfe_equal_covariance
 
 TAU_GRID_9 = tuple(round(0.1 * k, 1) for k in range(1, 10))
@@ -67,10 +65,13 @@ def _report(name: str, passed: bool, observed, threshold, details: str) -> Check
                        np.asarray(threshold, dtype=float), details)
 
 
-def dirichlet_pair(rng: np.random.Generator, size: int) -> tuple[DiscreteDist, DiscreteDist]:
-    """A random pair of fully-supported distributions on `size` points."""
-    return (DiscreteDist.from_unnormalized(rng.dirichlet(np.ones(size))),
-            DiscreteDist.from_unnormalized(rng.dirichlet(np.ones(size))))
+def dirichlet_pair(rng: np.random.Generator, size: int,
+                   n: int | None = None) -> tuple[DiscreteDist, DiscreteDist]:
+    """A random pair of fully-supported distributions on `size` points, or
+    with n a batch of n pairs, drawn in the order n single calls draw them."""
+    draws = rng.dirichlet(np.ones(size), size=2 if n is None else (n, 2))
+    return (DiscreteDist.from_unnormalized(draws[..., 0, :]),
+            DiscreteDist.from_unnormalized(draws[..., 1, :]))
 
 
 def check_kl_limits(p: DiscreteDist, q: DiscreteDist,
@@ -82,13 +83,14 @@ def check_kl_limits(p: DiscreteDist, q: DiscreteDist,
     its order approaches 0 (KL(p||q)) and -1 (KL(q||p)).
     """
     big, small = eps_grid
+    eps = np.asarray(eps_grid)
     kf = kl_discrete(p, q)
     kr = kl_discrete(q, p)
-    errs = np.array([
-        [abs(srfe_discrete(p, q, 1.0 - e) - kf) for e in eps_grid],
-        [abs(srfe_discrete(p, q, e) - kr) for e in eps_grid],
-        [abs(cr_standard(p, q, e) - kf) for e in eps_grid],
-        [abs(cr_standard(p, q, -1.0 + e) - kr) for e in eps_grid],
+    errs = np.abs([
+        srfe_discrete(p, q, 1.0 - eps) - kf,
+        srfe_discrete(p, q, eps) - kr,
+        cr_standard(p, q, eps) - kf,
+        cr_standard(p, q, -1.0 + eps) - kr,
     ])
     if errs.max() < 1e-12:
         # degenerate instance (p == q): the limits hold exactly
@@ -124,18 +126,17 @@ def check_expansions(p: DiscreteDist, q: DiscreteDist,
     4x (bracket [3, 5]); same for the power-divergence expansion in its
     order parameter.
     """
-    def residual(tau: float, side: str) -> float:
-        return abs(srfe_discrete(p, q, tau) - expansion_prediction(p, q, tau, side))
-
-    r_f = (residual(1.0 - delta, "forward"), residual(1.0 - delta / 2, "forward"))
-    r_r = (residual(delta, "reverse"), residual(delta / 2, "reverse"))
-    r_c = (abs(cr_standard(p, q, delta) - cr_expansion_prediction(p, q, delta)),
-           abs(cr_standard(p, q, delta / 2) - cr_expansion_prediction(p, q, delta / 2)))
-    pairs = (r_f, r_r, r_c)
-    if max(r[0] for r in pairs) < 1e-13:
+    steps = np.array([delta, delta / 2])
+    residuals = np.abs([
+        srfe_discrete(p, q, 1.0 - steps)
+        - expansion_prediction(p, q, 1.0 - steps, "forward"),
+        srfe_discrete(p, q, steps) - expansion_prediction(p, q, steps, "reverse"),
+        cr_standard(p, q, steps) - cr_expansion_prediction(p, q, steps),
+    ])
+    if residuals[:, 0].max() < 1e-13:
         return _report("expansions", True, [4.0, 4.0, 4.0], [3.0, 5.0],
                        "residuals vanish (p == q)")
-    ratios = np.array([a / b for a, b in pairs])
+    ratios = residuals[:, 0] / residuals[:, 1]
     ok = ((ratios >= 3.0) & (ratios <= 5.0)).all()
     return _report(
         "expansions", bool(ok), ratios, [3.0, 5.0],
@@ -191,11 +192,9 @@ def check_fisher_metric_simplex(t: float = 1e-2,
     base = DiscreteDist(p)
     quad = 0.5 * t * t * float(np.sum(d * d / p))
     cubic = t ** 3 * float(np.sum(np.abs(d) ** 3 / p ** 2))
-    vals = np.array([
-        [srfe_discrete(base, DiscreteDist.from_unnormalized(p + s * t * d), tau)
-         for s in (1.0, -1.0)]
-        for tau in tau_grid
-    ])
+    signs = np.array([[1.0], [-1.0]])
+    moved = DiscreteDist.from_unnormalized(p + signs * t * d)
+    vals = srfe_discrete(base, moved, np.asarray(tau_grid)[:, None])
     resid = np.abs(vals - quad).max()
     spread = float(vals[:, 0].max() - vals[:, 0].min())
     ok = resid <= cubic and spread <= cubic
@@ -209,14 +208,11 @@ def check_fisher_metric_simplex(t: float = 1e-2,
 def check_tail_bounds(p: DiscreteDist, q: DiscreteDist,
                       tau_grid=TAU_GRID_9, a_grid=A_GRID_31) -> CheckReport:
     """Exceedance probability of the surprisal gap never beats its bound."""
-    exact = np.array([exact_tail_prob(p, q, a) for a in a_grid])
-    worst = -np.inf
-    violations = 0
-    for tau in tau_grid:
-        bounds = np.array([tail_bound(p, q, tau, a) for a in a_grid])
-        margin = exact - bounds
-        violations += int((margin > 0).sum())
-        worst = max(worst, float(margin.max()))
+    a = np.asarray(a_grid)
+    bounds = tail_bound(p, q, np.asarray(tau_grid)[:, None], a)
+    margin = exact_tail_prob(p, q, a) - bounds
+    violations = int((margin > 0).sum())
+    worst = float(margin.max())
     return _report(
         "tail_bounds", violations == 0, [violations], [0],
         f"{len(tau_grid)}x{len(a_grid)} grid, {violations} violations, "
@@ -242,14 +238,11 @@ def check_tail_bounds_mc(mean_shift: float = 1.0, variance: float = 0.5,
     freq = (n - np.searchsorted(gaps, np.asarray(a_grid), side="left")) / n
     slack = 4.0 * np.sqrt(freq * (1.0 - freq) / n)
     value = srfe_equal_covariance(p.mu, q.mu, variance)
-    violations = 0
-    worst = -np.inf
-    for tau in tau_grid:
-        log_f = -tau * (1.0 - tau) * value
-        bounds = np.exp(-tau * np.asarray(a_grid) + log_f)
-        margin = freq - bounds - slack
-        violations += int((margin > 0).sum())
-        worst = max(worst, float(margin.max()))
+    tau = np.asarray(tau_grid)[:, None]
+    log_f = -tau * (1.0 - tau) * value
+    margin = freq - np.exp(-tau * np.asarray(a_grid) + log_f) - slack
+    violations = int((margin > 0).sum())
+    worst = float(margin.max())
     return _report(
         "tail_bounds_mc", violations == 0, [violations], [0],
         f"normal pair shift {mean_shift}, variance {variance}, n={n}: "
@@ -257,23 +250,24 @@ def check_tail_bounds_mc(mean_shift: float = 1.0, variance: float = 0.5,
     )
 
 
-def check_kl_upper_bounds(pairs, tau_grid=TAU_GRID_9) -> CheckReport:
-    """Scaled KL in either direction upper-bounds the divergence.
+def check_kl_upper_bounds(p: DiscreteDist, q: DiscreteDist,
+                          tau_grid=TAU_GRID_9) -> CheckReport:
+    """Scaled KL in either direction upper-bounds the divergence, on every
+    pair of the batch (p, q) of shape (n, k) at every weight.
 
     Also exercises a nearly-disjoint pair where the slack becomes large
     and positive rather than degenerate.
     """
-    min_gap = np.inf
-    for p, q in pairs:
-        for tau in tau_grid:
-            min_gap = min(min_gap, kl_upper_bound_gap(p, q, tau))
+    gaps = kl_upper_bound_gap(p, q, np.asarray(tau_grid)[:, None])
+    min_gap = float(np.min(gaps))
     near = DiscreteDist(np.array([1.0 - 1e-9, 1e-9]))
     far = DiscreteDist(np.array([1e-9, 1.0 - 1e-9]))
     nd_gap = kl_upper_bound_gap(near, far, 0.5)
     ok = min_gap >= -1e-12 and nd_gap >= 1.0
     return _report(
         "kl_upper_bounds", bool(ok), [min_gap, nd_gap], [-1e-12, 1.0],
-        f"{len(pairs)} pairs x {len(tau_grid)} weights: min gap {min_gap:.3e}; "
+        f"{gaps.size // len(tau_grid)} pairs x {len(tau_grid)} weights: "
+        f"min gap {min_gap:.3e}; "
         f"nearly-disjoint witness gap {nd_gap:.3f}",
     )
 
@@ -298,15 +292,12 @@ def check_gradient_identity(p: DiscreteDist, logits: np.ndarray, tau: float,
     closed_cr = -q * (u_tau - mean_u) / tau
     baselined = -q * ((u_tau - 1.0) - (mean_u - 1.0)) / tau
 
-    fd_srfe = np.empty_like(logits)
-    fd_cr = np.empty_like(logits)
-    for k in range(logits.size):
-        bump = np.zeros_like(logits)
-        bump[k] = fd_step
-        hi = DiscreteDist.from_unnormalized(softmax(logits + bump))
-        lo = DiscreteDist.from_unnormalized(softmax(logits - bump))
-        fd_srfe[k] = (srfe_discrete(p, hi, tau) - srfe_discrete(p, lo, tau)) / (2 * fd_step)
-        fd_cr[k] = (cr_standard(p, hi, lam) - cr_standard(p, lo, lam)) / (2 * fd_step)
+    # row k of hi / lo moves logit k by +- fd_step
+    bumps = fd_step * np.eye(logits.size)
+    hi = DiscreteDist.from_unnormalized([softmax(logits + b) for b in bumps])
+    lo = DiscreteDist.from_unnormalized([softmax(logits - b) for b in bumps])
+    fd_srfe = (srfe_discrete(p, hi, tau) - srfe_discrete(p, lo, tau)) / (2 * fd_step)
+    fd_cr = (cr_standard(p, hi, lam) - cr_standard(p, lo, lam)) / (2 * fd_step)
 
     err_srfe = float(np.abs(fd_srfe - closed_srfe).max())
     err_cr = float(np.abs(fd_cr - closed_cr).max())
@@ -328,20 +319,16 @@ def check_monotone_equivalence(n_pairs: int = 10 ** 4, tau: float = 0.5,
     h(d) = -log(1 - tau(1-tau) d) / (tau(1-tau)) carries one value to the
     other exactly.
     """
-    rng = np.random.default_rng(seed)
-    disagreements = 0
-    worst_map = 0.0
-    for _ in range(n_pairs):
-        p, q1 = dirichlet_pair(rng, 5)
-        q2 = DiscreteDist.from_unnormalized(rng.dirichlet(np.ones(5)))
-        s1, s2 = srfe_discrete(p, q1, tau), srfe_discrete(p, q2, tau)
-        d1, d2 = cr_associated(p, q1, tau), cr_associated(p, q2, tau)
-        if abs(d1 - d2) > 1e-12 * max(1.0, abs(d1), abs(d2)):
-            if (s1 - s2) * (d1 - d2) < 0:
-                disagreements += 1
-        worst_map = max(worst_map,
-                        abs(monotone_map(d1, tau) - s1),
-                        abs(monotone_map(d2, tau) - s2))
+    # one triple (p, q1, q2) per row, drawn in the order of one draw each
+    draws = np.random.default_rng(seed).dirichlet(np.ones(5), size=(n_pairs, 3))
+    p = DiscreteDist.from_unnormalized(draws[:, :1])
+    q = DiscreteDist.from_unnormalized(draws[:, 1:])
+    s = srfe_discrete(p, q, tau)
+    d = cr_associated(p, q, tau)
+    ds, dd = s[:, 0] - s[:, 1], d[:, 0] - d[:, 1]
+    distinct = np.abs(dd) > 1e-12 * np.maximum(1.0, np.abs(d).max(axis=1))
+    disagreements = int(np.sum(distinct & (ds * dd < 0)))
+    worst_map = float(np.max(np.abs(monotone_map(d, tau) - s), initial=0.0))
     ok = disagreements == 0 and worst_map <= 1e-12
     return _report(
         "monotone_equivalence", bool(ok), [disagreements, worst_map],
@@ -436,7 +423,7 @@ def run_all(seed: int = 0, inject_failure: bool = False) -> list[CheckReport]:
     rng = np.random.default_rng(seed)
     worked_p = DiscreteDist(np.array([0.5, 0.5]))
     worked_q = DiscreteDist(np.array([0.25, 0.75]))
-    kl_pairs = [dirichlet_pair(rng, 6) for _ in range(1000)]
+    kl_pairs = dirichlet_pair(rng, 6, n=1000)
     tail_pairs = [dirichlet_pair(rng, int(rng.integers(2, 11))) for _ in range(50)]
     grad_cases = []
     for _ in range(50):
@@ -464,26 +451,23 @@ def run_all(seed: int = 0, inject_failure: bool = False) -> list[CheckReport]:
                        f"{len(reports)} random softmax instances, worst "
                        f"errors {[float(f'{w:.2e}') for w in worst]}")
 
-    tasks = [
-        lambda: check_kl_limits(worked_p, worked_q),
-        lambda: check_expansions(worked_p, worked_q),
-        lambda: check_fisher_metric(0.5),
-        lambda: check_fisher_metric(1.0),
-        lambda: check_fisher_metric(2.0),
-        check_fisher_metric_simplex,
-        tail_sweep,
-        lambda: check_tail_bounds_mc(seed=seed + 1),
-        lambda: check_kl_upper_bounds(kl_pairs),
-        grad_sweep,
-        lambda: check_monotone_equivalence(seed=seed + 2),
-        lambda: check_not_f_divergence(0.3),
-        lambda: check_not_f_divergence(0.5),
-        lambda: check_not_f_divergence(0.9),
-        lambda: check_second_moment_bounds(moment_p, moment_logits),
+    reports = [
+        check_kl_limits(worked_p, worked_q),
+        check_expansions(worked_p, worked_q),
+        check_fisher_metric(0.5),
+        check_fisher_metric(1.0),
+        check_fisher_metric(2.0),
+        check_fisher_metric_simplex(),
+        tail_sweep(),
+        check_tail_bounds_mc(seed=seed + 1),
+        check_kl_upper_bounds(*kl_pairs),
+        grad_sweep(),
+        check_monotone_equivalence(seed=seed + 2),
+        check_not_f_divergence(0.3),
+        check_not_f_divergence(0.5),
+        check_not_f_divergence(0.9),
+        check_second_moment_bounds(moment_p, moment_logits),
     ]
-    with ThreadPoolExecutor(max_workers=max_workers()) as pool:
-        futures = [pool.submit(t) for t in tasks]
-        reports = [f.result() for f in futures]
 
     if inject_failure:
         bad = check_fisher_metric(1.0, rel_tol=0.0, spread_tol=0.0)

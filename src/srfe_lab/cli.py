@@ -8,7 +8,6 @@ file, then explicit flags.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 
@@ -24,6 +23,7 @@ from .experiments import (
     run_exp2,
     run_exp3,
     run_exp4,
+    write_csv,
 )
 from .gaussians import ContaminatedMixture, DiagonalGaussian
 
@@ -158,11 +158,7 @@ def _cmd_density_grid(args: argparse.Namespace) -> int:
     out = sys.stdout if args.out == "-" else open(args.out, "w", newline="",
                                                   encoding="utf-8")
     try:
-        writer = csv.writer(out)
-        writer.writerow(("x", "y", "log_density"))
-        for x, y, ld in grid:
-            writer.writerow((format(x, ".17g"), format(y, ".17g"),
-                             format(ld, ".17g")))
+        write_csv(out, ("x", "y", "log_density"), grid)
     finally:
         if out is not sys.stdout:
             out.close()

@@ -5,11 +5,20 @@ is the overlap coefficient F(tau) = sum_i p_i^tau q_i^(1-tau), from which the
 free-energy divergence, the associated Cressie-Read form, escort
 distributions, tail bounds and the variational characterization all derive.
 Sums over the support are done in the log domain where cancellation matters.
+
+Broadcasting: a DiscreteDist holds one distribution of shape (k,) or a batch
+of shape (..., k), one distribution per row along the last axis.  Every pair
+kernel takes p and q with the same k and batch shapes that broadcast, and
+broadcasts its scalar argument (tau, lam, a or the cr value) against the
+batch shape p.shape[:-1]; zero-mass entries are masked, never dropped, so
+each row is computed as it would be alone.  A kernel raises its error if
+any pair in the batch triggers it, returns a float for a single pair and an
+array of the broadcast batch shape otherwise.  variational_minimize and
+mixed_partial_probe take a single pair only.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,25 +64,27 @@ class AbsoluteContinuityError(ValueError):
 
 @dataclass(frozen=True)
 class DiscreteDist:
-    """A probability vector on a finite support.
+    """A probability vector on a finite support, or a batch of them.
 
-    The constructor validates; use :meth:`from_unnormalized` to renormalize
+    probs has shape (k,) or (..., k); each row along the last axis is
+    validated on its own.  Use :meth:`from_unnormalized` to renormalize
     arbitrary nonnegative weights instead.
     """
 
     probs: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=np.float64)
-        if p.ndim != 1 or p.size == 0:
-            raise ValueError("probs must be a nonempty 1-d vector")
+        p = np.array(self.probs, dtype=np.float64)
+        if p.ndim == 0 or p.shape[-1] == 0:
+            raise ValueError("probs must have a nonempty last axis")
         if not np.all(np.isfinite(p)):
             raise ValueError("probs must be finite")
         if np.any(p < 0):
             raise ValueError("probs must be nonnegative")
-        if abs(p.sum() - 1.0) > NORMALIZATION_TOL:
-            raise ValueError(f"probs sum to {p.sum():.12g}, not 1")
-        p = p.copy()
+        total = np.atleast_1d(p.sum(axis=-1))
+        off = total[np.abs(total - 1.0) > NORMALIZATION_TOL]
+        if off.size:
+            raise ValueError(f"probs sum to {off[0]:.12g}, not 1")
         p.flags.writeable = False
         object.__setattr__(self, "probs", p)
 
@@ -82,14 +93,15 @@ class DiscreteDist:
         w = np.asarray(weights, dtype=np.float64)
         if np.any(w < 0) or not np.all(np.isfinite(w)):
             raise ValueError("weights must be finite and nonnegative")
-        total = w.sum()
-        if total <= 0:
+        total = w.sum(axis=-1, keepdims=True)
+        if np.any(total <= 0):
             raise ValueError("weights must have positive total mass")
         return cls(w / total)
 
     @property
     def size(self) -> int:
-        return int(self.probs.size)
+        """Number of support points k."""
+        return int(self.probs.shape[-1])
 
     @property
     def support(self) -> np.ndarray:
@@ -98,7 +110,8 @@ class DiscreteDist:
 
 @dataclass(frozen=True)
 class SurprisalStats:
-    """Mean and variance of the log ratio log(p/q) under the first argument."""
+    """Mean and variance of the log ratio log(p/q) under the first argument
+    (floats for a single pair, arrays for a batch)."""
 
     mean: float
     variance: float
@@ -118,142 +131,155 @@ def _log(x: np.ndarray) -> np.ndarray:
         return np.log(x)
 
 
-def _logsumexp(a: np.ndarray, axis: int | None = None):
-    """log sum exp(a), over all of a (a float) or along axis (an array).
-
-    The whole-array form is scalar code because it sits in every divergence
-    call on vectors of a few entries, where a general keepdims version costs
-    about three times as much.
-    """
-    if axis is None:
-        m = float(a.max())
-        if m == -math.inf:
-            return m
-        return m + math.log(float(np.exp(a - m).sum()))
+def _logsumexp(a: np.ndarray, axis: int = -1):
+    """log sum exp(a) along axis; a row whose max is not finite is not
+    shifted, so an all -inf row gives -inf."""
     m = a.max(axis=axis, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
-    return np.log(np.exp(a - m).sum(axis=axis)) + np.squeeze(m, axis=axis)
+    return _log(np.exp(a - m).sum(axis=axis)) + np.squeeze(m, axis=axis)
 
 
-def _check_pair(p: DiscreteDist, q: DiscreteDist):
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_i a_i b_i along the last axis, each row summed as np.dot sums it."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _float_or_array(x):
+    """A single pair's result as a float, a batch's as an array."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _logs(p: DiscreteDist, q: DiscreteDist) -> tuple[np.ndarray, np.ndarray]:
     if p.size != q.size:
         raise ValueError(f"support sizes differ: {p.size} vs {q.size}")
+    return _log(p.probs), _log(q.probs)
 
 
-def _check_tau_open(tau: float):
-    if not (0.0 < tau < 1.0):
+def _last_axis(x) -> np.ndarray:
+    """A scalar argument broadcast against the batch shape, with a trailing
+    axis so that it meets each row."""
+    return np.asarray(x, dtype=np.float64)[..., None]
+
+
+def _check_tau_open(tau):
+    t = np.asarray(tau)
+    if not np.all((0.0 < t) & (t < 1.0)):
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
 
 
-def _log_overlap(p: DiscreteDist, q: DiscreteDist, tau: float) -> float:
+def _log_terms(p: DiscreteDist, q: DiscreteDist, tau) -> np.ndarray:
+    """tau log p_i + (1 - tau) log q_i on the joint support, -inf off it."""
+    lp, lq = _logs(p, q)
+    t = _last_axis(tau)
+    with np.errstate(invalid="ignore"):  # 0 * -inf off the support
+        return np.where(p.support & q.support, t * lp + (1.0 - t) * lq, -np.inf)
+
+
+def _log_overlap(p: DiscreteDist, q: DiscreteDist, tau) -> np.ndarray:
     """log F(tau) over the joint support, -inf when the supports are disjoint."""
-    _check_pair(p, q)
-    mask = p.support & q.support
-    if not mask.any():
-        return -math.inf
-    lp = _log(p.probs[mask])
-    lq = _log(q.probs[mask])
-    return _logsumexp(tau * lp + (1.0 - tau) * lq)
+    return _logsumexp(_log_terms(p, q, tau))
 
 
-def chernoff_coefficient(p: DiscreteDist, q: DiscreteDist, tau: float) -> float:
+def _nonzero_overlap(log_f: np.ndarray, what: str) -> np.ndarray:
+    if np.any(log_f == -np.inf):
+        raise DisjointSupportError(f"supports are disjoint, {what} undefined")
+    return log_f
+
+
+def _require_absolutely_continuous(p: DiscreteDist, q: DiscreteDist,
+                                   message: str, where=True) -> None:
+    if np.any(where & p.support & ~q.support):
+        raise AbsoluteContinuityError(message)
+
+
+def chernoff_coefficient(p: DiscreteDist, q: DiscreteDist, tau):
     """F(tau) = sum_i p_i^tau q_i^(1-tau) with 0-mass terms contributing 0.
 
     Defined for tau in [0, 1]; equals 1 iff p = q, equals 0 iff the supports
     are disjoint.  Endpoints follow the continuous limit: F(0) is the q-mass
     of p's support restricted to q's, and symmetrically for F(1).
     """
-    if not (0.0 <= tau <= 1.0):
+    t = np.asarray(tau)
+    if not np.all((0.0 <= t) & (t <= 1.0)):
         raise ValueError(f"tau must lie in [0, 1], got {tau}")
-    return float(np.exp(_log_overlap(p, q, tau)))
+    return _float_or_array(np.exp(_log_overlap(p, q, tau)))
 
 
-def srfe_discrete(p: DiscreteDist, q: DiscreteDist, tau: float) -> float:
+def srfe_discrete(p: DiscreteDist, q: DiscreteDist, tau):
     """Free-energy divergence -log F(tau) / (tau (1 - tau)).
 
     Raises DisjointSupportError when F(tau) = 0.  Nonnegative, zero iff
     p = q; tends to KL(p||q) as tau -> 1 and KL(q||p) as tau -> 0.
     """
     _check_tau_open(tau)
-    log_f = _log_overlap(p, q, tau)
-    if log_f == -math.inf:
-        raise DisjointSupportError("supports are disjoint, divergence undefined")
-    return -log_f / (tau * (1.0 - tau))
+    log_f = _nonzero_overlap(_log_overlap(p, q, tau), "divergence")
+    return _float_or_array(-log_f / (tau * (1.0 - tau)))
 
 
-def cr_associated(p: DiscreteDist, q: DiscreteDist, tau: float) -> float:
+def cr_associated(p: DiscreteDist, q: DiscreteDist, tau):
     """(1 - F(tau)) / (tau (1 - tau)), the power-divergence companion."""
     _check_tau_open(tau)
     log_f = _log_overlap(p, q, tau)
     # 1 - e^x via expm1 keeps precision when F is close to 1
-    return float(-np.expm1(log_f)) / (tau * (1.0 - tau))
+    return _float_or_array(-np.expm1(log_f) / (tau * (1.0 - tau)))
 
 
-def cr_standard(p: DiscreteDist, q: DiscreteDist, lam: float) -> float:
+def cr_standard(p: DiscreteDist, q: DiscreteDist, lam):
     """Cressie-Read divergence sum_i p_i [(p_i/q_i)^lam - 1] / (lam (lam + 1)).
 
     lam = 0 and lam = -1 are the (excluded) KL limit points.  For lam > 0 the
     ratio must be finite wherever p has mass; for lam < 0 terms with q_i = 0
     vanish on their own.
     """
-    _check_pair(p, q)
-    if lam == 0.0 or lam == -1.0:
+    lp, lq = _logs(p, q)
+    lam_row = _last_axis(lam)
+    if np.any((lam_row == 0.0) | (lam_row == -1.0)):
         raise ValueError("lam = 0 and lam = -1 are limit points, not values")
-    mask = p.support
-    if lam > 0 and np.any(mask & ~q.support):
-        raise AbsoluteContinuityError("p has mass where q has none")
-    lp = _log(p.probs[mask])
-    lq = _log(q.probs[mask])
+    _require_absolutely_continuous(p, q, "p has mass where q has none",
+                                   lam_row > 0)
     with np.errstate(invalid="ignore"):
         gap = lp - lq
-    # p_i expm1(lam (log p_i - log q_i)); for q_i = 0, lam < 0 this is -p_i
-    terms = p.probs[mask] * np.expm1(lam * gap)
-    return float(terms.sum()) / (lam * (lam + 1.0))
+        # p_i expm1(lam (log p_i - log q_i)); for q_i = 0, lam < 0 this is -p_i
+        terms = np.where(p.support, p.probs * np.expm1(lam_row * gap), 0.0)
+    return _float_or_array(terms.sum(axis=-1) / (lam * (lam + 1.0)))
 
 
-def kl_discrete(p: DiscreteDist, q: DiscreteDist) -> float:
+def _log_ratio(p: DiscreteDist, q: DiscreteDist, message: str) -> np.ndarray:
+    """log(p_i/q_i) on p's support, 0 off it; q must cover p's support."""
+    lp, lq = _logs(p, q)
+    _require_absolutely_continuous(p, q, message)
+    with np.errstate(invalid="ignore"):
+        return np.where(p.support, lp - lq, 0.0)
+
+
+def kl_discrete(p: DiscreteDist, q: DiscreteDist):
     """KL(p||q) with the 0 log 0 = 0 convention.
 
     Raises AbsoluteContinuityError if p has mass where q has none.
     """
-    _check_pair(p, q)
-    mask = p.support
-    if np.any(mask & ~q.support):
-        raise AbsoluteContinuityError("p has mass where q has none")
-    lp = _log(p.probs[mask])
-    lq = _log(q.probs[mask])
-    return float(np.dot(p.probs[mask], lp - lq))
+    gap = _log_ratio(p, q, "p has mass where q has none")
+    return _float_or_array(_row_dot(p.probs, gap))
 
 
 def surprisal_stats(p: DiscreteDist, q: DiscreteDist) -> SurprisalStats:
     """Mean and variance of log(p/q) under p.  The mean is KL(p||q)."""
-    _check_pair(p, q)
-    mask = p.support
-    if np.any(mask & ~q.support):
-        raise AbsoluteContinuityError("log ratio is infinite on p's support")
-    gap = _log(p.probs[mask]) - _log(q.probs[mask])
-    w = p.probs[mask]
-    mean = float(np.dot(w, gap))
-    var = float(np.dot(w, (gap - mean) ** 2))
-    return SurprisalStats(mean=mean, variance=var)
+    gap = _log_ratio(p, q, "log ratio is infinite on p's support")
+    mean = _row_dot(p.probs, gap)
+    var = _row_dot(p.probs, (gap - mean[..., None]) ** 2)
+    return SurprisalStats(mean=_float_or_array(mean),
+                          variance=_float_or_array(var))
 
 
-def escort(p: DiscreteDist, q: DiscreteDist, tau: float) -> DiscreteDist:
+def escort(p: DiscreteDist, q: DiscreteDist, tau) -> DiscreteDist:
     """Geometric-bridge distribution r_i proportional to p_i^tau q_i^(1-tau)."""
     _check_tau_open(tau)
-    log_f = _log_overlap(p, q, tau)
-    if log_f == -math.inf:
-        raise DisjointSupportError("supports are disjoint, escort undefined")
-    mask = p.support & q.support
-    r = np.zeros(p.size)
-    lp = _log(p.probs[mask])
-    lq = _log(q.probs[mask])
-    r[mask] = np.exp(tau * lp + (1.0 - tau) * lq - log_f)
-    return DiscreteDist.from_unnormalized(r)
+    terms = _log_terms(p, q, tau)
+    log_f = _nonzero_overlap(_logsumexp(terms), "escort")
+    return DiscreteDist.from_unnormalized(np.exp(terms - log_f[..., None]))
 
 
 def variational_objective(r: DiscreteDist, p: DiscreteDist, q: DiscreteDist,
-                          tau: float) -> float:
+                          tau):
     """J(r) = KL(r||q)/tau + KL(r||p)/(1-tau).
 
     Minimized over r by the escort distribution, with minimum value equal to
@@ -273,12 +299,13 @@ def variational_minimize(p: DiscreteDist, q: DiscreteDist, tau: float,
     below tol.
     """
     _check_tau_open(tau)
-    _check_pair(p, q)
+    if p.probs.ndim != 1 or q.probs.ndim != 1 or np.ndim(tau):
+        raise ValueError("variational_minimize takes a single pair and tau")
+    lp, lq = _logs(p, q)
     mask = p.support & q.support
     if not mask.any():
         raise DisjointSupportError("supports are disjoint, objective is infinite")
-    lp = _log(p.probs[mask])
-    lq = _log(q.probs[mask])
+    lp, lq = lp[mask], lq[mask]
     r = np.full(int(mask.sum()), 1.0 / mask.sum())
     converged = False
     it = 0
@@ -302,7 +329,7 @@ def variational_minimize(p: DiscreteDist, q: DiscreteDist, tau: float,
 
 
 def pythagorean_residual(r: DiscreteDist, p: DiscreteDist, q: DiscreteDist,
-                         tau: float) -> float:
+                         tau):
     """J(r) - [KL(r||escort)/(tau(1-tau)) + srfe].  Identically zero in exact
     arithmetic for any r supported inside both supports."""
     j = variational_objective(r, p, q, tau)
@@ -312,26 +339,23 @@ def pythagorean_residual(r: DiscreteDist, p: DiscreteDist, q: DiscreteDist,
     return j - decomposed
 
 
-def tail_bound(p: DiscreteDist, q: DiscreteDist, tau: float, a: float) -> float:
+def tail_bound(p: DiscreteDist, q: DiscreteDist, tau, a):
     """Chernoff-style bound exp(-tau a) F(tau) on Pr_q[log(p/q) >= a]."""
     _check_tau_open(tau)
-    log_f = _log_overlap(p, q, tau)
-    if log_f == -math.inf:
-        raise DisjointSupportError("supports are disjoint, bound undefined")
-    return float(np.exp(-tau * a + log_f))
+    log_f = _nonzero_overlap(_log_overlap(p, q, tau), "bound")
+    return _float_or_array(np.exp(-tau * a + log_f))
 
 
-def exact_tail_prob(p: DiscreteDist, q: DiscreteDist, a: float) -> float:
+def exact_tail_prob(p: DiscreteDist, q: DiscreteDist, a):
     """Pr_q[log(p/q) >= a].  Points where p vanishes have log ratio -inf and
     never count for finite a."""
-    _check_pair(p, q)
-    mask = q.support
-    with np.errstate(divide="ignore"):
-        gap = _log(p.probs[mask]) - _log(q.probs[mask])
-    return float(q.probs[mask][gap >= a].sum())
+    lp, lq = _logs(p, q)
+    with np.errstate(invalid="ignore"):
+        counted = q.support & (lp - lq >= _last_axis(a))
+    return _float_or_array(np.where(counted, q.probs, 0.0).sum(axis=-1))
 
 
-def kl_upper_bound_gap(p: DiscreteDist, q: DiscreteDist, tau: float) -> float:
+def kl_upper_bound_gap(p: DiscreteDist, q: DiscreteDist, tau):
     """min(KL(p||q)/tau, KL(q||p)/(1-tau)) - srfe(p, q, tau).
 
     Nonnegative: the two bound candidates are J(p) and J(q) for the
@@ -341,11 +365,12 @@ def kl_upper_bound_gap(p: DiscreteDist, q: DiscreteDist, tau: float) -> float:
     _check_tau_open(tau)
     forward = kl_discrete(p, q) / tau
     reverse = kl_discrete(q, p) / (1.0 - tau)
-    return min(forward, reverse) - srfe_discrete(p, q, tau)
+    return _float_or_array(np.minimum(forward, reverse)
+                           - srfe_discrete(p, q, tau))
 
 
-def expansion_prediction(p: DiscreteDist, q: DiscreteDist, tau: float,
-                         side: str = "forward") -> float:
+def expansion_prediction(p: DiscreteDist, q: DiscreteDist, tau,
+                         side: str = "forward"):
     """Second-order endpoint expansion of the free-energy divergence.
 
     side "forward" expands around tau = 1:
@@ -363,7 +388,7 @@ def expansion_prediction(p: DiscreteDist, q: DiscreteDist, tau: float,
     raise ValueError(f"side must be 'forward' or 'reverse', got {side!r}")
 
 
-def cr_expansion_prediction(p: DiscreteDist, q: DiscreteDist, lam: float) -> float:
+def cr_expansion_prediction(p: DiscreteDist, q: DiscreteDist, lam):
     """Second-order expansion of cr_standard around lam = 0:
 
         KL + (lam/2) Var_p[log(p/q)] + lam (KL^2/2 - KL)
@@ -373,17 +398,17 @@ def cr_expansion_prediction(p: DiscreteDist, q: DiscreteDist, lam: float) -> flo
     return kl + 0.5 * lam * stats.variance + lam * (0.5 * kl * kl - kl)
 
 
-def monotone_map(cr_value: float, tau: float) -> float:
+def monotone_map(cr_value, tau):
     """Strictly increasing map sending cr_associated to the free-energy value:
 
         h(d) = -log(1 - tau (1 - tau) d) / (tau (1 - tau))
     """
     _check_tau_open(tau)
     c = tau * (1.0 - tau)
-    if c * cr_value >= 1.0:
+    if np.any(c * np.asarray(cr_value) >= 1.0):
         raise ValueError("cr value outside the map's domain")
     # log1p keeps full precision for nearly-equal pairs (cr near 0)
-    return -math.log1p(-c * cr_value) / c
+    return _float_or_array(-np.log1p(-c * np.asarray(cr_value)) / c)
 
 
 _UNIFORM3 = None
@@ -405,6 +430,8 @@ def mixed_partial_probe(u: float, v: float, tau: float, h: float = 1e-4,
     w = 1-u-v only; the free-energy divergence breaks that pattern.
     Uses the four-point stencil with step h in each coordinate.
     """
+    if np.ndim(u) or np.ndim(v) or np.ndim(tau):
+        raise ValueError("mixed_partial_probe takes a single point and tau")
     if h <= 0:
         raise ValueError("h must be positive")
     if min(u - h, v - h) <= 0 or u + v + 2 * h >= 1:

@@ -214,18 +214,34 @@ def softmax_scores(logits: np.ndarray) -> np.ndarray:
     return np.eye(q.size) - q[None, :]
 
 
-def _moment_pieces(p: DiscreteDist, logits: np.ndarray, tau: float):
+def _moment_pieces(kind: str, p: DiscreteDist, logits: np.ndarray,
+                   tau: float):
+    """What both second-moment tools share: kind and tau validation, the
+    model q, u = p/q, F, the escort r, the squared score norms, and the
+    analytic bound of kind.
+
+    With C = max_j ||score_j||^2 and S = sum_j q_j u_j^(2 tau), the bounds
+    are (C/tau^2) S for "cr", C/tau^2 for "srfe_escort", and (C/tau^2) S / F^2
+    for "srfe_q".
+    """
+    if kind not in _KINDS:
+        raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
+    if not (0.0 < tau < 1.0):
+        raise ValueError(f"tau must lie in (0, 1), got {tau}")
     q = softmax(logits)
     if p.size != q.size:
         raise ValueError("support size mismatch")
     u = p.probs / q
-    f = float((p.probs ** tau * q ** (1.0 - tau)).sum())
+    bridge = p.probs ** tau * q ** (1.0 - tau)
+    f = float(bridge.sum())
     scores = softmax_scores(logits)
     norms2 = (scores * scores).sum(axis=1)
-    c = float(norms2.max())
-    # sum_j q_j u_j^(2 tau), the integral in the ratio-based bounds
-    s2 = float((q * u ** (2.0 * tau)).sum())
-    return q, u, f, scores, norms2, c, s2
+    bound = 1.0 / (tau * tau) * float(norms2.max())
+    if kind != "srfe_escort":
+        bound *= float((q * u ** (2.0 * tau)).sum())
+    if kind == "srfe_q":
+        bound /= f * f
+    return q, u, f, bridge / f, norms2, bound
 
 
 def exact_second_moment(kind: str, p: DiscreteDist, logits: np.ndarray,
@@ -236,25 +252,16 @@ def exact_second_moment(kind: str, p: DiscreteDist, logits: np.ndarray,
     kind "srfe_escort": g = -(1/tau) score(X),                 X ~ escort
     kind "srfe_q":      g = -(1/tau) (u(X)^tau / F) score(X),  X ~ q
 
-    Bounds use C = max_j ||score_j||^2: respectively (C/tau^2) sum q u^(2tau),
-    C/tau^2, and the first bound divided by F^2.
+    Bounds use C = max_j ||score_j||^2 (see _moment_pieces).
     """
-    if not (0.0 < tau < 1.0):
-        raise ValueError(f"tau must lie in (0, 1), got {tau}")
-    q, u, f, _, norms2, c, s2 = _moment_pieces(p, logits, tau)
+    q, u, f, r, norms2, bound = _moment_pieces(kind, p, logits, tau)
     inv_t2 = 1.0 / (tau * tau)
-    if kind == "cr":
-        emp = inv_t2 * float((q * u ** (2.0 * tau) * norms2).sum())
-        bound = inv_t2 * c * s2
-    elif kind == "srfe_escort":
-        r = p.probs ** tau * q ** (1.0 - tau) / f
+    if kind == "srfe_escort":
         emp = inv_t2 * float((r * norms2).sum())
-        bound = inv_t2 * c
-    elif kind == "srfe_q":
-        emp = inv_t2 * float((q * u ** (2.0 * tau) * norms2).sum()) / (f * f)
-        bound = inv_t2 * c * s2 / (f * f)
     else:
-        raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
+        emp = inv_t2 * float((q * u ** (2.0 * tau) * norms2).sum())
+        if kind == "srfe_q":
+            emp /= f * f
     return SecondMomentReport(empirical=emp, bound=bound)
 
 
@@ -262,24 +269,15 @@ def estimator_second_moment(kind: str, p: DiscreteDist, logits: np.ndarray,
                             tau: float, n: int,
                             rng: np.random.Generator) -> SecondMomentReport:
     """Sampled mean ||g||^2 over n one-sample draws, with the analytic bound."""
-    if kind not in _KINDS:
-        raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
-    if not (0.0 < tau < 1.0):
-        raise ValueError(f"tau must lie in (0, 1), got {tau}")
-    q, u, f, scores, norms2, c, s2 = _moment_pieces(p, logits, tau)
+    q, u, f, r, norms2, bound = _moment_pieces(kind, p, logits, tau)
     inv_t2 = 1.0 / (tau * tau)
     if kind == "srfe_escort":
-        r = p.probs ** tau * q ** (1.0 - tau) / f
         idx = rng.choice(p.size, size=n, p=r / r.sum())
         sq = inv_t2 * norms2[idx]
-        bound = inv_t2 * c
     else:
         idx = rng.choice(p.size, size=n, p=q)
         amp = u[idx] ** (2.0 * tau)
         if kind == "srfe_q":
             amp = amp / (f * f)
-            bound = inv_t2 * c * s2 / (f * f)
-        else:
-            bound = inv_t2 * c * s2
         sq = inv_t2 * amp * norms2[idx]
     return SecondMomentReport(empirical=float(sq.mean()), bound=bound)

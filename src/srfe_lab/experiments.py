@@ -34,8 +34,12 @@ EXP4_TAUS = (0.01, 0.5, 0.99)
 EXP4_WEIGHTS = (0.0, 0.1, 0.2, 0.3)
 
 CSV_HEADER = ("method", "tau", "schedule", "outlier_weight", "mode_coverage",
-              "ess", "entropy_error", "test_log_lik", "final_loss", "trial",
-              "seed")
+              "ess", "entropy_error", "test_log_lik", "final_loss",
+              "clamped_steps", "trial", "seed")
+AGGREGATE_HEADER = ("tau", "mode_coverage_mean", "mode_coverage_std",
+                    "ess_mean", "ess_std", "entropy_error_mean",
+                    "entropy_error_std", "test_log_lik_mean",
+                    "test_log_lik_std")
 
 
 def benchmark_target() -> GaussianMixture:
@@ -67,6 +71,7 @@ class ResultRow:
     outlier_weight: float | None
     metrics: EvalMetrics
     final_loss: float
+    clamped_steps: int     # steps whose loss sat at a clamp bound; -1 if failed
     trial: int
     seed: int
 
@@ -98,6 +103,7 @@ class _Cell:
     outlier_weight: float | None
     train_cfg: TrainConfig
     target: object
+    trial: int = 0
 
 
 def _run_cell(cell: _Cell, modes: GaussianMixture) -> tuple[ResultRow, np.ndarray]:
@@ -105,22 +111,21 @@ def _run_cell(cell: _Cell, modes: GaussianMixture) -> tuple[ResultRow, np.ndarra
         result: TrainResult = train(cell.target, cell.train_cfg)
     except (RuntimeError, FloatingPointError):
         # keep the sweep going; NaNs flag the failed cell in the CSV
-        row = ResultRow(cell.method, cell.tau, cell.schedule_name,
-                        cell.outlier_weight, _FAILED, math.nan, 0,
-                        cell.train_cfg.seed)
-        return row, np.empty(0)
-    metrics = evaluate(result.model, cell.target, modes,
-                       EvalConfig(seed=cell.train_cfg.seed))
+        metrics, loss, clamped, history = _FAILED, math.nan, -1, np.empty(0)
+    else:
+        metrics = evaluate(result.model, cell.target, modes,
+                           EvalConfig(seed=cell.train_cfg.seed))
+        loss, clamped = float(result.loss_history[-1]), result.clamp_count
+        history = np.asarray(result.loss_history)
     row = ResultRow(cell.method, cell.tau, cell.schedule_name,
-                    cell.outlier_weight, metrics,
-                    float(result.loss_history[-1]), 0, cell.train_cfg.seed)
-    return row, np.asarray(result.loss_history)
+                    cell.outlier_weight, metrics, loss, clamped, cell.trial,
+                    cell.train_cfg.seed)
+    return row, history
 
 
 def max_workers() -> int:
-    """Worker threads for the cell and check pools: SRFE_LAB_THREADS if
-    set, else the CPU count.  Raises ValueError unless it is a positive
-    integer."""
+    """Worker threads for the cell pool: SRFE_LAB_THREADS if set, else the
+    CPU count.  Raises ValueError unless it is a positive integer."""
     env = os.environ.get("SRFE_LAB_THREADS")
     if not env:
         return os.cpu_count() or 1
@@ -135,18 +140,14 @@ def max_workers() -> int:
 
 
 def _execute(cells: list[_Cell], cfg: RunConfig, modes: GaussianMixture,
-             csv_name: str, trial_of: dict[str, int] | None = None
-             ) -> ExperimentResult:
+             csv_name: str) -> ExperimentResult:
     with ThreadPoolExecutor(max_workers=max_workers()) as pool:
         futures = [pool.submit(_run_cell, c, modes) for c in cells]
         outcomes = [f.result() for f in futures]
 
-    rows: list[ResultRow] = []
-    histories: dict[str, np.ndarray] = {}
-    for cell, (row, history) in zip(cells, outcomes):
-        trial = (trial_of or {}).get(cell.label, 0)
-        rows.append(replace(row, trial=trial))
-        histories[cell.label] = history
+    rows = [row for row, _ in outcomes]
+    histories = {cell.label: history
+                 for cell, (_, history) in zip(cells, outcomes)}
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     write_rows(os.path.join(cfg.out_dir, csv_name), rows)
@@ -166,25 +167,30 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_rows(path: str, rows: list[ResultRow]) -> None:
+def write_csv(fh, header, rows) -> None:
+    """The one CSV writer: header, then rows with every field formatted by
+    _fmt (floats to 17 significant digits, None empty)."""
+    writer = csv.writer(fh)
+    writer.writerow(header)
+    writer.writerows([_fmt(v) for v in row] for row in rows)
+
+
+def _write_file(path: str, header, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for r in rows:
-            m = r.metrics
-            writer.writerow([
-                r.method, _fmt(r.tau), _fmt(r.schedule), _fmt(r.outlier_weight),
-                r.metrics.mode_coverage, _fmt(m.ess), _fmt(m.entropy_error),
-                _fmt(m.test_log_lik), _fmt(r.final_loss), r.trial, r.seed,
-            ])
+        write_csv(fh, header, rows)
+
+
+def write_rows(path: str, rows: list[ResultRow]) -> None:
+    _write_file(path, CSV_HEADER, (
+        (r.method, r.tau, r.schedule, r.outlier_weight,
+         r.metrics.mode_coverage, r.metrics.ess, r.metrics.entropy_error,
+         r.metrics.test_log_lik, r.final_loss, r.clamped_steps, r.trial,
+         r.seed)
+        for r in rows))
 
 
 def dump_history(path: str, history: np.ndarray) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("step", "loss"))
-        for step, loss in enumerate(history, start=1):
-            writer.writerow((step, _fmt(float(loss))))
+    _write_file(path, ("step", "loss"), enumerate(history, start=1))
 
 
 def _train_cfg(cfg: RunConfig, objective: str, schedule: TauSchedule,
@@ -225,17 +231,14 @@ def run_exp2(cfg: RunConfig) -> ExperimentResult:
     target = benchmark_target()
     taus = cfg.tau_grid if cfg.tau_grid is not None else EXP2_TAUS
     trials = cfg.trials if cfg.trials is not None else 3
-    cells = []
-    trial_of = {}
-    for tau in taus:
-        for trial in range(trials):
-            label = f"srfe_tau_{tau:g}_trial_{trial}"
-            trial_of[label] = trial
-            cells.append(_Cell(label, "srfe", float(tau), None, None,
-                               _train_cfg(cfg, "srfe", TauSchedule.fixed(tau),
-                                          cfg.seed + trial),
-                               target))
-    result = _execute(cells, cfg, target, "exp2_trials.csv", trial_of)
+    cells = [
+        _Cell(f"srfe_tau_{tau:g}_trial_{trial}", "srfe", float(tau), None,
+              None, _train_cfg(cfg, "srfe", TauSchedule.fixed(tau),
+                               cfg.seed + trial),
+              target, trial)
+        for tau in taus for trial in range(trials)
+    ]
+    result = _execute(cells, cfg, target, "exp2_trials.csv")
 
     aggregate = []
     for tau in taus:
@@ -250,25 +253,14 @@ def run_exp2(cfg: RunConfig) -> ExperimentResult:
                              float(mean[3])),
             std=EvalMetrics(float(std[0]), float(std[1]), float(std[2]),
                             float(std[3]))))
-    _write_aggregate(os.path.join(cfg.out_dir, "exp2_aggregate.csv"), aggregate)
+    _write_file(os.path.join(cfg.out_dir, "exp2_aggregate.csv"),
+                AGGREGATE_HEADER, (
+                    (a.tau, a.mean.mode_coverage, a.std.mode_coverage,
+                     a.mean.ess, a.std.ess, a.mean.entropy_error,
+                     a.std.entropy_error, a.mean.test_log_lik,
+                     a.std.test_log_lik)
+                    for a in aggregate))
     return replace(result, aggregate=aggregate)
-
-
-def _write_aggregate(path: str, aggregate: list[AggregateRow]) -> None:
-    header = ("tau", "mode_coverage_mean", "mode_coverage_std", "ess_mean",
-              "ess_std", "entropy_error_mean", "entropy_error_std",
-              "test_log_lik_mean", "test_log_lik_std")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for a in aggregate:
-            writer.writerow([
-                _fmt(a.tau),
-                _fmt(a.mean.mode_coverage), _fmt(a.std.mode_coverage),
-                _fmt(a.mean.ess), _fmt(a.std.ess),
-                _fmt(a.mean.entropy_error), _fmt(a.std.entropy_error),
-                _fmt(a.mean.test_log_lik), _fmt(a.std.test_log_lik),
-            ])
 
 
 def exp3_schedules() -> list[TauSchedule]:

@@ -87,8 +87,8 @@ class TestIndividualChecks:
 
     def test_kl_upper_bounds_small_batch(self):
         rng = np.random.default_rng(12)
-        pairs = [dirichlet_pair(rng, 4) for _ in range(50)]
-        assert check_kl_upper_bounds(pairs).passed
+        p, q = dirichlet_pair(rng, 4, n=50)
+        assert check_kl_upper_bounds(p, q).passed
 
     def test_gradient_identity_instance(self):
         p = DiscreteDist(np.array([0.2, 0.3, 0.5]))
@@ -97,6 +97,21 @@ class TestIndividualChecks:
 
     def test_monotone_equivalence_small(self):
         assert check_monotone_equivalence(n_pairs=500, seed=3).passed
+
+    def test_battery_builds_few_distributions(self, monkeypatch):
+        built = []
+        validate = DiscreteDist.__post_init__
+
+        def counting(dist):
+            built.append(dist.probs.shape)
+            validate(dist)
+
+        monkeypatch.setattr(DiscreteDist, "__post_init__", counting)
+        assert check_monotone_equivalence(n_pairs=500, seed=3).passed
+        assert len(built) <= 3  # the triples go in as one batch, not 1500
+        built.clear()
+        assert all(r.passed for r in run_all(seed=0))
+        assert len(built) <= 1000
 
     def test_not_f_divergence_names_and_result(self):
         for tau in (0.3, 0.5, 0.9):

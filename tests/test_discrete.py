@@ -52,6 +52,54 @@ def dist_of(ws):
     return DiscreteDist.from_unnormalized(np.asarray(ws))
 
 
+@st.composite
+def stacked_triples(draw):
+    """Weights for m stacked (p, q, r) triples on k points, one tau per row.
+
+    The three rows of a triple share a support with zero-mass entries, so
+    every kernel, the KL-based ones included, is defined on every row.
+    """
+    m = draw(st.integers(1, 4))
+    k = draw(st.integers(2, 6))
+    support = np.array(draw(st.lists(st.booleans(), min_size=m * k,
+                                     max_size=m * k))).reshape(m, k)
+    support[~support.any(axis=1), 0] = True
+
+    def rows():
+        w = draw(st.lists(st.floats(1e-3, 1.0), min_size=m * k, max_size=m * k))
+        return np.where(support, np.reshape(w, (m, k)), 0.0)
+
+    tau = np.array(draw(st.lists(taus, min_size=m, max_size=m)))
+    return rows(), rows(), rows(), tau
+
+
+# every broadcasting kernel as f(p, q, r, tau); the batch tau has one entry
+# per row, and a and lam are derived from it
+BROADCASTING_KERNELS = {
+    "chernoff_coefficient": lambda p, q, r, t: chernoff_coefficient(p, q, t),
+    "srfe_discrete": lambda p, q, r, t: srfe_discrete(p, q, t),
+    "cr_associated": lambda p, q, r, t: cr_associated(p, q, t),
+    "cr_standard_negative": lambda p, q, r, t: cr_standard(p, q, t - 1.0),
+    "cr_standard_positive": lambda p, q, r, t: cr_standard(p, q, t),
+    "kl_discrete": lambda p, q, r, t: kl_discrete(p, q),
+    "surprisal_stats.mean": lambda p, q, r, t: surprisal_stats(p, q).mean,
+    "surprisal_stats.variance": lambda p, q, r, t: surprisal_stats(p, q).variance,
+    "escort": lambda p, q, r, t: escort(p, q, t).probs,
+    "variational_objective": lambda p, q, r, t: variational_objective(r, p, q, t),
+    "pythagorean_residual": lambda p, q, r, t: pythagorean_residual(r, p, q, t),
+    "tail_bound": lambda p, q, r, t: tail_bound(p, q, t, 0.2),
+    "exact_tail_prob": lambda p, q, r, t: exact_tail_prob(p, q, t - 0.5),
+    "kl_upper_bound_gap": lambda p, q, r, t: kl_upper_bound_gap(p, q, t),
+    "expansion_prediction.forward":
+        lambda p, q, r, t: expansion_prediction(p, q, t, "forward"),
+    "expansion_prediction.reverse":
+        lambda p, q, r, t: expansion_prediction(p, q, t, "reverse"),
+    "cr_expansion_prediction":
+        lambda p, q, r, t: cr_expansion_prediction(p, q, t - 0.5),
+    "monotone_map": lambda p, q, r, t: monotone_map(cr_associated(p, q, t), t),
+}
+
+
 class TestWorkedValues:
     # frozen from the scalar oracle at 50-digit precision
 
@@ -210,6 +258,70 @@ class TestProperties:
         r = escort(p, q, tau)
         assert variational_objective(r, p, q, tau) == pytest.approx(
             srfe_discrete(p, q, tau), rel=1e-10, abs=1e-12)
+
+
+class TestBroadcasting:
+    @given(stacked_triples())
+    @settings(max_examples=60)
+    def test_batch_matches_per_pair_calls(self, case):
+        wp, wq, wr, tau = case
+        batch = [dist_of(w) for w in (wp, wq, wr)]
+        singles = [[DiscreteDist(d.probs[i]) for d in batch]
+                   for i in range(tau.size)]
+        for name, kernel in BROADCASTING_KERNELS.items():
+            stacked = kernel(*batch, tau)
+            for i, (p, q, r) in enumerate(singles):
+                one = kernel(p, q, r, float(tau[i]))
+                if name != "escort":
+                    assert type(one) is float, name
+                np.testing.assert_allclose(stacked[i], one, rtol=1e-15,
+                                           atol=1e-15, err_msg=name)
+
+    def test_scalar_argument_broadcasts_over_the_batch(self):
+        p, q = PAIR_B
+        tau = np.array([0.2, 0.5, 0.8])
+        np.testing.assert_array_equal(
+            srfe_discrete(p, q, tau[:, None] * np.ones(2)),
+            [[srfe_discrete(p, q, float(t))] * 2 for t in tau])
+
+    def test_one_disjoint_row_raises(self):
+        p = DiscreteDist(np.array([[0.5, 0.5], [1.0, 0.0], [0.2, 0.8]]))
+        q = DiscreteDist(np.array([[0.5, 0.5], [0.0, 1.0], [0.6, 0.4]]))
+        np.testing.assert_array_equal(chernoff_coefficient(p, q, 0.5) == 0.0,
+                                      [False, True, False])
+        for kernel in (srfe_discrete, escort,
+                       lambda p, q, tau: tail_bound(p, q, tau, 0.1)):
+            with pytest.raises(DisjointSupportError):
+                kernel(p, q, 0.5)
+
+    def test_one_row_without_absolute_continuity_raises(self):
+        p = DiscreteDist(np.array([[0.5, 0.5], [0.5, 0.5], [0.3, 0.7]]))
+        q = DiscreteDist(np.array([[0.25, 0.75], [1.0, 0.0], [0.6, 0.4]]))
+        for kernel in (kl_discrete, surprisal_stats,
+                       lambda p, q: cr_standard(p, q, 0.5),
+                       lambda p, q: kl_upper_bound_gap(p, q, 0.5),
+                       lambda p, q: expansion_prediction(p, q, 0.5)):
+            with pytest.raises(AbsoluteContinuityError):
+                kernel(p, q)
+        # negative orders stay finite on every row
+        assert np.all(np.isfinite(cr_standard(p, q, -0.5)))
+
+    def test_rows_are_validated_one_by_one(self):
+        with pytest.raises(ValueError, match="sum to 1.1"):
+            DiscreteDist(np.array([[0.5, 0.5], [0.5, 0.6]]))
+        with pytest.raises(ValueError):
+            DiscreteDist.from_unnormalized(np.array([[1.0, 2.0], [0.0, 0.0]]))
+        d = DiscreteDist.from_unnormalized(np.array([[1.0, 3.0], [2.0, 2.0]]))
+        np.testing.assert_array_equal(d.probs, [[0.25, 0.75], [0.5, 0.5]])
+        assert d.size == 2
+
+    def test_single_pair_kernels_reject_a_batch(self):
+        p = DiscreteDist(np.array([[0.5, 0.5], [0.3, 0.7]]))
+        q = DiscreteDist(np.array([0.4, 0.6]))
+        with pytest.raises(ValueError):
+            variational_minimize(p, q, 0.5)
+        with pytest.raises(ValueError):
+            mixed_partial_probe(np.array([0.1, 0.2]), 0.3, 0.5)
 
 
 class TestVariationalMinimize:

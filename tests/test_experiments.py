@@ -115,6 +115,7 @@ class TestFailureIsolation:
         assert row.metrics.mode_coverage == -1
         assert math.isnan(row.metrics.ess)
         assert math.isnan(row.final_loss)
+        assert row.clamped_steps == -1
         assert history.size == 0
 
     def test_broken_target_yields_nan_row(self):
@@ -142,6 +143,21 @@ class TestFailureIsolation:
         self.assert_failed_cell(NanScoreTarget())
 
 
+def test_clamped_steps_counts_every_clamped_step(tmp_path):
+    # no draw of the model comes near the far target, so the overlap
+    # estimate sits at the low clamp on every step
+    far = DiagonalGaussian(mu=np.full(2, 100.0), log_sigma=np.zeros(2))
+    cfg = TrainConfig(objective="srfe", schedule=TauSchedule.fixed(0.5),
+                      iterations=4, batch_size=20)
+    row, history = _run_cell(_Cell("far", "srfe", 0.5, None, None, cfg, far),
+                             benchmark_target())
+    assert row.clamped_steps == cfg.iterations == history.size
+    path = tmp_path / "t.csv"
+    write_rows(str(path), [row])
+    table = read_csv(path)
+    assert table[1][table[0].index("clamped_steps")] == str(cfg.iterations)
+
+
 class TestCsvRoundTrip:
     def test_full_precision(self, tmp_path):
         row_in = 1.0 / 3.0
@@ -149,7 +165,7 @@ class TestCsvRoundTrip:
         from srfe_lab.experiments import ResultRow
         write_rows(str(path), [ResultRow(
             "m", row_in, None, None,
-            EvalMetrics(3, row_in, row_in, -row_in), row_in, 0, 0)])
+            EvalMetrics(3, row_in, row_in, -row_in), row_in, 0, 0, 0)])
         table = read_csv(path)
         assert float(table[1][1]) == row_in
         assert float(table[1][5]) == row_in
