@@ -29,17 +29,15 @@ from srfe_lab.estimators import (
     GradReport,
     LossReport,
     SecondMomentReport,
-    SrfeConfig,
     estimator_second_moment,
     exact_second_moment,
     forward_kl_grad,
     forward_kl_loss,
     reverse_kl_grad,
     reverse_kl_loss,
-    srfe_mc_grad,
-    srfe_mc_loss,
+    srfe_mc_step,
 )
-from srfe_lab.evaluation import EvalConfig, EvalMetrics, evaluate
+from srfe_lab.evaluation import EvalMetrics, evaluate
 from srfe_lab.gaussians import (
     ContaminatedMixture,
     DiagonalGaussian,

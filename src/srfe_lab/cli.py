@@ -8,6 +8,7 @@ file, then explicit flags.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -29,10 +30,6 @@ from .gaussians import ContaminatedMixture, DiagonalGaussian
 
 _EXPERIMENTS = {"exp1": run_exp1, "exp2": run_exp2, "exp3": run_exp3,
                 "exp4": run_exp4}
-
-_CONFIG_KEYS = ("seed", "iterations", "batch_size", "learning_rate",
-                "tau_grid", "trials", "outlier_weights", "out_dir",
-                "dump_loss")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -92,28 +89,26 @@ def _parse_floats(text: str, expect: int, what: str) -> tuple[float, ...]:
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
+    """The run settings; ValueError names a bad file or value."""
     merged: dict = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             loaded = json.load(fh)
-        unknown = set(loaded) - set(_CONFIG_KEYS)
+        if not isinstance(loaded, dict):
+            raise ValueError(f"config file {args.config} must hold a JSON "
+                             f"object, got {type(loaded).__name__}")
+        unknown = set(loaded) - {f.name for f in dataclasses.fields(RunConfig)}
         if unknown:
-            raise SystemExit(f"srfe-lab: unknown config keys: {sorted(unknown)}")
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
         merged.update(loaded)
-    if args.seed is not None:
-        merged["seed"] = args.seed
-    if args.out is not None:
-        merged["out_dir"] = args.out
-    if args.dump_loss is not None:
-        merged["dump_loss"] = args.dump_loss
-    for key in ("tau_grid", "outlier_weights"):
-        if key in merged and merged[key] is not None:
-            merged[key] = tuple(float(v) for v in merged[key])
+    for key, flag in (("seed", args.seed), ("out_dir", args.out),
+                      ("dump_loss", args.dump_loss)):
+        if flag is not None:
+            merged[key] = flag
     return RunConfig(**merged)
 
 
-def _cmd_experiment(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args)
+def _cmd_experiment(args: argparse.Namespace, cfg: RunConfig) -> int:
     result = _EXPERIMENTS[args.command](cfg)
     failed = [r for r in result.rows if r.metrics.mode_coverage < 0]
     for row in failed:
@@ -169,13 +164,14 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "density-grid":
         return _cmd_density_grid(args)
-    try:
-        max_workers()  # fail before any work, not inside a pool
-    except ValueError as exc:
+    try:  # fail before any work, not inside a pool
+        max_workers()
+        cfg = None if args.command == "verify" else _merge_config(args)
+    except (OSError, ValueError) as exc:
         raise SystemExit(f"srfe-lab: {exc}")
-    if args.command == "verify":
+    if cfg is None:
         return _cmd_verify(args)
-    return _cmd_experiment(args)
+    return _cmd_experiment(args, cfg)
 
 
 if __name__ == "__main__":

@@ -2,17 +2,18 @@
 
 The free-energy loss follows the clamped estimator: draw eps, push it through
 the reparameterization, average exp(tau * log ratio) with a running-max shift,
-clamp the overlap estimate into [f_clamp_low, f_clamp_high], and take
--log of it over tau(1-tau).  Gradients are exact derivatives of that loss in
-(mu, log_sigma); when the clamp is active the loss is locally constant and
-the gradient is zero.  Forward and reverse KL losses use the same sample-in,
-numbers-out style so the training loop can treat all three uniformly.
+clamp the overlap estimate into [F_CLAMP_LOW, F_CLAMP_HIGH] = [1e-10, 1], and
+take -log of it over tau(1-tau).  Gradients are exact derivatives of that
+loss in (mu, log_sigma); when the clamp is active the loss is locally
+constant and the gradient is zero.  Forward and reverse KL losses use the
+same sample-in, numbers-out style so the training loop can treat all three
+uniformly.
 
-Targets are duck-typed.  On a batch x of shape (n, d), log_prob(x) gives
-the (n,) log densities, score_x(x) their (n, d) x-gradients, and
-log_prob_and_score(x) both from one pass (the free-energy step uses it);
-sample(n, rng) draws (n, d) points for forward KL.  The Gaussian models in
-srfe_lab.gaussians provide all four.
+Targets are duck-typed.  dim is the dimension d of their points.  On a
+batch x of shape (n, d), log_prob(x) gives the (n,) log densities, score_x(x)
+their (n, d) x-gradients, and log_prob_and_score(x) both from one pass (the
+free-energy step uses it); sample(n, rng) draws (n, d) points for forward
+KL.  The Gaussian models in srfe_lab.gaussians provide all five.
 
 The second-moment tools at the bottom work on a finite support with a
 softmax-parameterized model, where everything can also be enumerated exactly.
@@ -25,16 +26,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from srfe_lab.discrete import DiscreteDist
+from srfe_lab.discrete import DiscreteDist, _check_tau_open
 from srfe_lab.gaussians import DiagonalGaussian
 
 __all__ = [
-    "SrfeConfig",
+    "F_CLAMP_LOW",
+    "F_CLAMP_HIGH",
     "LossReport",
     "GradReport",
     "SecondMomentReport",
-    "srfe_mc_loss",
-    "srfe_mc_grad",
+    "srfe_mc_step",
     "forward_kl_loss",
     "forward_kl_grad",
     "reverse_kl_loss",
@@ -46,20 +47,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SrfeConfig:
-    tau: float
-    n_samples: int
-    f_clamp_low: float = 1e-10
-    f_clamp_high: float = 1.0
-
-    def __post_init__(self):
-        if not (0.0 < self.tau < 1.0):
-            raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be positive")
-        if not (0.0 < self.f_clamp_low < self.f_clamp_high):
-            raise ValueError("clamp bounds must satisfy 0 < low < high")
+# The overlap estimate f_hat is clamped into [F_CLAMP_LOW, F_CLAMP_HIGH].
+F_CLAMP_LOW = 1e-10
+F_CLAMP_HIGH = 1.0
 
 
 @dataclass(frozen=True)
@@ -83,11 +73,11 @@ class SecondMomentReport:
     bound: float
 
 
-def _clamp_log_f(log_f: float, cfg: SrfeConfig) -> tuple[float, bool]:
-    if log_f < math.log(cfg.f_clamp_low):
-        return cfg.f_clamp_low, True
-    if log_f > math.log(cfg.f_clamp_high):
-        return cfg.f_clamp_high, True
+def _clamp_log_f(log_f: float) -> tuple[float, bool]:
+    if log_f < math.log(F_CLAMP_LOW):
+        return F_CLAMP_LOW, True
+    if log_f > math.log(F_CLAMP_HIGH):
+        return F_CLAMP_HIGH, True
     return math.exp(log_f), False
 
 
@@ -111,10 +101,11 @@ def _pathwise_grad(q: DiagonalGaussian, score: np.ndarray, eps: np.ndarray,
                       second_moment=float((g * g).sum(axis=1).mean()))
 
 
-def srfe_mc_step(q: DiagonalGaussian, target, cfg: SrfeConfig,
+def srfe_mc_step(q: DiagonalGaussian, target, tau: float,
                  eps: np.ndarray) -> tuple[LossReport, GradReport]:
-    """Clamped free-energy loss and its exact gradient from a fixed noise
-    batch eps of shape (n, d), with one target pass over the batch.
+    """Clamped free-energy loss at tau in (0, 1) and its exact gradient from
+    a fixed noise batch eps of shape (n, d), n >= 1, with one target pass
+    over the batch.
 
     Deterministic given eps.  loss = -log f_hat / (tau (1 - tau)) with f_hat
     the clamped mean of exp(tau r), r = log p - log q at x = mu + sigma eps.
@@ -123,9 +114,10 @@ def srfe_mc_step(q: DiagonalGaussian, target, cfg: SrfeConfig,
     active the loss is locally flat and the gradient is zero; a batch with
     no sample in the target's support (every r = -inf, f_hat = 0) clamps low.
     """
+    _check_tau_open(tau)
     eps = np.asarray(eps, dtype=np.float64)
-    if eps.shape != (cfg.n_samples, q.dim):
-        raise ValueError(f"eps must have shape {(cfg.n_samples, q.dim)}")
+    if eps.ndim != 2 or eps.shape[1] != q.dim or eps.shape[0] < 1:
+        raise ValueError(f"eps must have shape (n, {q.dim}), got {eps.shape}")
     x = q.transform(eps)
     log_p, score = target.log_prob_and_score(x)
     r = np.asarray(log_p) - np.asarray(q.log_prob(x))
@@ -134,30 +126,17 @@ def srfe_mc_step(q: DiagonalGaussian, target, cfg: SrfeConfig,
         log_f = -math.inf
     else:
         # shift by the max so the largest weight is exactly 1
-        w = np.exp(cfg.tau * (r - r_max))
-        log_f = cfg.tau * r_max + math.log(float(w.mean()))
-    f_hat, clamped = _clamp_log_f(log_f, cfg)
-    loss = LossReport(loss=-math.log(f_hat) / (cfg.tau * (1.0 - cfg.tau)),
+        w = np.exp(tau * (r - r_max))
+        log_f = tau * r_max + math.log(float(w.mean()))
+    f_hat, clamped = _clamp_log_f(log_f)
+    loss = LossReport(loss=-math.log(f_hat) / (tau * (1.0 - tau)),
                       f_hat=f_hat, max_log_ratio=r_max, clamped=clamped)
     if clamped:
         zero = np.zeros(q.dim)
         return loss, GradReport(d_mu=zero, d_log_sigma=zero.copy(),
                                 second_moment=0.0)
     return loss, _pathwise_grad(q, np.asarray(score), eps, w / w.sum(),
-                                -1.0 / (1.0 - cfg.tau))
-
-
-def srfe_mc_loss(q: DiagonalGaussian, target, cfg: SrfeConfig,
-                 eps: np.ndarray) -> LossReport:
-    """The loss half of srfe_mc_step."""
-    return srfe_mc_step(q, target, cfg, eps)[0]
-
-
-def srfe_mc_grad(q: DiagonalGaussian, target, cfg: SrfeConfig,
-                 eps: np.ndarray) -> GradReport:
-    """The gradient half of srfe_mc_step: the exact (mu, log_sigma)
-    derivative of srfe_mc_loss for the same eps."""
-    return srfe_mc_step(q, target, cfg, eps)[1]
+                                -1.0 / (1.0 - tau))
 
 
 def forward_kl_loss(q: DiagonalGaussian, target, xs: np.ndarray) -> float:
@@ -226,8 +205,7 @@ def _moment_pieces(kind: str, p: DiscreteDist, logits: np.ndarray,
     """
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
-    if not (0.0 < tau < 1.0):
-        raise ValueError(f"tau must lie in (0, 1), got {tau}")
+    _check_tau_open(tau)
     q = softmax(logits)
     if p.size != q.size:
         raise ValueError("support size mismatch")

@@ -17,17 +17,15 @@ import numpy as np
 from srfe_lab.discrete import _logsumexp
 from srfe_lab.gaussians import DiagonalGaussian, GaussianMixture
 
-__all__ = ["EvalConfig", "EvalMetrics", "mode_coverage", "ess",
-           "entropy_error", "test_log_lik", "evaluate"]
+__all__ = ["EvalMetrics", "mode_coverage", "ess", "entropy_error",
+           "test_log_lik", "evaluate"]
 
-
-@dataclass(frozen=True)
-class EvalConfig:
-    seed: int = 0
-    n_ess: int = 10000
-    n_entropy: int = 100000
-    n_test: int = 1000
-    mode_rel_threshold: float = 0.01
+# What evaluate uses: draws per stochastic metric, and the share of the
+# model's peak density over the mixture means that counts a mode as covered.
+N_ESS = 10000
+N_ENTROPY = 100000
+N_TEST = 1000
+MODE_REL_THRESHOLD = 0.01
 
 
 @dataclass(frozen=True)
@@ -39,7 +37,7 @@ class EvalMetrics:
 
 
 def mode_coverage(q: DiagonalGaussian, modes: GaussianMixture,
-                  rel_threshold: float = 0.01) -> int:
+                  rel_threshold: float = MODE_REL_THRESHOLD) -> int:
     """Number of mixture means where q is above rel_threshold of its maximum
     over the means.  Compared in the log domain."""
     if not 0.0 < rel_threshold <= 1.0:
@@ -76,13 +74,13 @@ def test_log_lik(q: DiagonalGaussian, target, n: int,
 
 
 def evaluate(q: DiagonalGaussian, target, modes: GaussianMixture,
-             cfg: EvalConfig) -> EvalMetrics:
-    """All four metrics; sub-metrics use seeds cfg.seed + 1, + 2, + 3."""
+             seed: int) -> EvalMetrics:
+    """All four metrics; sub-metrics use seeds seed + 1, + 2, + 3."""
     return EvalMetrics(
-        mode_coverage=mode_coverage(q, modes, cfg.mode_rel_threshold),
-        ess=ess(q, target, cfg.n_ess, np.random.default_rng(cfg.seed + 1)),
-        entropy_error=entropy_error(q, target, cfg.n_entropy,
-                                    np.random.default_rng(cfg.seed + 2)),
-        test_log_lik=test_log_lik(q, target, cfg.n_test,
-                                  np.random.default_rng(cfg.seed + 3)),
+        mode_coverage=mode_coverage(q, modes),
+        ess=ess(q, target, N_ESS, np.random.default_rng(seed + 1)),
+        entropy_error=entropy_error(q, target, N_ENTROPY,
+                                    np.random.default_rng(seed + 2)),
+        test_log_lik=test_log_lik(q, target, N_TEST,
+                                  np.random.default_rng(seed + 3)),
     )

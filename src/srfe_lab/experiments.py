@@ -20,9 +20,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .evaluation import EvalConfig, EvalMetrics, evaluate
+from .discrete import _check_tau_open
+from .evaluation import EvalMetrics, evaluate
 from .gaussians import ContaminatedMixture, GaussianMixture
-from .training import TauSchedule, TrainConfig, TrainResult, train
+from .training import (TauSchedule, TrainConfig, TrainResult, _is_number,
+                       _require_count, train)
 
 TARGET_MEANS = ((-3.0, 0.0), (3.0, 0.0), (0.0, 4.0))
 TARGET_VARIANCE = 0.5
@@ -51,7 +53,12 @@ def benchmark_target() -> GaussianMixture:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Experiment settings; None fields fall back to per-experiment defaults."""
+    """Experiment settings; None fields fall back to per-experiment defaults.
+
+    Every value is checked here, so a bad one raises ValueError before any
+    cell runs.  Grid entries become floats and must differ to the 6
+    significant digits that name their cells and loss files.
+    """
     seed: int = 0
     iterations: int | None = None
     batch_size: int | None = None
@@ -61,6 +68,32 @@ class RunConfig:
     outlier_weights: tuple[float, ...] | None = None
     out_dir: str = "results"
     dump_loss: bool = False
+
+    def __post_init__(self):
+        # TrainConfig checks the training settings and the seed
+        _train_cfg(self, "srfe", TauSchedule.fixed(0.5), self.seed)
+        if self.trials is not None:
+            _require_count("trials", self.trials, 1)
+        for name in ("tau_grid", "outlier_weights"):
+            values = getattr(self, name)
+            if values is None:
+                continue
+            if not (isinstance(values, (list, tuple))
+                    and all(map(_is_number, values))):
+                raise ValueError(
+                    f"{name} must be a list of numbers, got {values!r}")
+            if len({format(v, "g") for v in values}) < len(values):
+                raise ValueError(
+                    f"{name} has repeated entries: {list(values)}")
+            object.__setattr__(self, name, tuple(map(float, values)))
+        _check_tau_open(list(self.tau_grid or ()))
+        for w in self.outlier_weights or ():  # the mixture checks its weight
+            ContaminatedMixture(base=benchmark_target(), outlier_weight=w)
+        if not (isinstance(self.out_dir, str) and self.out_dir):
+            raise ValueError(f"out_dir must be a path, got {self.out_dir!r}")
+        if not isinstance(self.dump_loss, bool):
+            raise ValueError(f"dump_loss must be true or false, "
+                             f"got {self.dump_loss!r}")
 
 
 @dataclass(frozen=True)
@@ -114,7 +147,7 @@ def _run_cell(cell: _Cell, modes: GaussianMixture) -> tuple[ResultRow, np.ndarra
         metrics, loss, clamped, history = _FAILED, math.nan, -1, np.empty(0)
     else:
         metrics = evaluate(result.model, cell.target, modes,
-                           EvalConfig(seed=cell.train_cfg.seed))
+                           cell.train_cfg.seed)
         loss, clamped = float(result.loss_history[-1]), result.clamp_count
         history = np.asarray(result.loss_history)
     row = ResultRow(cell.method, cell.tau, cell.schedule_name,
@@ -194,15 +227,14 @@ def dump_history(path: str, history: np.ndarray) -> None:
 
 
 def _train_cfg(cfg: RunConfig, objective: str, schedule: TauSchedule,
-               seed: int, default_iterations: int = 2000) -> TrainConfig:
-    return TrainConfig(
-        objective=objective,
-        schedule=schedule,
-        iterations=cfg.iterations if cfg.iterations is not None else default_iterations,
-        batch_size=cfg.batch_size if cfg.batch_size is not None else 5000,
-        learning_rate=cfg.learning_rate if cfg.learning_rate is not None else 0.05,
-        seed=seed,
-    )
+               seed: int, **defaults) -> TrainConfig:
+    """The RunConfig training fields that are set, over the experiment's
+    defaults, over TrainConfig's."""
+    settings = {name: getattr(cfg, name)
+                for name in ("iterations", "batch_size", "learning_rate")
+                if getattr(cfg, name) is not None}
+    return TrainConfig(objective=objective, schedule=schedule, seed=seed,
+                       **{**defaults, **settings})
 
 
 def run_exp1(cfg: RunConfig) -> ExperimentResult:
@@ -299,7 +331,7 @@ def run_exp4(cfg: RunConfig) -> ExperimentResult:
             cells.append(_Cell(
                 f"w_{w:g}_tau_{tau:g}", "srfe", float(tau), None, float(w),
                 _train_cfg(cfg, "srfe", TauSchedule.fixed(tau), cfg.seed,
-                           default_iterations=1500),
+                           iterations=1500),
                 target))
     return _execute(cells, cfg, base, "exp4.csv")
 

@@ -24,6 +24,9 @@ __all__ = [
 ]
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+# ContaminatedMixture's outlier box is [BOX_LOW, BOX_HIGH]^d.
+BOX_LOW = -10.0
+BOX_HIGH = 10.0
 
 
 def _as_batch(x) -> tuple[np.ndarray, bool]:
@@ -189,40 +192,35 @@ class GaussianMixture:
 
 @dataclass(frozen=True)
 class ContaminatedMixture:
-    """(1 - w) * base + w * Uniform(box), the box being [low, high]^d.
+    """(1 - w) * base + w * Uniform(box), the box being [BOX_LOW, BOX_HIGH]^d.
 
     outlier_weight = 0 reduces exactly to the base mixture.
     """
 
     base: GaussianMixture
     outlier_weight: float
-    box_low: float = -10.0
-    box_high: float = 10.0
 
     def __post_init__(self):
         if not (0.0 <= self.outlier_weight < 1.0):
             raise ValueError("outlier_weight must lie in [0, 1)")
-        if not self.box_high > self.box_low:
-            raise ValueError("box_high must exceed box_low")
 
     @property
     def dim(self) -> int:
         return self.base.dim
 
     def _log_box_density(self) -> float:
-        side = self.box_high - self.box_low
+        side = BOX_HIGH - BOX_LOW
         return float(np.log(self.outlier_weight) - self.dim * np.log(side))
 
-    def _in_box(self, xb: np.ndarray) -> np.ndarray:
-        return np.all((xb >= self.box_low) & (xb <= self.box_high), axis=1)
-
     def _blend(self, xb: np.ndarray, base_lp: np.ndarray):
-        """(log (1-w) + base log density, log density of the blend)."""
+        """(log (1-w) + base log density, log density of the blend, which
+        rows of xb lie in the box); the mask is None at w = 0."""
         base_lp = np.log1p(-self.outlier_weight) + base_lp
         if self.outlier_weight == 0.0:
-            return base_lp, base_lp
-        box_lp = np.where(self._in_box(xb), self._log_box_density(), -np.inf)
-        return base_lp, np.logaddexp(base_lp, box_lp)
+            return base_lp, base_lp, None
+        in_box = np.all((xb >= BOX_LOW) & (xb <= BOX_HIGH), axis=1)
+        box_lp = np.where(in_box, self._log_box_density(), -np.inf)
+        return base_lp, np.logaddexp(base_lp, box_lp), in_box
 
     def log_prob(self, x):
         xb, single = _as_batch(x)
@@ -239,15 +237,15 @@ class ContaminatedMixture:
         """
         xb, single = _as_batch(x)
         base_lp, score = self.base.log_prob_and_score(xb)
-        base_lp, out = self._blend(xb, base_lp)
+        base_lp, out, in_box = self._blend(xb, base_lp)
         if self.outlier_weight > 0.0:
-            on_edge = np.any((xb == self.box_low) | (xb == self.box_high), axis=1)
+            on_edge = np.any((xb == BOX_LOW) | (xb == BOX_HIGH), axis=1)
             if on_edge.any():
                 warnings.warn("score requested exactly on the outlier box "
                               "boundary; returning the base-mixture gradient "
                               "there", RuntimeWarning, stacklevel=2)
             share = np.exp(base_lp - out)  # posterior weight of the base part
-            share = np.where(self._in_box(xb) & ~on_edge, share, 1.0)
+            share = np.where(in_box & ~on_edge, share, 1.0)
             score = share[:, None] * score
         return (float(out[0]), score[0]) if single else (out, score)
 
@@ -259,7 +257,7 @@ class ContaminatedMixture:
         # Fixed draw order keeps results reproducible for a given generator.
         from_box = rng.random(n) < self.outlier_weight
         base_draws = self.base.sample(n, rng)
-        box_draws = rng.uniform(self.box_low, self.box_high, size=(n, self.dim))
+        box_draws = rng.uniform(BOX_LOW, BOX_HIGH, size=(n, self.dim))
         return np.where(from_box[:, None], box_draws, base_draws)
 
 

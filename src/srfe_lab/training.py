@@ -10,12 +10,12 @@ per-iteration order.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from srfe_lab.estimators import (
-    SrfeConfig,
     forward_kl_grad,
     forward_kl_loss,
     reverse_kl_grad,
@@ -33,12 +33,12 @@ OBJECTIVES = ("srfe", "forward_kl", "reverse_kl")
 class Adam:
     """Stock Adam with bias correction, on a flat parameter vector."""
 
-    def __init__(self, dim: int, lr: float = 0.05, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, dim: int, lr: float = 0.05):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = np.zeros(dim)
         self.v = np.zeros(dim)
         self.t = 0
@@ -115,16 +115,28 @@ class TrainConfig:
     iterations: int = 2000
     batch_size: int = 5000
     learning_rate: float = 0.05
-    dim: int = 2
     seed: int = 0
-    f_clamp_low: float = 1e-10
-    f_clamp_high: float = 1.0
 
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {OBJECTIVES}")
-        if self.iterations < 1 or self.batch_size < 1:
-            raise ValueError("iterations and batch_size must be positive")
+        _require_count("iterations", self.iterations, 1)
+        _require_count("batch_size", self.batch_size, 1)
+        _require_count("seed", self.seed, 0)
+        lr = self.learning_rate
+        if not (_is_number(lr) and 0.0 < lr < np.inf):
+            raise ValueError(
+                f"learning_rate must be a positive number, got {lr!r}")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _require_count(name: str, value, low: int) -> None:
+    if not (isinstance(value, numbers.Integral) and _is_number(value)
+            and value >= low):
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -137,18 +149,22 @@ class TrainResult:
 def train(target, cfg: TrainConfig) -> TrainResult:
     """Fit a mean-field Gaussian to target under cfg.  Deterministic per seed.
 
-    target is duck-typed: log_prob(x) and sample(n, rng) for forward KL,
+    target is duck-typed: dim, the dimension d of its points, for every
+    objective; then log_prob(x) and sample(n, rng) for forward KL,
     log_prob(x) and score_x(x) for reverse KL, log_prob_and_score(x) for
-    srfe (x of shape (n, d); see srfe_lab.estimators).
+    srfe (x of shape (n, d); see srfe_lab.estimators).  The srfe loss clamps
+    its overlap estimate into [F_CLAMP_LOW, F_CLAMP_HIGH] of
+    srfe_lab.estimators.
 
     Raises RuntimeError naming the step index if a loss or a gradient is
     non-finite (the clamp makes the free-energy loss finite by construction,
     so this can only trip on a degenerate target).
     """
+    dim = target.dim
     rng = np.random.default_rng(cfg.seed)
-    mu = np.zeros(cfg.dim)
-    log_sigma = np.zeros(cfg.dim)
-    opt = Adam(2 * cfg.dim, lr=cfg.learning_rate)
+    mu = np.zeros(dim)
+    log_sigma = np.zeros(dim)
+    opt = Adam(2 * dim, lr=cfg.learning_rate)
     losses = np.empty(cfg.iterations)
     clamp_count = 0
 
@@ -156,11 +172,8 @@ def train(target, cfg: TrainConfig) -> TrainResult:
         q = DiagonalGaussian(mu, log_sigma)
         if cfg.objective == "srfe":
             tau = cfg.schedule.tau_at(t, cfg.iterations)
-            step_cfg = SrfeConfig(tau=tau, n_samples=cfg.batch_size,
-                                  f_clamp_low=cfg.f_clamp_low,
-                                  f_clamp_high=cfg.f_clamp_high)
-            eps = rng.standard_normal((cfg.batch_size, cfg.dim))
-            report, grad = srfe_mc_step(q, target, step_cfg, eps)
+            eps = rng.standard_normal((cfg.batch_size, dim))
+            report, grad = srfe_mc_step(q, target, tau, eps)
             loss = report.loss
             clamp_count += int(report.clamped)
         elif cfg.objective == "forward_kl":
@@ -168,7 +181,7 @@ def train(target, cfg: TrainConfig) -> TrainResult:
             loss = forward_kl_loss(q, target, xs)
             grad = forward_kl_grad(q, xs)
         else:
-            eps = rng.standard_normal((cfg.batch_size, cfg.dim))
+            eps = rng.standard_normal((cfg.batch_size, dim))
             loss = reverse_kl_loss(q, target, eps)
             grad = reverse_kl_grad(q, target, eps)
 
@@ -179,7 +192,7 @@ def train(target, cfg: TrainConfig) -> TrainResult:
             raise RuntimeError(f"non-finite gradient at step {t}")
         losses[t - 1] = loss
         theta = opt.step(np.concatenate([mu, log_sigma]), flat_grad)
-        mu, log_sigma = theta[:cfg.dim], theta[cfg.dim:]
+        mu, log_sigma = theta[:dim], theta[dim:]
 
     return TrainResult(model=DiagonalGaussian(mu, log_sigma),
                        loss_history=losses, clamp_count=clamp_count)

@@ -33,8 +33,7 @@ from srfe_lab.discrete import (
     variational_minimize,
     variational_objective,
 )
-from srfe_lab.estimators import SrfeConfig, exact_second_moment, srfe_mc_grad, \
-    srfe_mc_loss
+from srfe_lab.estimators import exact_second_moment, srfe_mc_step
 from srfe_lab.experiments import RunConfig, run_exp1, run_exp2, run_exp3, \
     run_exp4
 from srfe_lab.gaussians import DiagonalGaussian, GaussianMixture
@@ -231,10 +230,10 @@ def test_criterion_11_pathwise_gradient():
     for _ in range(50):
         mu = rng.uniform(-2, 2, size=2)
         lsg = rng.uniform(-0.5, 0.5, size=2)
-        cfg = SrfeConfig(tau=float(rng.uniform(0.1, 0.9)), n_samples=256)
+        tau = float(rng.uniform(0.1, 0.9))
         eps = rng.standard_normal((256, 2))
-        g = srfe_mc_grad(DiagonalGaussian(mu=mu, log_sigma=lsg), BENCH, cfg,
-                         eps)
+        g = srfe_mc_step(DiagonalGaussian(mu=mu, log_sigma=lsg), BENCH, tau,
+                         eps)[1]
         vec = np.concatenate([g.d_mu, g.d_log_sigma])
         fd = []
         for field in (0, 1):
@@ -243,10 +242,10 @@ def test_criterion_11_pathwise_gradient():
                 dn = [mu.copy(), lsg.copy()]
                 up[field][k] += h
                 dn[field][k] -= h
-                fd.append((srfe_mc_loss(DiagonalGaussian(*up), BENCH, cfg,
-                                        eps).loss
-                           - srfe_mc_loss(DiagonalGaussian(*dn), BENCH, cfg,
-                                          eps).loss) / (2 * h))
+                fd.append((srfe_mc_step(DiagonalGaussian(*up), BENCH, tau,
+                                        eps)[0].loss
+                           - srfe_mc_step(DiagonalGaussian(*dn), BENCH, tau,
+                                          eps)[0].loss) / (2 * h))
         worst = max(worst, float(np.linalg.norm(np.array(fd) - vec))
                     / max(float(np.linalg.norm(vec)), 1e-12))
     ok = worst <= 1e-4
@@ -260,9 +259,7 @@ def test_criterion_12_gaussian_closed_form():
     target = DiagonalGaussian(mu=np.array([1.0, 0.0]),
                               log_sigma=np.full(2, ls))
     eps = np.random.default_rng(11).standard_normal((100_000, 2))
-    errors = [abs(srfe_mc_loss(q, target,
-                               SrfeConfig(tau=tau, n_samples=100_000),
-                               eps).loss - 1.0)
+    errors = [abs(srfe_mc_step(q, target, tau, eps)[0].loss - 1.0)
               for tau in (0.2, 0.5, 0.8)]
     ok = max(errors) <= 0.05
     _record(12, ok, "estimator tracks the equal-covariance closed form")

@@ -150,6 +150,15 @@ def test_console_script_installed():
         assert installed.stdout == proc.stdout
 
 
+def test_distribution_name_and_version():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parent.parent
+    with open(root / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["name"] == "srfe-lab"
+    assert project["version"] == srfe_lab.__version__
+
+
 def _child_env():
     env = dict(os.environ)
     src = str(Path(srfe_lab.__file__).resolve().parent.parent)
@@ -185,6 +194,34 @@ def test_bad_thread_count_is_a_clean_error(monkeypatch, tmp_path, command,
         main(argv)
     assert str(exc.value) == ("srfe-lab: SRFE_LAB_THREADS must be a "
                               f"positive integer, got {value!r}")
+    assert not out.exists()  # stopped before any work
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("exp1", {"iterations": 0}, "iterations must be an integer >= 1, got 0"),
+    ("exp1", {"iterations": "abc"},
+     "iterations must be an integer >= 1, got 'abc'"),
+    ("exp1", {"batch_size": 2.5},
+     "batch_size must be an integer >= 1, got 2.5"),
+    ("exp1", {"tau_grid": [1.5]}, "tau must lie in (0, 1), got [1.5]"),
+    ("exp4", {"outlier_weights": [1.0]},
+     "outlier_weight must lie in [0, 1)"),
+    ("exp1", {"tau_grid": [0.5, 0.5]},
+     "tau_grid has repeated entries: [0.5, 0.5]"),
+    ("exp4", {"outlier_weights": [0.1, 0.1]},
+     "outlier_weights has repeated entries: [0.1, 0.1]"),
+    ("exp2", {"trials": 0}, "trials must be an integer >= 1, got 0"),
+    ("exp1", [1, 2], "must hold a JSON object, got list"),
+])
+def test_bad_config_is_a_clean_error(tmp_path, command, config, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg_path), "--out", str(out),
+              "--dump-loss"])
+    assert str(exc.value).startswith("srfe-lab: ")
+    assert str(exc.value).endswith(message)
     assert not out.exists()  # stopped before any work
 
 

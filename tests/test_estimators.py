@@ -8,7 +8,6 @@ import pytest
 
 from srfe_lab.discrete import DiscreteDist
 from srfe_lab.estimators import (
-    SrfeConfig,
     estimator_second_moment,
     exact_second_moment,
     forward_kl_grad,
@@ -17,8 +16,6 @@ from srfe_lab.estimators import (
     reverse_kl_loss,
     softmax,
     softmax_scores,
-    srfe_mc_grad,
-    srfe_mc_loss,
     srfe_mc_step,
 )
 from srfe_lab.gaussians import (
@@ -43,7 +40,7 @@ class TestLoss:
         q = DiagonalGaussian(mu=np.array([0.4, -0.2]),
                              log_sigma=np.array([0.1, 0.3]))
         eps = np.random.default_rng(0).standard_normal((64, 2))
-        rep = srfe_mc_loss(q, q, SrfeConfig(tau=0.3, n_samples=64), eps)
+        rep = srfe_mc_step(q, q, 0.3, eps)[0]
         assert rep.loss == 0.0
         assert rep.f_hat == 1.0
         assert not rep.clamped
@@ -53,8 +50,7 @@ class TestLoss:
         q = DiagonalGaussian(mu=np.array([60.0, 60.0]),
                              log_sigma=np.zeros(2))
         eps = np.random.default_rng(1).standard_normal((128, 2))
-        cfg = SrfeConfig(tau=0.5, n_samples=128)
-        rep, grad = srfe_mc_step(q, BENCH, cfg, eps)
+        rep, grad = srfe_mc_step(q, BENCH, 0.5, eps)
         assert rep.clamped
         assert rep.f_hat == 1e-10
         assert rep.loss == pytest.approx(-math.log(1e-10) / 0.25, abs=1e-12)
@@ -72,8 +68,7 @@ class TestLoss:
 
         q = DiagonalGaussian(mu=np.zeros(2), log_sigma=np.zeros(2))
         eps = np.random.default_rng(5).standard_normal((32, 2))
-        rep, grad = srfe_mc_step(q, NoSupport(), SrfeConfig(tau=0.5, n_samples=32),
-                                 eps)
+        rep, grad = srfe_mc_step(q, NoSupport(), 0.5, eps)
         assert rep.clamped
         assert rep.f_hat == 1e-10
         assert rep.loss == pytest.approx(-math.log(1e-10) / 0.25, abs=1e-12)
@@ -99,8 +94,7 @@ class TestLoss:
         q = DiagonalGaussian(mu=np.array([0.5, 1.0]),
                              log_sigma=np.array([0.3, 0.1]))
         eps = np.random.default_rng(6).standard_normal((100, 2))
-        rep, _ = srfe_mc_step(q, target, SrfeConfig(tau=0.5, n_samples=100),
-                              eps)
+        rep, _ = srfe_mc_step(q, target, 0.5, eps)
         assert not rep.clamped
         assert passes == [100]
 
@@ -110,18 +104,17 @@ class TestLoss:
         q = DiagonalGaussian(mu=np.zeros(2), log_sigma=np.zeros(2))
         n = 4096
         eps = np.random.default_rng(2).standard_normal((n, 2))
-        g = srfe_mc_grad(q, q, SrfeConfig(tau=0.5, n_samples=n), eps)
+        g = srfe_mc_step(q, q, 0.5, eps)[1]
         norm = math.sqrt(float(g.d_mu @ g.d_mu + g.d_log_sigma @ g.d_log_sigma))
         assert norm <= 4.0 * math.sqrt(g.second_moment / n)
 
     def test_step_agrees_with_separate_calls(self):
         q = DiagonalGaussian(mu=np.array([0.5, 1.0]),
                              log_sigma=np.array([-0.2, 0.1]))
-        cfg = SrfeConfig(tau=0.7, n_samples=200)
         eps = np.random.default_rng(3).standard_normal((200, 2))
-        rep, grad = srfe_mc_step(q, BENCH, cfg, eps)
-        rep2 = srfe_mc_loss(q, BENCH, cfg, eps)
-        grad2 = srfe_mc_grad(q, BENCH, cfg, eps)
+        rep, grad = srfe_mc_step(q, BENCH, 0.7, eps)
+        rep2 = srfe_mc_step(q, BENCH, 0.7, eps)[0]
+        grad2 = srfe_mc_step(q, BENCH, 0.7, eps)[1]
         assert rep == rep2
         np.testing.assert_array_equal(grad.d_mu, grad2.d_mu)
         np.testing.assert_array_equal(grad.d_log_sigma, grad2.d_log_sigma)
@@ -130,8 +123,7 @@ class TestLoss:
     def test_eps_shape_checked(self):
         q = DiagonalGaussian(mu=np.zeros(2), log_sigma=np.zeros(2))
         with pytest.raises(ValueError):
-            srfe_mc_loss(q, BENCH, SrfeConfig(tau=0.5, n_samples=10),
-                         np.zeros((9, 2)))
+            srfe_mc_step(q, BENCH, 0.5, np.zeros((10, 3)))
 
 
 class TestPathwiseGradients:
@@ -142,14 +134,13 @@ class TestPathwiseGradients:
             mu = rng.uniform(-2, 2, size=2)
             lsg = rng.uniform(-0.5, 0.5, size=2)
             tau = float(rng.uniform(0.1, 0.9))
-            cfg = SrfeConfig(tau=tau, n_samples=256)
             eps = rng.standard_normal((256, 2))
-            g = srfe_mc_grad(DiagonalGaussian(mu=mu, log_sigma=lsg),
-                             BENCH, cfg, eps)
+            g = srfe_mc_step(DiagonalGaussian(mu=mu, log_sigma=lsg),
+                             BENCH, tau, eps)[1]
             vec = np.concatenate([g.d_mu, g.d_log_sigma])
             fd = _fd_gradient(
-                lambda m, s: srfe_mc_loss(
-                    DiagonalGaussian(mu=m, log_sigma=s), BENCH, cfg, eps).loss,
+                lambda m, s: srfe_mc_step(DiagonalGaussian(mu=m, log_sigma=s),
+                                          BENCH, tau, eps)[0].loss,
                 mu, lsg)
             worst = max(worst, np.linalg.norm(fd - vec)
                         / max(np.linalg.norm(vec), 1e-12))
@@ -202,8 +193,7 @@ class TestGaussianClosedForm:
         target = half_var_gaussian([1.0, 0.0])
         eps = np.random.default_rng(11).standard_normal((100_000, 2))
         for tau in (0.2, 0.5, 0.8):
-            rep = srfe_mc_loss(q, target,
-                               SrfeConfig(tau=tau, n_samples=100_000), eps)
+            rep = srfe_mc_step(q, target, tau, eps)[0]
             assert abs(rep.loss - 1.0) <= 0.05
 
 

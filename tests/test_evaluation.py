@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from srfe_lab.evaluation import EvalConfig, ess, entropy_error, evaluate, \
+from srfe_lab.evaluation import N_ESS, ess, entropy_error, evaluate, \
     mode_coverage
 from srfe_lab.evaluation import test_log_lik as held_out_log_lik
 from srfe_lab.gaussians import DiagonalGaussian, GaussianMixture
@@ -106,17 +106,16 @@ class TestTestLogLik:
 
 class TestEvaluate:
     def test_reproducible_and_complete(self):
-        cfg = EvalConfig(seed=7)
-        a = evaluate(broad_model(), BENCH, BENCH, cfg)
-        b = evaluate(broad_model(), BENCH, BENCH, cfg)
+        a = evaluate(broad_model(), BENCH, BENCH, 7)
+        b = evaluate(broad_model(), BENCH, BENCH, 7)
         assert a == b
         assert a.mode_coverage == 3
-        assert 0 < a.ess <= cfg.n_ess
+        assert 0 < a.ess <= N_ESS
         assert np.isfinite(a.entropy_error)
         assert np.isfinite(a.test_log_lik)
 
     def test_seed_offsets_decouple_metrics(self):
-        a = evaluate(broad_model(), BENCH, BENCH, EvalConfig(seed=7))
-        c = evaluate(broad_model(), BENCH, BENCH, EvalConfig(seed=8))
+        a = evaluate(broad_model(), BENCH, BENCH, 7)
+        c = evaluate(broad_model(), BENCH, BENCH, 8)
         assert a.ess != c.ess
         assert a.test_log_lik != c.test_log_lik

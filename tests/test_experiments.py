@@ -105,6 +105,25 @@ class TestExp4:
         assert os.path.exists(tmp_path / "exp4.csv")
 
 
+@pytest.mark.parametrize("bad", [
+    dict(seed=-1), dict(iterations=True), dict(learning_rate=0.0),
+    dict(learning_rate=float("nan")), dict(tau_grid=0.5),
+    dict(tau_grid=(0.5, 0.50000001)), dict(outlier_weights=(1.0,)),
+    dict(trials=0), dict(out_dir=""), dict(out_dir=None),
+    dict(dump_loss="no"),
+])
+def test_run_config_rejects_bad_values(bad):
+    with pytest.raises(ValueError):
+        RunConfig(**bad)
+
+
+def test_run_config_grids_become_float_tuples():
+    cfg = RunConfig(tau_grid=[0.25, 0.5], outlier_weights=[0, 0.1])
+    assert cfg.tau_grid == (0.25, 0.5)
+    assert cfg.outlier_weights == (0.0, 0.1)
+    assert all(type(v) is float for v in cfg.outlier_weights)
+
+
 class TestFailureIsolation:
     def assert_failed_cell(self, target):
         cell = _Cell("bad", "srfe", 0.5, None, None,
@@ -120,6 +139,8 @@ class TestFailureIsolation:
 
     def test_broken_target_yields_nan_row(self):
         class BrokenTarget:
+            dim = 2
+
             def log_prob(self, x):
                 return np.full(np.asarray(x).shape[0], np.nan)
 
@@ -134,6 +155,8 @@ class TestFailureIsolation:
     def test_nan_score_target_yields_nan_row(self):
         # the loss is finite, the gradient is not
         class NanScoreTarget:
+            dim = 2
+
             def log_prob(self, x):
                 return np.zeros(np.asarray(x).shape[0])
 

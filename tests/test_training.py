@@ -118,6 +118,8 @@ class TestTrain:
 
     def test_non_finite_loss_raises(self):
         class BrokenTarget:
+            dim = 2
+
             def log_prob(self, x):
                 return np.full(np.asarray(x).shape[0], np.nan)
 
@@ -132,6 +134,8 @@ class TestTrain:
 
     def test_non_finite_gradient_raises(self):
         class NanScoreTarget:
+            dim = 2
+
             def log_prob(self, x):
                 return np.zeros(np.asarray(x).shape[0])
 
