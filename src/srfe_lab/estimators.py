@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -92,13 +93,19 @@ def _pathwise_grad(q: DiagonalGaussian, score: np.ndarray, eps: np.ndarray,
         dr/dlogsigma_k = s_k(x) sigma_k eps_k + 1
 
     second_moment is the mean squared norm of the per-sample contributions
-    g_i = scale * n w_i dr_i/dtheta, whose mean is the gradient.
+    g_i = scale * n w_i dr_i/dtheta, whose mean is the gradient.  Each
+    coordinate is one pass over length-n columns; the squared norm
+    accumulates per column.
     """
-    b = np.concatenate([score, score * (q.sigma * eps) + 1.0], axis=1)
-    d = scale * (w[:, None] * b).sum(axis=0)
-    g = scale * (w.size * w)[:, None] * b
-    return GradReport(d_mu=d[:q.dim], d_log_sigma=d[q.dim:],
-                      second_moment=float((g * g).sum(axis=1).mean()))
+    d_mu, d_ls, sq = [], [], 0.0
+    for s_k, eps_k, sigma_k in zip(score.T, eps.T, q.sigma):
+        b_k = s_k * (sigma_k * eps_k) + 1.0
+        d_mu.append(scale * (w * s_k).sum())
+        d_ls.append(scale * (w * b_k).sum())
+        sq = sq + s_k * s_k + b_k * b_k
+    c = scale * (w.size * w)
+    return GradReport(d_mu=np.array(d_mu), d_log_sigma=np.array(d_ls),
+                      second_moment=float((c * c * sq).mean()))
 
 
 def srfe_mc_step(q: DiagonalGaussian, target, tau: float,
@@ -148,13 +155,12 @@ def forward_kl_loss(q: DiagonalGaussian, target, xs: np.ndarray) -> float:
 
 def forward_kl_grad(q: DiagonalGaussian, xs: np.ndarray) -> GradReport:
     """Gradient of forward_kl_loss: minus the mean model score at fixed xs."""
-    xs = np.asarray(xs, dtype=np.float64)
     d_mu_i, d_ls_i = q.param_score(xs)
-    g = -np.concatenate([d_mu_i, d_ls_i], axis=1)
-    second = float((g * g).sum(axis=1).mean())
-    return GradReport(d_mu=g[:, :q.dim].mean(axis=0),
-                      d_log_sigma=g[:, q.dim:].mean(axis=0),
-                      second_moment=second)
+    cols = [*d_mu_i.T, *d_ls_i.T]
+    mean = -np.array([c.mean() for c in cols])
+    sq = reduce(np.add, [c * c for c in cols])
+    return GradReport(d_mu=mean[:q.dim], d_log_sigma=mean[q.dim:],
+                      second_moment=float(sq.mean()))
 
 
 def reverse_kl_loss(q: DiagonalGaussian, target, eps: np.ndarray) -> float:

@@ -4,13 +4,22 @@ These are the continuous models used by the Monte Carlo estimators and the
 training loop: a mean-field Gaussian with parameters (mu, log_sigma), a
 mixture of isotropic Gaussians with one shared variance, and the mixture
 blended with a uniform outlier box.  All densities are evaluated in the log
-domain; batched inputs have shape (n, d).
+domain.
+
+Batches stay (n, d) at the interface: a method that takes points accepts a
+point of shape (d,) or a batch of shape (n, d), rejects any other width
+with a ValueError, and returns per-point values of shape (n,) or (n, d).
+Inside, the kernels work on (K, n) arrays and length-n columns, looping in
+Python over the K components and the d coordinates, so that every reduction
+runs over the long sample axis n; per-point vectors are built as (d, n)
+arrays and returned as their (n, d) transposes.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -29,14 +38,14 @@ BOX_LOW = -10.0
 BOX_HIGH = 10.0
 
 
-def _as_batch(x) -> tuple[np.ndarray, bool]:
-    """Promote a single point (d,) to a batch (1, d); report if it was single."""
+def _as_batch(x, dim: int) -> tuple[np.ndarray, bool]:
+    """Promote a single point (dim,) to a batch (1, dim); report if it was
+    single.  Any other shape, a wrong width included, is a ValueError."""
     arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim == 1:
-        return arr[None, :], True
-    if arr.ndim == 2:
-        return arr, False
-    raise ValueError(f"expected point or batch of points, got shape {arr.shape}")
+    if arr.ndim in (1, 2) and arr.shape[-1] == dim:
+        return (arr[None, :], True) if arr.ndim == 1 else (arr, False)
+    raise ValueError(f"expected a point of shape ({dim},) or a batch of shape "
+                     f"(n, {dim}), got shape {arr.shape}")
 
 
 def _frozen_vector(v, name: str) -> np.ndarray:
@@ -75,16 +84,22 @@ class DiagonalGaussian:
 
     def transform(self, eps: np.ndarray) -> np.ndarray:
         """Reparameterization x = mu + sigma * eps, elementwise."""
-        return self.mu + self.sigma * eps
+        eb, single = _as_batch(eps, self.dim)
+        out = np.stack([mj + sj * ej for mj, sj, ej
+                        in zip(self.mu, self.sigma, eb.T)]).T
+        return out[0] if single else out
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return self.transform(rng.standard_normal((n, self.dim)))
 
+    def _z_columns(self, xb: np.ndarray) -> list[np.ndarray]:
+        """(x_j - mu_j) / sigma_j, one length-n column per coordinate."""
+        return [(xj - mj) / sj for xj, mj, sj in zip(xb.T, self.mu, self.sigma)]
+
     def log_prob(self, x):
-        xb, single = _as_batch(x)
-        z = (xb - self.mu) / self.sigma
-        out = -0.5 * self.dim * LOG_2PI - self.log_sigma.sum() \
-            - 0.5 * (z * z).sum(axis=1)
+        xb, single = _as_batch(x, self.dim)
+        sq = reduce(np.add, [z * z for z in self._z_columns(xb)])
+        out = -0.5 * self.dim * LOG_2PI - self.log_sigma.sum() - 0.5 * sq
         return float(out[0]) if single else out
 
     def entropy(self) -> float:
@@ -93,8 +108,9 @@ class DiagonalGaussian:
 
     def score_x(self, x):
         """Gradient of log density in x: -(x - mu) / sigma^2."""
-        xb, single = _as_batch(x)
-        out = -(xb - self.mu) / self.sigma ** 2
+        xb, single = _as_batch(x, self.dim)
+        out = np.stack([-(xj - mj) / vj for xj, mj, vj
+                        in zip(xb.T, self.mu, self.sigma ** 2)]).T
         return out[0] if single else out
 
     def log_prob_and_score(self, x):
@@ -107,10 +123,10 @@ class DiagonalGaussian:
         d/dmu_k     = (x_k - mu_k) / sigma_k^2
         d/dlogsig_k = ((x_k - mu_k) / sigma_k)^2 - 1
         """
-        xb, single = _as_batch(x)
-        z = (xb - self.mu) / self.sigma
-        d_mu = z / self.sigma
-        d_ls = z * z - 1.0
+        xb, single = _as_batch(x, self.dim)
+        z = self._z_columns(xb)
+        d_mu = np.stack([zj / sj for zj, sj in zip(z, self.sigma)]).T
+        d_ls = np.stack([zj * zj - 1.0 for zj in z]).T
         if single:
             return d_mu[0], d_ls[0]
         return d_mu, d_ls
@@ -153,28 +169,37 @@ class GaussianMixture:
         return int(self.means.shape[0])
 
     def _component_log_probs(self, xb: np.ndarray) -> np.ndarray:
-        # (n, K) log of weight_k * N(x; m_k, variance I)
-        diff = xb[:, None, :] - self.means[None, :, :]
-        sq = (diff * diff).sum(axis=2)
+        # (K, n): row k is the log of weight_k * N(x; m_k, variance I) on the
+        # (n, d) batch xb, its squared distance summed one coordinate at a time
         norm = -0.5 * self.dim * (LOG_2PI + np.log(self.variance))
-        return np.log(self.weights)[None, :] + norm - 0.5 * sq / self.variance
+        rows = []
+        for mean, log_w in zip(self.means, np.log(self.weights)):
+            sq = reduce(np.add, [np.square(xj - mj)
+                                 for xj, mj in zip(xb.T, mean)])
+            rows.append(log_w + norm - 0.5 * sq / self.variance)
+        return np.stack(rows)
 
     def log_prob(self, x):
-        xb, single = _as_batch(x)
-        out = _logsumexp(self._component_log_probs(xb), axis=1)
+        xb, single = _as_batch(x, self.dim)
+        out = _logsumexp(self._component_log_probs(xb), axis=0)
         return float(out[0]) if single else out
 
     def log_prob_and_score(self, x):
         """Log density and its x-gradient from one pass over the components.
 
-        The gradient is the responsibility-weighted pull towards the means.
+        The gradient is the responsibility-weighted pull towards the means,
+        (m_k - x) / variance summed over k, built one coordinate at a time.
         """
-        xb, single = _as_batch(x)
+        xb, single = _as_batch(x, self.dim)
         comp = self._component_log_probs(xb)
-        lp = _logsumexp(comp, axis=1)
-        resp = np.exp(comp - lp[:, None])
-        pull = (self.means[None, :, :] - xb[:, None, :]) / self.variance
-        score = (resp[:, :, None] * pull).sum(axis=1)
+        lp = _logsumexp(comp, axis=0)
+        resp = np.exp(comp - lp)
+        cols = []
+        for xj, mj in zip(xb.T, self.means.T):  # coordinate j, K mean entries
+            pulls = [(m_kj - xj) / self.variance for m_kj in mj]
+            cols.append(reduce(np.add,
+                               [r_k * p for r_k, p in zip(resp, pulls)]))
+        score = np.stack(cols).T
         return (float(lp[0]), score[0]) if single else (lp, score)
 
     def score_x(self, x):
@@ -218,12 +243,13 @@ class ContaminatedMixture:
         base_lp = np.log1p(-self.outlier_weight) + base_lp
         if self.outlier_weight == 0.0:
             return base_lp, base_lp, None
-        in_box = np.all((xb >= BOX_LOW) & (xb <= BOX_HIGH), axis=1)
+        in_box = reduce(np.logical_and, [(xj >= BOX_LOW) & (xj <= BOX_HIGH)
+                                         for xj in xb.T])
         box_lp = np.where(in_box, self._log_box_density(), -np.inf)
         return base_lp, np.logaddexp(base_lp, box_lp), in_box
 
     def log_prob(self, x):
-        xb, single = _as_batch(x)
+        xb, single = _as_batch(x, self.dim)
         out = self._blend(xb, self.base.log_prob(xb))[1]
         return float(out[0]) if single else out
 
@@ -235,11 +261,12 @@ class ContaminatedMixture:
         through unchanged.  Points exactly on the box boundary (where the
         density jumps) get the base gradient and a warning.
         """
-        xb, single = _as_batch(x)
+        xb, single = _as_batch(x, self.dim)
         base_lp, score = self.base.log_prob_and_score(xb)
         base_lp, out, in_box = self._blend(xb, base_lp)
         if self.outlier_weight > 0.0:
-            on_edge = np.any((xb == BOX_LOW) | (xb == BOX_HIGH), axis=1)
+            on_edge = reduce(np.logical_or, [(xj == BOX_LOW) | (xj == BOX_HIGH)
+                                             for xj in xb.T])
             if on_edge.any():
                 warnings.warn("score requested exactly on the outlier box "
                               "boundary; returning the base-mixture gradient "

@@ -1,6 +1,7 @@
 """Monte-Carlo losses and gradients: exact zero at the target, clamp
-behaviour, common-random-numbers derivative checks, the Gaussian closed form,
-and second-moment bounds on the softmax family."""
+behaviour, common-random-numbers derivative checks, the per-coordinate
+gradient kernels against the (n, 2d) concatenated form, the Gaussian closed
+form, and second-moment bounds on the softmax family."""
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from srfe_lab.discrete import DiscreteDist
 from srfe_lab.estimators import (
+    _pathwise_grad,
     estimator_second_moment,
     exact_second_moment,
     forward_kl_grad,
@@ -170,6 +172,47 @@ class TestPathwiseGradients:
             mu, lsg)
         np.testing.assert_allclose(
             np.concatenate([g.d_mu, g.d_log_sigma]), fd, atol=1e-5)
+
+
+def concatenated_pathwise(q, score, eps, w, scale):
+    """_pathwise_grad as one (n, 2d) array reduced over both axes."""
+    b = np.concatenate([score, score * (q.sigma * eps) + 1.0], axis=1)
+    d = scale * (w[:, None] * b).sum(axis=0)
+    g = scale * (w.size * w)[:, None] * b
+    return d, float((g * g).sum(axis=1).mean())
+
+
+def concatenated_forward_kl(q, xs):
+    """forward_kl_grad as one (n, 2d) array of model scores."""
+    z = (xs - q.mu) / q.sigma
+    g = -np.concatenate([z / q.sigma, z * z - 1.0], axis=1)
+    return g.mean(axis=0), float((g * g).sum(axis=1).mean())
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_gradient_kernels_match_concatenated_form(d):
+    rng = np.random.default_rng(40 + d)
+    target = GaussianMixture(means=rng.normal(scale=3.0, size=(3, d)),
+                             variance=0.5, weights=np.array([0.3, 0.3, 0.4]))
+    q = DiagonalGaussian(mu=rng.normal(size=d) + 1.0,
+                         log_sigma=rng.normal(scale=0.3, size=d))
+    eps = rng.standard_normal((2000, d))
+    score = target.score_x(q.transform(eps))
+    w = rng.random(eps.shape[0])
+    for weights, scale in ((w / w.sum(), -1.0 / 0.3),
+                           (np.full(eps.shape[0], 1.0 / eps.shape[0]), -1.0)):
+        got = _pathwise_grad(q, score, eps, weights, scale)
+        want, second = concatenated_pathwise(q, score, eps, weights, scale)
+        np.testing.assert_allclose(
+            np.concatenate([got.d_mu, got.d_log_sigma]), want,
+            rtol=1e-12, atol=0.0)
+        assert got.second_moment == pytest.approx(second, rel=1e-12, abs=0.0)
+    xs = target.sample(2000, rng)
+    got = forward_kl_grad(q, xs)
+    want, second = concatenated_forward_kl(q, xs)
+    np.testing.assert_allclose(np.concatenate([got.d_mu, got.d_log_sigma]),
+                               want, rtol=1e-12, atol=0.0)
+    assert got.second_moment == pytest.approx(second, rel=1e-12, abs=0.0)
 
 
 def _fd_gradient(loss_of, mu, lsg, h=1e-5):

@@ -1,6 +1,7 @@
 """Density models: frozen log-density values, finite-difference score checks,
-sampling frequencies, and the closed-form equal-covariance divergence against
-numerical integration."""
+sampling frequencies, the closed-form equal-covariance divergence against
+numerical integration, input-width checks, and the per-component kernels
+against the (n, K, d) broadcast formulas written out below."""
 import math
 import warnings
 
@@ -238,6 +239,128 @@ def test_log_prob_and_score_matches_separate_calls(dist):
     assert isinstance(lp1, float) and lp1 == dist.log_prob(xs[3])
     assert score1.shape == (2,)
     np.testing.assert_array_equal(score1, dist.score_x(xs[3]))
+
+
+WIDTH_CASES = [
+    (DiagonalGaussian(mu=np.array([0.5, -1.0]), log_sigma=np.array([0.2, -0.3])),
+     ("transform", "log_prob", "score_x", "log_prob_and_score", "param_score")),
+    (make_mixture(), ("log_prob", "score_x", "log_prob_and_score")),
+    (ContaminatedMixture(base=make_mixture(), outlier_weight=0.0),
+     ("log_prob", "score_x", "log_prob_and_score")),
+    (ContaminatedMixture(base=make_mixture(), outlier_weight=0.2),
+     ("log_prob", "score_x", "log_prob_and_score")),
+]
+
+
+@pytest.mark.parametrize("dist,methods", WIDTH_CASES,
+                         ids=["diagonal", "mixture", "contaminated_w0",
+                              "contaminated_w0.2"])
+@pytest.mark.parametrize("width", [1, 3])
+@pytest.mark.parametrize("shape", ["batch", "point"])
+def test_wrong_width_rejected(dist, methods, width, shape):
+    # a width-1 input used to broadcast silently against the d = 2 model,
+    # and a wider one must not lose its extra columns
+    x = np.ones((4, width)) if shape == "batch" else np.ones(width)
+    for method in methods:
+        with pytest.raises(ValueError, match=r"\(n, 2\)"):
+            getattr(dist, method)(x)
+
+
+# ---------------------------------------------------------------------------
+# The (n, K, d) broadcast formulas the per-component kernels replace
+# ---------------------------------------------------------------------------
+
+def broadcast_components(mix, xb):
+    """(n, K) log of weight_k * N(x; m_k, variance I)."""
+    diff = xb[:, None, :] - mix.means[None, :, :]
+    sq = (diff * diff).sum(axis=2)
+    norm = -0.5 * mix.dim * (np.log(2.0 * np.pi) + np.log(mix.variance))
+    return np.log(mix.weights)[None, :] + norm - 0.5 * sq / mix.variance
+
+
+def broadcast_mixture(mix, xb):
+    """(log density, score) of the mixture, reducing over K and d."""
+    comp = broadcast_components(mix, xb)
+    m = comp.max(axis=1, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    with np.errstate(divide="ignore"):
+        lp = np.log(np.exp(comp - m).sum(axis=1)) + m[:, 0]
+    resp = np.exp(comp - lp[:, None])
+    pull = (mix.means[None, :, :] - xb[:, None, :]) / mix.variance
+    return lp, (resp[:, :, None] * pull).sum(axis=1)
+
+
+def broadcast_contaminated(con, xb):
+    """(log density, score) of the box blend, masks reduced over d."""
+    base_lp, score = broadcast_mixture(con.base, xb)
+    base_lp = np.log1p(-con.outlier_weight) + base_lp
+    if con.outlier_weight == 0.0:
+        return base_lp, score
+    in_box = np.all((xb >= -10.0) & (xb <= 10.0), axis=1)
+    box = float(np.log(con.outlier_weight) - con.dim * np.log(20.0))
+    out = np.logaddexp(base_lp, np.where(in_box, box, -np.inf))
+    on_edge = np.any((xb == -10.0) | (xb == 10.0), axis=1)
+    share = np.where(in_box & ~on_edge, np.exp(base_lp - out), 1.0)
+    return out, share[:, None] * score
+
+
+def broadcast_diagonal(q, xb):
+    """(log density, x-score, d/dmu, d/dlog_sigma) of the mean-field Gaussian."""
+    z = (xb - q.mu) / q.sigma
+    lp = -0.5 * q.dim * np.log(2.0 * np.pi) - q.log_sigma.sum() \
+        - 0.5 * (z * z).sum(axis=1)
+    return lp, -(xb - q.mu) / q.sigma ** 2, z / q.sigma, z * z - 1.0
+
+
+def reference_points(rng, d, n=300):
+    """Points near the modes and, in the first rows, 1000 away from all."""
+    xs = rng.normal(scale=4.0, size=(n, d))
+    xs[:5] = 1000.0 * rng.choice([-1.0, 1.0], size=(5, d))
+    return xs
+
+
+@pytest.mark.parametrize("n_components", [1, 2, 3, 5])
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_kernels_match_broadcast_formulas(n_components, d):
+    rng = np.random.default_rng(100 * n_components + d)
+    mix = GaussianMixture(means=rng.normal(scale=3.0, size=(n_components, d)),
+                          variance=0.7,
+                          weights=rng.dirichlet(np.ones(n_components)))
+    xs = reference_points(rng, d)
+    # far rows: every component's density underflows without the shift
+    assert np.all(broadcast_components(mix, xs[:5]).max(axis=1) < -800.0)
+    lp, score = mix.log_prob_and_score(xs)
+    ref_lp, ref_score = broadcast_mixture(mix, xs)
+    np.testing.assert_array_equal(lp, ref_lp)
+    np.testing.assert_array_equal(mix.log_prob(xs), ref_lp)
+    np.testing.assert_allclose(score, ref_score, rtol=1e-13, atol=0.0)
+    assert score.shape == (xs.shape[0], d)
+
+    q = DiagonalGaussian(mu=rng.normal(size=d),
+                         log_sigma=rng.normal(scale=0.3, size=d))
+    ref = broadcast_diagonal(q, xs)
+    np.testing.assert_array_equal(q.log_prob(xs), ref[0])
+    np.testing.assert_allclose(q.score_x(xs), ref[1], rtol=1e-13, atol=0.0)
+    for got, want in zip(q.param_score(xs), ref[2:]):
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+    eps = rng.standard_normal((50, d))
+    np.testing.assert_array_equal(q.transform(eps), q.mu + q.sigma * eps)
+
+    # box faces: one coordinate exactly on a face in every other row
+    faces = xs.copy()
+    faces[::2, 0] = np.where(rng.random(faces[::2].shape[0]) < 0.5,
+                             -10.0, 10.0)
+    for w in (0.0, 0.2):
+        con = ContaminatedMixture(base=mix, outlier_weight=w)
+        ref_lp, ref_score = broadcast_contaminated(con, faces)
+        np.testing.assert_array_equal(con.log_prob(faces), ref_lp)
+        if w > 0.0:
+            with pytest.warns(RuntimeWarning, match="boundary"):
+                lp, score = con.log_prob_and_score(faces)
+        else:
+            lp, score = con.log_prob_and_score(faces)
+        np.testing.assert_array_equal(lp, ref_lp)
+        np.testing.assert_allclose(score, ref_score, rtol=1e-13, atol=0.0)
 
 
 class TestEqualCovarianceValue:
