@@ -19,7 +19,6 @@ from .experiments import (
     RunConfig,
     benchmark_target,
     density_grid,
-    max_workers,
     run_exp1,
     run_exp2,
     run_exp3,
@@ -136,27 +135,25 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_density_grid(args: argparse.Namespace) -> int:
     bounds = _parse_floats(args.bounds, 4, "--bounds")
-    if args.target == "mixture":
-        dist = benchmark_target()
-        if args.outlier_weight > 0:
-            dist = ContaminatedMixture(base=dist,
-                                       outlier_weight=args.outlier_weight)
-    else:
-        mu = np.array(_parse_floats(args.mu, 2, "--mu"))
-        log_sigma = np.array(_parse_floats(args.log_sigma, 2, "--log-sigma"))
-        dist = DiagonalGaussian(mu, log_sigma)
+    header = ("x", "y", "log_density")
     try:
+        if args.target == "mixture":
+            dist = benchmark_target()
+            if args.outlier_weight != 0:  # the mixture rejects NaN and < 0
+                dist = ContaminatedMixture(base=dist,
+                                           outlier_weight=args.outlier_weight)
+        else:
+            dist = DiagonalGaussian(
+                np.array(_parse_floats(args.mu, 2, "--mu")),
+                np.array(_parse_floats(args.log_sigma, 2, "--log-sigma")))
         grid = density_grid(dist, bounds, args.res)
-    except ValueError as exc:
+        if args.out == "-":
+            write_csv(sys.stdout, header, grid)
+        else:
+            with open(args.out, "w", newline="", encoding="utf-8") as fh:
+                write_csv(fh, header, grid)
+    except (OSError, ValueError) as exc:
         raise SystemExit(f"srfe-lab: {exc}")
-
-    out = sys.stdout if args.out == "-" else open(args.out, "w", newline="",
-                                                  encoding="utf-8")
-    try:
-        write_csv(out, ("x", "y", "log_density"), grid)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -164,13 +161,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "density-grid":
         return _cmd_density_grid(args)
-    try:  # fail before any work, not inside a pool
-        max_workers()
-        cfg = None if args.command == "verify" else _merge_config(args)
+    if args.command == "verify":
+        return _cmd_verify(args)
+    try:
+        cfg = _merge_config(args)
     except (OSError, ValueError) as exc:
         raise SystemExit(f"srfe-lab: {exc}")
-    if cfg is None:
-        return _cmd_verify(args)
     return _cmd_experiment(args, cfg)
 
 

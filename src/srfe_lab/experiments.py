@@ -6,16 +6,17 @@ schedules (exp3), and contamination robustness (exp4).  Each driver
 trains the diagonal-Gaussian model for every cell, evaluates it, writes
 one CSV, and hands the rows back for programmatic use.
 
-Cells are independent given their seeds, so they run on a small thread
-pool; results are assembled in a fixed order afterwards, which keeps the
-CSVs byte-identical across runs with the same seed.
+Cells are independent given their seeds and run one after another in the
+calling thread, in a fixed order, which keeps the CSVs byte-identical
+across runs with the same seed.  A fitting step is about a hundred short
+numpy calls, so worker threads would mostly pass the interpreter lock
+between them rather than overlap work.
 """
 from __future__ import annotations
 
 import csv
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -156,27 +157,9 @@ def _run_cell(cell: _Cell, modes: GaussianMixture) -> tuple[ResultRow, np.ndarra
     return row, history
 
 
-def max_workers() -> int:
-    """Worker threads for the cell pool: SRFE_LAB_THREADS if set, else the
-    CPU count.  Raises ValueError unless it is a positive integer."""
-    env = os.environ.get("SRFE_LAB_THREADS")
-    if not env:
-        return os.cpu_count() or 1
-    try:
-        n = int(env)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ValueError(
-            f"SRFE_LAB_THREADS must be a positive integer, got {env!r}")
-    return n
-
-
 def _execute(cells: list[_Cell], cfg: RunConfig, modes: GaussianMixture,
              csv_name: str) -> ExperimentResult:
-    with ThreadPoolExecutor(max_workers=max_workers()) as pool:
-        futures = [pool.submit(_run_cell, c, modes) for c in cells]
-        outcomes = [f.result() for f in futures]
+    outcomes = [_run_cell(c, modes) for c in cells]
 
     rows = [row for row, _ in outcomes]
     histories = {cell.label: history

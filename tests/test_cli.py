@@ -109,6 +109,30 @@ class TestDensityGrid:
             assert float(row.split(",")[2]) == pytest.approx(
                 math.log(0.3 / 400.0), abs=1e-6)
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--target", "mixture", "--outlier-weight", "1.5"],
+         "outlier_weight must lie in [0, 1)"),
+        (["--target", "mixture", "--outlier-weight", "-0.1"],
+         "outlier_weight must lie in [0, 1)"),
+        (["--target", "mixture", "--outlier-weight", "nan"],
+         "outlier_weight must lie in [0, 1)"),
+        (["--target", "model", "--mu", "nan,0"], "mu must be finite"),
+        (["--target", "model", "--log-sigma", "0,inf"],
+         "log_sigma must be finite"),
+        (["--target", "model", "--out", "{tmp}/missing/grid.csv"],
+         "{tmp}/missing/grid.csv"),
+    ], ids=["weight-1.5", "weight-negative", "weight-nan", "mu-nan",
+            "log-sigma-inf", "unwritable-out"])
+    def test_bad_input_is_a_clean_error(self, tmp_path, capsys, extra,
+                                        message):
+        argv = ["density-grid", "--bounds=0,1,0,1", "--res", "2",
+                *(a.format(tmp=tmp_path) for a in extra)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert str(exc.value).startswith("srfe-lab: ")
+        assert message.format(tmp=tmp_path) in str(exc.value)
+        assert capsys.readouterr().out == ""
+
     def test_bad_bounds_exit(self):
         with pytest.raises(SystemExit):
             main(["density-grid", "--target", "mixture", "--bounds=1,2,3",
@@ -175,26 +199,6 @@ def test_runtime_imports_no_scipy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
-@pytest.mark.parametrize("command", ["verify", "exp1"])
-def test_bad_thread_count_is_a_clean_error(monkeypatch, tmp_path, command,
-                                           value):
-    monkeypatch.setenv("SRFE_LAB_THREADS", value)
-    out = tmp_path / "out"
-    if command == "verify":
-        argv = ["verify", "--json", str(out)]
-    else:
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({
-            "iterations": 1, "batch_size": 10, "tau_grid": [0.5]}))
-        argv = ["exp1", "--config", str(cfg_path), "--out", str(out)]
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert str(exc.value) == ("srfe-lab: SRFE_LAB_THREADS must be a "
-                              f"positive integer, got {value!r}")
-    assert not out.exists()  # stopped before any work
 
 
 @pytest.mark.parametrize("command, config, message", [

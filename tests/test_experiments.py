@@ -3,10 +3,12 @@ correct cell layout, failure isolation, and the density-grid dump."""
 import csv
 import math
 import os
+import threading
 
 import numpy as np
 import pytest
 
+from srfe_lab import experiments
 from srfe_lab.evaluation import EvalMetrics
 from srfe_lab.experiments import (
     CSV_HEADER,
@@ -57,6 +59,24 @@ class TestExp1:
             assert rows[0] == ["step", "loss"]
             assert len(rows) == 1 + TINY["iterations"]
             assert rows[1][0] == "1"
+
+
+def test_cells_run_in_calling_thread_in_order(tmp_path, monkeypatch):
+    calls = []
+    real_train = experiments.train
+
+    def recording_train(target, cfg):
+        calls.append((threading.get_ident(), cfg.objective,
+                      cfg.schedule.describe()))
+        return real_train(target, cfg)
+
+    monkeypatch.setattr(experiments, "train", recording_train)
+    run_exp1(RunConfig(tau_grid=(0.3, 0.7), iterations=1, batch_size=20,
+                       out_dir=str(tmp_path)))
+    me = threading.get_ident()
+    assert calls == [(me, "forward_kl", "fixed_0.5"),
+                     (me, "reverse_kl", "fixed_0.5"),
+                     (me, "srfe", "fixed_0.3"), (me, "srfe", "fixed_0.7")]
 
 
 class TestExp2:
