@@ -131,12 +131,22 @@ def _log(x: np.ndarray) -> np.ndarray:
         return np.log(x)
 
 
-def _logsumexp(a: np.ndarray, axis: int = -1):
-    """log sum exp(a) along axis; a row whose max is not finite is not
-    shifted, so an all -inf row gives -inf."""
+def _logsumexp_terms(a: np.ndarray, axis: int = -1):
+    """(log sum exp(a), the shifted terms exp(a - m), their sum) along axis.
+
+    m is the max along axis, kept as a length-1 axis; a row whose max is not
+    finite is not shifted, so an all -inf row gives -inf.
+    """
     m = a.max(axis=axis, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
-    return _log(np.exp(a - m).sum(axis=axis)) + np.squeeze(m, axis=axis)
+    e = np.exp(a - m)
+    s = e.sum(axis=axis)
+    return _log(s) + np.squeeze(m, axis=axis), e, s
+
+
+def _logsumexp(a: np.ndarray, axis: int = -1):
+    """log sum exp(a) along axis; an all -inf row gives -inf."""
+    return _logsumexp_terms(a, axis)[0]
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

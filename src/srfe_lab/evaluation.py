@@ -4,7 +4,10 @@ Four metrics: how many target modes carry model density, importance-sampling
 effective sample size with the model as proposal, the gap between the model's
 analytic entropy and a Monte Carlo estimate of the target's, and held-out
 mean log likelihood.  Stochastic metrics draw from fixed offset seeds so a
-full evaluation is reproducible from one base seed.
+full evaluation is reproducible from one base seed.  The target-entropy
+estimate does not depend on the model, so a caller draws it once per target
+and seed (target_entropy) and hands the value to every evaluate of that
+target and seed.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ import numpy as np
 from srfe_lab.discrete import _logsumexp
 from srfe_lab.gaussians import DiagonalGaussian, GaussianMixture
 
-__all__ = ["EvalMetrics", "mode_coverage", "ess", "entropy_error",
-           "test_log_lik", "evaluate"]
+__all__ = ["EvalMetrics", "mode_coverage", "ess", "target_entropy",
+           "entropy_error", "test_log_lik", "evaluate"]
 
 # What evaluate uses: draws per stochastic metric, and the share of the
 # model's peak density over the mixture means that counts a mode as covered.
@@ -50,19 +53,26 @@ def ess(q: DiagonalGaussian, target, n: int, rng: np.random.Generator) -> float:
     """Effective sample size of p/q importance weights on n draws from q.
 
     1 / sum of squared normalized weights, all in the log domain; equals n
-    exactly when the weights are flat.
+    exactly when the weights are flat, and is 0.0 when no draw has target
+    density (every log p is -inf).
     """
     xs = q.sample(n, rng)
     logw = np.asarray(target.log_prob(xs)) - np.asarray(q.log_prob(xs))
-    logw = logw - _logsumexp(logw)
+    total = _logsumexp(logw)
+    if total == -np.inf:
+        return 0.0
+    logw = logw - total
     return float(np.exp(-_logsumexp(2.0 * logw)))
 
 
-def entropy_error(q: DiagonalGaussian, target, n: int,
-                  rng: np.random.Generator) -> float:
-    """|analytic entropy of q - Monte Carlo entropy of target| on n draws."""
+def target_entropy(target, n: int, rng: np.random.Generator) -> float:
+    """Monte Carlo entropy of target: -mean log p over n target draws."""
     xs = target.sample(n, rng)
-    target_entropy = -float(np.mean(np.asarray(target.log_prob(xs))))
+    return -float(np.mean(np.asarray(target.log_prob(xs))))
+
+
+def entropy_error(q: DiagonalGaussian, target_entropy: float) -> float:
+    """|analytic entropy of q - the target's entropy estimate|."""
     return abs(q.entropy() - target_entropy)
 
 
@@ -74,13 +84,16 @@ def test_log_lik(q: DiagonalGaussian, target, n: int,
 
 
 def evaluate(q: DiagonalGaussian, target, modes: GaussianMixture,
-             seed: int) -> EvalMetrics:
-    """All four metrics; sub-metrics use seeds seed + 1, + 2, + 3."""
+             seed: int, target_entropy: float) -> EvalMetrics:
+    """All four metrics; sub-metrics use seeds seed + 1, + 2, + 3.
+
+    target_entropy is the estimate on the seed + 2 stream,
+    target_entropy(target, N_ENTROPY, np.random.default_rng(seed + 2)).
+    """
     return EvalMetrics(
         mode_coverage=mode_coverage(q, modes),
         ess=ess(q, target, N_ESS, np.random.default_rng(seed + 1)),
-        entropy_error=entropy_error(q, target, N_ENTROPY,
-                                    np.random.default_rng(seed + 2)),
+        entropy_error=entropy_error(q, target_entropy),
         test_log_lik=test_log_lik(q, target, N_TEST,
                                   np.random.default_rng(seed + 3)),
     )

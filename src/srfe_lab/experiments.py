@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .discrete import _check_tau_open
-from .evaluation import EvalMetrics, evaluate
+from .evaluation import N_ENTROPY, EvalMetrics, evaluate, target_entropy
 from .gaussians import ContaminatedMixture, GaussianMixture
 from .training import (TauSchedule, TrainConfig, TrainResult, _is_number,
                        _require_count, train)
@@ -140,15 +140,25 @@ class _Cell:
     trial: int = 0
 
 
-def _run_cell(cell: _Cell, modes: GaussianMixture) -> tuple[ResultRow, np.ndarray]:
+def _run_cell(cell: _Cell, modes: GaussianMixture,
+              entropies: dict[tuple[int, int], float]
+              ) -> tuple[ResultRow, np.ndarray]:
+    """Train and evaluate one cell.  entropies holds the target-entropy
+    estimates already drawn in this sweep, by (id of target, seed); the
+    cell adds its own if it is missing."""
     try:
         result: TrainResult = train(cell.target, cell.train_cfg)
     except (RuntimeError, FloatingPointError):
         # keep the sweep going; NaNs flag the failed cell in the CSV
         metrics, loss, clamped, history = _FAILED, math.nan, -1, np.empty(0)
     else:
-        metrics = evaluate(result.model, cell.target, modes,
-                           cell.train_cfg.seed)
+        seed = cell.train_cfg.seed
+        key = (id(cell.target), seed)
+        if key not in entropies:
+            entropies[key] = target_entropy(cell.target, N_ENTROPY,
+                                            np.random.default_rng(seed + 2))
+        metrics = evaluate(result.model, cell.target, modes, seed,
+                           entropies[key])
         loss, clamped = float(result.loss_history[-1]), result.clamp_count
         history = np.asarray(result.loss_history)
     row = ResultRow(cell.method, cell.tau, cell.schedule_name,
@@ -159,7 +169,8 @@ def _run_cell(cell: _Cell, modes: GaussianMixture) -> tuple[ResultRow, np.ndarra
 
 def _execute(cells: list[_Cell], cfg: RunConfig, modes: GaussianMixture,
              csv_name: str) -> ExperimentResult:
-    outcomes = [_run_cell(c, modes) for c in cells]
+    entropies = {}
+    outcomes = [_run_cell(c, modes, entropies) for c in cells]
 
     rows = [row for row, _ in outcomes]
     histories = {cell.label: history

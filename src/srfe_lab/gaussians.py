@@ -23,7 +23,7 @@ from functools import reduce
 
 import numpy as np
 
-from srfe_lab.discrete import _logsumexp
+from srfe_lab.discrete import _logsumexp, _logsumexp_terms
 
 __all__ = [
     "DiagonalGaussian",
@@ -147,13 +147,15 @@ class GaussianMixture:
         means = np.asarray(self.means, dtype=np.float64)
         if means.ndim != 2:
             raise ValueError("means must have shape (K, d)")
+        if not np.all(np.isfinite(means)):
+            raise ValueError("means must be finite")
         w = _frozen_vector(self.weights, "weights")
         if w.size != means.shape[0]:
             raise ValueError("one weight per component required")
         if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
             raise ValueError("weights must be a probability vector")
-        if not self.variance > 0:
-            raise ValueError("variance must be positive")
+        if not 0.0 < self.variance < np.inf:
+            raise ValueError("variance must be positive and finite")
         means = means.copy()
         means.flags.writeable = False
         object.__setattr__(self, "means", means)
@@ -188,17 +190,17 @@ class GaussianMixture:
         """Log density and its x-gradient from one pass over the components.
 
         The gradient is the responsibility-weighted pull towards the means,
-        (m_k - x) / variance summed over k, built one coordinate at a time.
+        (m_k - x) / variance summed over k, built one coordinate at a time
+        from the shifted exponentials e_k of the log-sum-exp, whose sum s
+        normalizes them: sum_k e_k (m_k - x) / (s variance).
         """
         xb, single = _as_batch(x, self.dim)
-        comp = self._component_log_probs(xb)
-        lp = _logsumexp(comp, axis=0)
-        resp = np.exp(comp - lp)
+        lp, e, s = _logsumexp_terms(self._component_log_probs(xb), axis=0)
+        denom = s * self.variance
         cols = []
         for xj, mj in zip(xb.T, self.means.T):  # coordinate j, K mean entries
-            pulls = [(m_kj - xj) / self.variance for m_kj in mj]
-            cols.append(reduce(np.add,
-                               [r_k * p for r_k, p in zip(resp, pulls)]))
+            cols.append(reduce(np.add, [e_k * (m_kj - xj)
+                                        for e_k, m_kj in zip(e, mj)]) / denom)
         score = np.stack(cols).T
         return (float(lp[0]), score[0]) if single else (lp, score)
 
@@ -245,8 +247,11 @@ class ContaminatedMixture:
             return base_lp, base_lp, None
         in_box = reduce(np.logical_and, [(xj >= BOX_LOW) & (xj <= BOX_HIGH)
                                          for xj in xb.T])
-        box_lp = np.where(in_box, self._log_box_density(), -np.inf)
-        return base_lp, np.logaddexp(base_lp, box_lp), in_box
+        # in the box the uniform part is one constant c, and
+        # log(e^a + e^c) = max(a, c) + log1p(e^-|a - c|); outside, only a
+        c = self._log_box_density()
+        both = np.maximum(base_lp, c) + np.log1p(np.exp(-np.abs(base_lp - c)))
+        return base_lp, np.where(in_box, both, base_lp), in_box
 
     def log_prob(self, x):
         xb, single = _as_batch(x, self.dim)

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from srfe_lab.evaluation import N_ESS, ess, entropy_error, evaluate, \
-    mode_coverage
+from srfe_lab.evaluation import N_ENTROPY, N_ESS, entropy_error, ess, \
+    evaluate, mode_coverage, target_entropy
 from srfe_lab.evaluation import test_log_lik as held_out_log_lik
 from srfe_lab.gaussians import DiagonalGaussian, GaussianMixture
 
@@ -75,18 +75,32 @@ class TestEss:
         val = ess(q, BENCH, 10000, np.random.default_rng(2))
         assert val < 100.0
 
+    @pytest.mark.filterwarnings("error")
+    def test_no_draw_with_target_density(self):
+        # bounded support far from q: every log weight is -inf, so there
+        # is nothing to normalize, and no NaN or warning may come out
+        class UnitSquare:
+            def log_prob(self, x):
+                inside = np.all((x >= 0.0) & (x <= 1.0), axis=1)
+                return np.where(inside, 0.0, -np.inf)
+
+        q = DiagonalGaussian(mu=np.full(2, 50.0), log_sigma=np.zeros(2))
+        assert ess(q, UnitSquare(), 1000, np.random.default_rng(0)) == 0.0
+
 
 class TestEntropyError:
     def test_matched_gaussian(self):
         q = DiagonalGaussian(mu=np.array([1.0, 2.0]),
                              log_sigma=np.array([0.3, -0.2]))
-        err = entropy_error(q, q, 200_000, np.random.default_rng(3))
+        err = entropy_error(q, target_entropy(q, 200_000,
+                                              np.random.default_rng(3)))
         # MC noise only: sd of -log q is about 1, so the mean is tight
         assert err <= 0.02
 
     def test_too_narrow_model_penalized(self):
-        err = entropy_error(narrow_model(MEANS[0]), BENCH, 50_000,
-                            np.random.default_rng(4))
+        err = entropy_error(narrow_model(MEANS[0]),
+                            target_entropy(BENCH, 50_000,
+                                           np.random.default_rng(4)))
         # the model misses the spread between modes but matches one
         # component's entropy; the gap is the mixture's extra spread
         assert 0.3 <= err <= 1.5
@@ -104,10 +118,15 @@ class TestTestLogLik:
         assert val < -15.0
 
 
+def bench_entropy(seed):
+    """The target-entropy estimate evaluate(..., seed, ...) is handed."""
+    return target_entropy(BENCH, N_ENTROPY, np.random.default_rng(seed + 2))
+
+
 class TestEvaluate:
     def test_reproducible_and_complete(self):
-        a = evaluate(broad_model(), BENCH, BENCH, 7)
-        b = evaluate(broad_model(), BENCH, BENCH, 7)
+        a = evaluate(broad_model(), BENCH, BENCH, 7, bench_entropy(7))
+        b = evaluate(broad_model(), BENCH, BENCH, 7, bench_entropy(7))
         assert a == b
         assert a.mode_coverage == 3
         assert 0 < a.ess <= N_ESS
@@ -115,7 +134,7 @@ class TestEvaluate:
         assert np.isfinite(a.test_log_lik)
 
     def test_seed_offsets_decouple_metrics(self):
-        a = evaluate(broad_model(), BENCH, BENCH, 7)
-        c = evaluate(broad_model(), BENCH, BENCH, 8)
+        a = evaluate(broad_model(), BENCH, BENCH, 7, bench_entropy(7))
+        c = evaluate(broad_model(), BENCH, BENCH, 8, bench_entropy(8))
         assert a.ess != c.ess
         assert a.test_log_lik != c.test_log_lik

@@ -8,7 +8,7 @@ import threading
 import numpy as np
 import pytest
 
-from srfe_lab import experiments
+from srfe_lab import evaluation, experiments
 from srfe_lab.evaluation import EvalMetrics
 from srfe_lab.experiments import (
     CSV_HEADER,
@@ -124,6 +124,36 @@ class TestExp4:
             [(0.0, 0.5), (0.2, 0.5)]
         assert os.path.exists(tmp_path / "exp4.csv")
 
+    def test_target_entropy_drawn_once_per_target_and_seed(
+            self, tmp_path, monkeypatch):
+        calls, trained = [], []
+        real_train = experiments.train
+
+        def counting(target, n, rng):
+            calls.append(target)
+            return evaluation.target_entropy(target, n, rng)
+
+        def recording_train(target, cfg):
+            result = real_train(target, cfg)
+            trained.append((target, cfg, result))
+            return result
+
+        monkeypatch.setattr(experiments, "target_entropy", counting)
+        monkeypatch.setattr(experiments, "train", recording_train)
+        res = run_exp4(RunConfig(tau_grid=(0.3, 0.7),
+                                 outlier_weights=(0.0, 0.2), iterations=1,
+                                 batch_size=20, out_dir=str(tmp_path)))
+        # two targets, one seed: two estimates for four cells
+        assert len(res.rows) == 4 and len(calls) == 2
+        assert calls[0] is not calls[1]
+        for row, (target, cfg, result) in zip(res.rows, trained):
+            alone = evaluation.evaluate(
+                result.model, target, benchmark_target(), cfg.seed,
+                evaluation.target_entropy(
+                    target, evaluation.N_ENTROPY,
+                    np.random.default_rng(cfg.seed + 2)))
+            assert row.metrics == alone
+
 
 @pytest.mark.parametrize("bad", [
     dict(seed=-1), dict(iterations=True), dict(learning_rate=0.0),
@@ -150,7 +180,7 @@ class TestFailureIsolation:
                      TrainConfig(objective="reverse_kl", iterations=2,
                                  batch_size=10),
                      target)
-        row, history = _run_cell(cell, benchmark_target())
+        row, history = _run_cell(cell, benchmark_target(), {})
         assert row.metrics.mode_coverage == -1
         assert math.isnan(row.metrics.ess)
         assert math.isnan(row.final_loss)
@@ -193,7 +223,7 @@ def test_clamped_steps_counts_every_clamped_step(tmp_path):
     cfg = TrainConfig(objective="srfe", schedule=TauSchedule.fixed(0.5),
                       iterations=4, batch_size=20)
     row, history = _run_cell(_Cell("far", "srfe", 0.5, None, None, cfg, far),
-                             benchmark_target())
+                             benchmark_target(), {})
     assert row.clamped_steps == cfg.iterations == history.size
     path = tmp_path / "t.csv"
     write_rows(str(path), [row])

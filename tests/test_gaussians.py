@@ -156,6 +156,16 @@ class TestGaussianMixture:
         with pytest.raises(ValueError):
             GaussianMixture(means=np.zeros(3), variance=0.5, weights=WEIGHTS)
 
+    @pytest.mark.parametrize("means,variance", [
+        ([[math.nan, 0.0]], 0.5), ([[math.inf, 0.0]], 0.5),
+        ([[0.0, 0.0]], math.inf), ([[0.0, 0.0]], math.nan),
+    ], ids=["nan_mean", "inf_mean", "inf_variance", "nan_variance"])
+    def test_rejects_non_finite(self, means, variance):
+        # each would give NaN or -inf densities and NaN scores
+        with pytest.raises(ValueError, match="finite|positive"):
+            GaussianMixture(means=np.array(means), variance=variance,
+                            weights=np.array([1.0]))
+
 
 class TestContaminatedMixture:
     def test_in_box_identity(self):
@@ -353,14 +363,34 @@ def test_kernels_match_broadcast_formulas(n_components, d):
     for w in (0.0, 0.2):
         con = ContaminatedMixture(base=mix, outlier_weight=w)
         ref_lp, ref_score = broadcast_contaminated(con, faces)
-        np.testing.assert_array_equal(con.log_prob(faces), ref_lp)
         if w > 0.0:
+            # the closed-form box blend rounds as numpy's vector exp and
+            # log1p do, a few ulp from np.logaddexp's scalar libm loop
+            np.testing.assert_array_max_ulp(con.log_prob(faces), ref_lp,
+                                            maxulp=4)
             with pytest.warns(RuntimeWarning, match="boundary"):
                 lp, score = con.log_prob_and_score(faces)
+            np.testing.assert_array_max_ulp(lp, ref_lp, maxulp=4)
         else:
+            np.testing.assert_array_equal(con.log_prob(faces), ref_lp)
             lp, score = con.log_prob_and_score(faces)
-        np.testing.assert_array_equal(lp, ref_lp)
+            np.testing.assert_array_equal(lp, ref_lp)
         np.testing.assert_allclose(score, ref_score, rtol=1e-13, atol=0.0)
+
+    # in the box but far from every mode only the uniform floor is left;
+    # outside the box only the damped base density
+    near = GaussianMixture(means=0.1 * mix.means, variance=0.7,
+                           weights=mix.weights)
+    con = ContaminatedMixture(base=near, outlier_weight=0.2)
+    floor = np.log(0.2) - d * np.log(20.0)
+    corners = 9.5 * rng.choice([-1.0, 1.0], size=(20, d))
+    far = corners[np.log1p(-0.2) + near.log_prob(corners) < floor - 40.0]
+    assert far.shape[0] > 0
+    np.testing.assert_array_max_ulp(con.log_prob(far),
+                                    np.full(far.shape[0], floor), maxulp=4)
+    outside = np.concatenate([xs[:5], corners + np.sign(corners)])
+    np.testing.assert_array_equal(con.log_prob(outside),
+                                  np.log1p(-0.2) + near.log_prob(outside))
 
 
 class TestEqualCovarianceValue:
