@@ -109,13 +109,11 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 
 def _cmd_experiment(args: argparse.Namespace, cfg: RunConfig) -> int:
     result = _EXPERIMENTS[args.command](cfg)
-    failed = [r for r in result.rows if r.metrics.mode_coverage < 0]
-    for row in failed:
-        print(f"warning: cell {row.method} tau={row.tau} "
-              f"weight={row.outlier_weight} failed to train",
+    for label, reason in result.failures.items():
+        print(f"warning: cell {label} failed to train: {reason}",
               file=sys.stderr)
     print(f"{args.command}: wrote {len(result.rows)} rows to {cfg.out_dir}/")
-    return 1 if failed else 0
+    return 1 if result.failures else 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

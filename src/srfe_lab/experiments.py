@@ -6,11 +6,18 @@ schedules (exp3), and contamination robustness (exp4).  Each driver
 trains the diagonal-Gaussian model for every cell, evaluates it, writes
 one CSV, and hands the rows back for programmatic use.
 
-Cells are independent given their seeds and run one after another in the
-calling thread, in a fixed order, which keeps the CSVs byte-identical
-across runs with the same seed.  A fitting step is about a hundred short
-numpy calls, so worker threads would mostly pass the interpreter lock
-between them rather than overlap work.
+Cells are independent given their seeds.  A sweep trains all its cells in
+lockstep in the calling thread (training.train_lockstep): each iteration
+steps every cell once, in cell order, and cells that read equal noise share
+one draw.  srfe and reverse-KL cells with the same seed, batch size and
+dimension share standard-normal eps, so all cells of exp3 and exp4 and the
+srfe and reverse-KL cells of exp1 read one stream, and exp2 reads one per
+trial seed; forward-KL cells share per seed, batch size and target.  Every
+cell sees the noise it would see alone, so the CSVs are byte-identical
+across runs with the same seed.  The target entropies are estimated before
+training and the trained cells evaluated after it, in cell order.  A fitting
+step is about a hundred short numpy calls, so worker threads would mostly
+pass the interpreter lock between them rather than overlap work.
 """
 from __future__ import annotations
 
@@ -24,8 +31,9 @@ import numpy as np
 from .discrete import _check_tau_open
 from .evaluation import N_ENTROPY, EvalMetrics, evaluate, target_entropy
 from .gaussians import ContaminatedMixture, GaussianMixture
-from .training import (TauSchedule, TrainConfig, TrainResult, _is_number,
-                       _require_count, train)
+# unused here, but perfbench/bench_trace.py patches experiments.train by name
+from .training import (TauSchedule, TrainConfig, _is_number,
+                       _require_count, train, train_lockstep)
 
 TARGET_MEANS = ((-3.0, 0.0), (3.0, 0.0), (0.0, 4.0))
 TARGET_VARIANCE = 0.5
@@ -122,6 +130,7 @@ class ExperimentResult:
     rows: list[ResultRow]
     aggregate: list[AggregateRow] | None
     histories: dict[str, np.ndarray]
+    failures: dict[str, str]  # cell label -> why it failed to train
 
 
 _FAILED = EvalMetrics(mode_coverage=-1, ess=math.nan, entropy_error=math.nan,
@@ -140,50 +149,59 @@ class _Cell:
     trial: int = 0
 
 
-def _run_cell(cell: _Cell, modes: GaussianMixture,
-              entropies: dict[tuple[int, int], float]
-              ) -> tuple[ResultRow, np.ndarray]:
-    """Train and evaluate one cell.  entropies holds the target-entropy
-    estimates already drawn in this sweep, by (id of target, seed); the
-    cell adds its own if it is missing."""
-    try:
-        result: TrainResult = train(cell.target, cell.train_cfg)
-    except (RuntimeError, FloatingPointError):
-        # keep the sweep going; NaNs flag the failed cell in the CSV
-        metrics, loss, clamped, history = _FAILED, math.nan, -1, np.empty(0)
-    else:
-        seed = cell.train_cfg.seed
-        key = (id(cell.target), seed)
+def _run_cells(cells: list[_Cell],
+               modes: GaussianMixture) -> ExperimentResult:
+    """Train every cell in lockstep, then evaluate them in cell order.
+
+    The target entropy is estimated once per (target, seed), on the
+    seed + 2 stream, before training (so every cell's target needs
+    sample(n, rng)), and handed to evaluate.  A cell whose
+    training raised RuntimeError or FloatingPointError becomes a NaN row,
+    and its label maps to the exception text in failures.
+    """
+    # Before training, not after: each estimate allocates and frees a
+    # 1.6 MB sample array, which raises glibc's heap trim threshold.  Below
+    # it, the heap top was handed back to the system after every step and
+    # faulted in again (default-config exp4: 1.4 million page faults and
+    # 2.5 s of system time, against 19 thousand and 0.05 s).
+    entropies: dict[tuple[int, int], float] = {}
+    for cell in cells:
+        key = (id(cell.target), cell.train_cfg.seed)
         if key not in entropies:
-            entropies[key] = target_entropy(cell.target, N_ENTROPY,
-                                            np.random.default_rng(seed + 2))
-        metrics = evaluate(result.model, cell.target, modes, seed,
-                           entropies[key])
-        loss, clamped = float(result.loss_history[-1]), result.clamp_count
-        history = np.asarray(result.loss_history)
-    row = ResultRow(cell.method, cell.tau, cell.schedule_name,
-                    cell.outlier_weight, metrics, loss, clamped, cell.trial,
-                    cell.train_cfg.seed)
-    return row, history
+            entropies[key] = target_entropy(
+                cell.target, N_ENTROPY, np.random.default_rng(key[1] + 2))
+    outcomes = train_lockstep([(c.target, c.train_cfg) for c in cells])
+    rows, histories, failures = [], {}, {}
+    for cell, outcome in zip(cells, outcomes):
+        seed = cell.train_cfg.seed
+        if isinstance(outcome, Exception):
+            # keep the sweep going; NaNs flag the failed cell in the CSV
+            metrics, loss, clamped, history = _FAILED, math.nan, -1, np.empty(0)
+            failures[cell.label] = str(outcome)
+        else:
+            metrics = evaluate(outcome.model, cell.target, modes, seed,
+                               entropies[(id(cell.target), seed)])
+            loss, clamped = float(outcome.loss_history[-1]), outcome.clamp_count
+            history = np.asarray(outcome.loss_history)
+        rows.append(ResultRow(cell.method, cell.tau, cell.schedule_name,
+                              cell.outlier_weight, metrics, loss, clamped,
+                              cell.trial, seed))
+        histories[cell.label] = history
+    return ExperimentResult(rows=rows, aggregate=None, histories=histories,
+                            failures=failures)
 
 
 def _execute(cells: list[_Cell], cfg: RunConfig, modes: GaussianMixture,
              csv_name: str) -> ExperimentResult:
-    entropies = {}
-    outcomes = [_run_cell(c, modes, entropies) for c in cells]
-
-    rows = [row for row, _ in outcomes]
-    histories = {cell.label: history
-                 for cell, (_, history) in zip(cells, outcomes)}
-
+    result = _run_cells(cells, modes)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    write_rows(os.path.join(cfg.out_dir, csv_name), rows)
+    write_rows(os.path.join(cfg.out_dir, csv_name), result.rows)
     if cfg.dump_loss:
         stem = csv_name.rsplit(".", 1)[0]
-        for label, history in histories.items():
+        for label, history in result.histories.items():
             dump_history(os.path.join(cfg.out_dir, f"{stem}_loss_{label}.csv"),
                          history)
-    return ExperimentResult(rows=rows, aggregate=None, histories=histories)
+    return result
 
 
 def _fmt(value) -> str:

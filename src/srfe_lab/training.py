@@ -6,6 +6,12 @@ forward KL (target samples, score-mean gradient) or reverse KL (pathwise).
 Initialization is mu = 0, log_sigma = 0; every run is reproducible from its
 seed because noise batches are drawn from one seeded generator in a fixed
 per-iteration order.
+
+train_lockstep fits many jobs together, one iteration of every job at a
+time.  Jobs that would draw equal noise share one draw per iteration:
+srfe and reverse-KL jobs with the same seed, batch size and dimension
+(standard normal eps), and forward-KL jobs with the same seed, batch size
+and target (target samples).  train is the one-job case.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from srfe_lab.discrete import _check_tau_open
 from srfe_lab.estimators import (
     forward_kl_grad,
     forward_kl_loss,
@@ -25,7 +32,7 @@ from srfe_lab.estimators import (
 from srfe_lab.gaussians import DiagonalGaussian
 
 __all__ = ["Adam", "TauSchedule", "TrainConfig", "TrainResult", "train",
-           "OBJECTIVES"]
+           "train_lockstep", "OBJECTIVES"]
 
 OBJECTIVES = ("srfe", "forward_kl", "reverse_kl")
 
@@ -75,6 +82,11 @@ class TauSchedule:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if self.kind == "stepwise" and len(self.taus) == 0:
             raise ValueError("stepwise schedule needs at least one level")
+        # every tau the schedule can return, so a bad one fails here and
+        # not on the step that reaches it
+        _check_tau_open({"fixed": self.value,
+                         "linear": (self.start, self.end),
+                         "stepwise": self.taus}[self.kind])
 
     @classmethod
     def fixed(cls, value: float) -> "TauSchedule":
@@ -146,6 +158,113 @@ class TrainResult:
     clamp_count: int
 
 
+class _Fit:
+    """One job's fitting state: mu, log_sigma, Adam, loss history and clamp
+    count, advanced one iteration at a time by step."""
+
+    def __init__(self, target, cfg: TrainConfig):
+        self.target, self.cfg = target, cfg
+        self.dim = target.dim
+        self.mu = np.zeros(self.dim)
+        self.log_sigma = np.zeros(self.dim)
+        self.opt = Adam(2 * self.dim, lr=cfg.learning_rate)
+        self.losses = np.empty(cfg.iterations)
+        self.clamp_count = 0
+
+    def stream(self) -> tuple:
+        """The key of the noise stream this job reads: equal keys draw
+        equal batches from equal seeds."""
+        cfg = self.cfg
+        if cfg.objective == "forward_kl":
+            return ("sample", cfg.seed, cfg.batch_size, id(self.target))
+        return ("normal", cfg.seed, cfg.batch_size, self.dim)
+
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
+        if self.cfg.objective == "forward_kl":
+            return np.asarray(self.target.sample(self.cfg.batch_size, rng))
+        return rng.standard_normal((self.cfg.batch_size, self.dim))
+
+    def step(self, t: int, noise: np.ndarray) -> None:
+        """Iteration t (1-based) on noise: eps for srfe and reverse KL,
+        target samples for forward KL."""
+        cfg, target = self.cfg, self.target
+        q = DiagonalGaussian(self.mu, self.log_sigma)
+        if cfg.objective == "srfe":
+            tau = cfg.schedule.tau_at(t, cfg.iterations)
+            report, grad = srfe_mc_step(q, target, tau, noise)
+            loss = report.loss
+            self.clamp_count += int(report.clamped)
+        elif cfg.objective == "forward_kl":
+            loss = forward_kl_loss(q, target, noise)
+            grad = forward_kl_grad(q, noise)
+        else:
+            loss = reverse_kl_loss(q, target, noise)
+            grad = reverse_kl_grad(q, target, noise)
+
+        if not np.isfinite(loss):
+            raise RuntimeError(f"non-finite loss at step {t}")
+        flat_grad = np.concatenate([grad.d_mu, grad.d_log_sigma])
+        if not np.all(np.isfinite(flat_grad)):
+            raise RuntimeError(f"non-finite gradient at step {t}")
+        self.losses[t - 1] = loss
+        theta = self.opt.step(np.concatenate([self.mu, self.log_sigma]),
+                              flat_grad)
+        self.mu, self.log_sigma = theta[:self.dim], theta[self.dim:]
+
+    def result(self) -> TrainResult:
+        return TrainResult(model=DiagonalGaussian(self.mu, self.log_sigma),
+                           loss_history=self.losses,
+                           clamp_count=self.clamp_count)
+
+
+def train_lockstep(jobs) -> list[TrainResult | Exception]:
+    """Fit every (target, TrainConfig) job, all advancing one iteration at a
+    time in job order.  Each job gets exactly the result train gives it.
+
+    Jobs whose noise streams have the same key (see _Fit.stream) share one
+    generator seeded with their seed, which draws one read-only batch per
+    iteration while any of them is still fitting; a job with fewer
+    iterations stops early and has read a prefix of the stream.  A
+    RuntimeError or FloatingPointError from a job's step ends that job
+    only and takes its place in the returned list; any other exception
+    propagates.
+    """
+    fits = [_Fit(target, cfg) for target, cfg in jobs]
+    keys = [fit.stream() for fit in fits]
+    rngs = {}
+    for fit, key in zip(fits, keys):
+        rngs.setdefault(key, np.random.default_rng(fit.cfg.seed))
+    outcomes: list = [None] * len(fits)
+    active = list(range(len(fits)))
+    t = 0
+    while active:
+        t += 1
+        # each batch is dropped after its last reader, so no more batches
+        # are alive during a step than one job alone would hold
+        last_reader = {keys[i]: i for i in active}
+        batches = {}
+        still = []
+        for i in active:
+            fit, key = fits[i], keys[i]
+            noise = batches.get(key)
+            if noise is None:
+                noise = batches[key] = fit.draw(rngs[key])
+                noise.flags.writeable = False
+            if last_reader[key] == i:
+                del batches[key]
+            try:
+                fit.step(t, noise)
+            except (RuntimeError, FloatingPointError) as exc:
+                outcomes[i] = exc
+            else:
+                if t < fit.cfg.iterations:
+                    still.append(i)
+                else:
+                    outcomes[i] = fit.result()
+        active = still
+    return outcomes
+
+
 def train(target, cfg: TrainConfig) -> TrainResult:
     """Fit a mean-field Gaussian to target under cfg.  Deterministic per seed.
 
@@ -158,41 +277,10 @@ def train(target, cfg: TrainConfig) -> TrainResult:
 
     Raises RuntimeError naming the step index if a loss or a gradient is
     non-finite (the clamp makes the free-energy loss finite by construction,
-    so this can only trip on a degenerate target).
+    so this can only trip on a degenerate target).  This is train_lockstep
+    on one job.
     """
-    dim = target.dim
-    rng = np.random.default_rng(cfg.seed)
-    mu = np.zeros(dim)
-    log_sigma = np.zeros(dim)
-    opt = Adam(2 * dim, lr=cfg.learning_rate)
-    losses = np.empty(cfg.iterations)
-    clamp_count = 0
-
-    for t in range(1, cfg.iterations + 1):
-        q = DiagonalGaussian(mu, log_sigma)
-        if cfg.objective == "srfe":
-            tau = cfg.schedule.tau_at(t, cfg.iterations)
-            eps = rng.standard_normal((cfg.batch_size, dim))
-            report, grad = srfe_mc_step(q, target, tau, eps)
-            loss = report.loss
-            clamp_count += int(report.clamped)
-        elif cfg.objective == "forward_kl":
-            xs = target.sample(cfg.batch_size, rng)
-            loss = forward_kl_loss(q, target, xs)
-            grad = forward_kl_grad(q, xs)
-        else:
-            eps = rng.standard_normal((cfg.batch_size, dim))
-            loss = reverse_kl_loss(q, target, eps)
-            grad = reverse_kl_grad(q, target, eps)
-
-        if not np.isfinite(loss):
-            raise RuntimeError(f"non-finite loss at step {t}")
-        flat_grad = np.concatenate([grad.d_mu, grad.d_log_sigma])
-        if not np.all(np.isfinite(flat_grad)):
-            raise RuntimeError(f"non-finite gradient at step {t}")
-        losses[t - 1] = loss
-        theta = opt.step(np.concatenate([mu, log_sigma]), flat_grad)
-        mu, log_sigma = theta[:dim], theta[dim:]
-
-    return TrainResult(model=DiagonalGaussian(mu, log_sigma),
-                       loss_history=losses, clamp_count=clamp_count)
+    (outcome,) = train_lockstep([(target, cfg)])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome

@@ -8,9 +8,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import srfe_lab
+from srfe_lab import experiments
 from srfe_lab.cli import main
 
 
@@ -70,6 +72,33 @@ class TestExperimentCommands:
                      str(tmp_path / "r")])
         assert code == 0
         assert len(read_csv(tmp_path / "r" / "exp4.csv")) == 3
+
+
+    def test_failed_cells_are_named_with_their_cause(self, tmp_path, capsys,
+                                                     monkeypatch):
+        class BrokenTarget:
+            dim = 2
+
+            def log_prob(self, x):
+                return np.full(x.shape[0], np.nan)
+
+            def log_prob_and_score(self, x):
+                return self.log_prob(x), np.zeros(x.shape)
+
+            def sample(self, n, rng):
+                return rng.standard_normal((n, 2))
+
+        monkeypatch.setattr(experiments, "benchmark_target", BrokenTarget)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"iterations": 2, "batch_size": 20}))
+        code = main(["exp3", "--config", str(cfg_path), "--out",
+                     str(tmp_path / "r")])
+        assert code == 1
+        warnings = capsys.readouterr().err.splitlines()
+        assert warnings == [
+            f"warning: cell {s.describe()} failed to train: "
+            "non-finite loss at step 1"
+            for s in experiments.exp3_schedules()]
 
 
 class TestDensityGrid:

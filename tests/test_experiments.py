@@ -8,13 +8,13 @@ import threading
 import numpy as np
 import pytest
 
-from srfe_lab import evaluation, experiments
+from srfe_lab import evaluation, experiments, training
 from srfe_lab.evaluation import EvalMetrics
 from srfe_lab.experiments import (
     CSV_HEADER,
     RunConfig,
     _Cell,
-    _run_cell,
+    _run_cells,
     benchmark_target,
     density_grid,
     dump_history,
@@ -63,20 +63,23 @@ class TestExp1:
 
 def test_cells_run_in_calling_thread_in_order(tmp_path, monkeypatch):
     calls = []
-    real_train = experiments.train
+    real_step = training._Fit.step
 
-    def recording_train(target, cfg):
-        calls.append((threading.get_ident(), cfg.objective,
-                      cfg.schedule.describe()))
-        return real_train(target, cfg)
+    def recording_step(fit, t, noise):
+        calls.append((threading.get_ident(), t, fit.cfg.objective,
+                      fit.cfg.schedule.describe()))
+        return real_step(fit, t, noise)
 
-    monkeypatch.setattr(experiments, "train", recording_train)
-    run_exp1(RunConfig(tau_grid=(0.3, 0.7), iterations=1, batch_size=20,
+    monkeypatch.setattr(training._Fit, "step", recording_step)
+    run_exp1(RunConfig(tau_grid=(0.3, 0.7), iterations=2, batch_size=20,
                        out_dir=str(tmp_path)))
     me = threading.get_ident()
-    assert calls == [(me, "forward_kl", "fixed_0.5"),
-                     (me, "reverse_kl", "fixed_0.5"),
-                     (me, "srfe", "fixed_0.3"), (me, "srfe", "fixed_0.7")]
+    # lockstep: every cell takes step 1, in cell order, then step 2
+    assert calls == [(me, t, objective, schedule) for t in (1, 2)
+                     for objective, schedule in (
+                         ("forward_kl", "fixed_0.5"),
+                         ("reverse_kl", "fixed_0.5"),
+                         ("srfe", "fixed_0.3"), ("srfe", "fixed_0.7"))]
 
 
 class TestExp2:
@@ -127,24 +130,25 @@ class TestExp4:
     def test_target_entropy_drawn_once_per_target_and_seed(
             self, tmp_path, monkeypatch):
         calls, trained = [], []
-        real_train = experiments.train
+        real_runner = experiments.train_lockstep
 
         def counting(target, n, rng):
             calls.append(target)
             return evaluation.target_entropy(target, n, rng)
 
-        def recording_train(target, cfg):
-            result = real_train(target, cfg)
-            trained.append((target, cfg, result))
-            return result
+        def recording_runner(jobs):
+            outcomes = real_runner(jobs)
+            trained.extend((target, cfg, result)
+                           for (target, cfg), result in zip(jobs, outcomes))
+            return outcomes
 
         monkeypatch.setattr(experiments, "target_entropy", counting)
-        monkeypatch.setattr(experiments, "train", recording_train)
+        monkeypatch.setattr(experiments, "train_lockstep", recording_runner)
         res = run_exp4(RunConfig(tau_grid=(0.3, 0.7),
                                  outlier_weights=(0.0, 0.2), iterations=1,
                                  batch_size=20, out_dir=str(tmp_path)))
         # two targets, one seed: two estimates for four cells
-        assert len(res.rows) == 4 and len(calls) == 2
+        assert len(res.rows) == len(trained) == 4 and len(calls) == 2
         assert calls[0] is not calls[1]
         for row, (target, cfg, result) in zip(res.rows, trained):
             alone = evaluation.evaluate(
@@ -153,6 +157,25 @@ class TestExp4:
                     target, evaluation.N_ENTROPY,
                     np.random.default_rng(cfg.seed + 2)))
             assert row.metrics == alone
+
+
+    def test_cells_share_one_noise_batch_per_iteration(self, tmp_path,
+                                                       monkeypatch):
+        seen = []
+        real_step = training.srfe_mc_step
+
+        def recording_step(q, target, tau, eps):
+            seen.append(eps)
+            return real_step(q, target, tau, eps)
+
+        monkeypatch.setattr(training, "srfe_mc_step", recording_step)
+        res = run_exp4(RunConfig(tau_grid=(0.3, 0.7),
+                                 outlier_weights=(0.0, 0.2), iterations=3,
+                                 batch_size=20, out_dir=str(tmp_path)))
+        # four cells, one seed: 12 steps read 3 draws
+        assert len(res.rows) == 4 and len(seen) == 12
+        assert len({id(eps) for eps in seen}) == 3
+        assert not any(eps.flags.writeable for eps in seen)
 
 
 @pytest.mark.parametrize("bad", [
@@ -175,12 +198,14 @@ def test_run_config_grids_become_float_tuples():
 
 
 class TestFailureIsolation:
-    def assert_failed_cell(self, target):
+    def assert_failed_cell(self, target, message):
         cell = _Cell("bad", "srfe", 0.5, None, None,
                      TrainConfig(objective="reverse_kl", iterations=2,
                                  batch_size=10),
                      target)
-        row, history = _run_cell(cell, benchmark_target(), {})
+        res = _run_cells([cell], benchmark_target())
+        (row,), history = res.rows, res.histories["bad"]
+        assert res.failures == {"bad": message}
         assert row.metrics.mode_coverage == -1
         assert math.isnan(row.metrics.ess)
         assert math.isnan(row.final_loss)
@@ -200,7 +225,7 @@ class TestFailureIsolation:
             def sample(self, n, rng):
                 return rng.standard_normal((n, 2))
 
-        self.assert_failed_cell(BrokenTarget())
+        self.assert_failed_cell(BrokenTarget(), "non-finite loss at step 1")
 
     def test_nan_score_target_yields_nan_row(self):
         # the loss is finite, the gradient is not
@@ -213,7 +238,11 @@ class TestFailureIsolation:
             def score_x(self, x):
                 return np.full(np.asarray(x).shape, np.nan)
 
-        self.assert_failed_cell(NanScoreTarget())
+            def sample(self, n, rng):  # the entropy estimate draws first
+                return rng.standard_normal((n, 2))
+
+        self.assert_failed_cell(NanScoreTarget(),
+                                "non-finite gradient at step 1")
 
 
 def test_clamped_steps_counts_every_clamped_step(tmp_path):
@@ -222,8 +251,9 @@ def test_clamped_steps_counts_every_clamped_step(tmp_path):
     far = DiagonalGaussian(mu=np.full(2, 100.0), log_sigma=np.zeros(2))
     cfg = TrainConfig(objective="srfe", schedule=TauSchedule.fixed(0.5),
                       iterations=4, batch_size=20)
-    row, history = _run_cell(_Cell("far", "srfe", 0.5, None, None, cfg, far),
-                             benchmark_target(), {})
+    res = _run_cells([_Cell("far", "srfe", 0.5, None, None, cfg, far)],
+                     benchmark_target())
+    (row,), history = res.rows, res.histories["far"]
     assert row.clamped_steps == cfg.iterations == history.size
     path = tmp_path / "t.csv"
     write_rows(str(path), [row])

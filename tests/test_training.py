@@ -1,13 +1,28 @@
 """Optimizer arithmetic frozen against hand-computed steps, schedule shapes,
-and determinism of the fitting loop."""
+and determinism of the fitting loop, alone and in lockstep."""
+import math
+
 import numpy as np
 import pytest
 
-from srfe_lab.gaussians import DiagonalGaussian, GaussianMixture
-from srfe_lab.training import Adam, TauSchedule, TrainConfig, TrainResult, train
+from srfe_lab.gaussians import (ContaminatedMixture, DiagonalGaussian,
+                                GaussianMixture)
+from srfe_lab.training import (Adam, TauSchedule, TrainConfig, TrainResult,
+                               train, train_lockstep)
 
 BENCH = GaussianMixture(means=np.array([[-3.0, 0.0], [3.0, 0.0], [0.0, 4.0]]),
                         variance=0.5, weights=np.array([0.3, 0.3, 0.4]))
+
+
+class NanScoreTarget:
+    """Finite reverse-KL loss, non-finite gradient."""
+    dim = 2
+
+    def log_prob(self, x):
+        return np.zeros(np.asarray(x).shape[0])
+
+    def score_x(self, x):
+        return np.full(np.asarray(x).shape, np.nan)
 
 
 class TestAdam:
@@ -81,6 +96,19 @@ class TestTauSchedule:
         with pytest.raises(ValueError):
             TauSchedule(kind="cosine")
 
+    @pytest.mark.parametrize("build", [
+        lambda: TauSchedule.fixed(1.5),
+        lambda: TauSchedule.fixed(0.0),
+        lambda: TauSchedule.linear(0.5, 1.0),
+        lambda: TauSchedule.linear(-0.1, 0.5),
+        lambda: TauSchedule.stepwise((0.5, math.nan)),
+        lambda: TauSchedule.stepwise((0.3, 1.0, 0.7)),
+    ], ids=["fixed-1.5", "fixed-0", "linear-end-1", "linear-start-negative",
+            "stepwise-nan", "stepwise-1"])
+    def test_rejects_tau_outside_open_interval_when_built(self, build):
+        with pytest.raises(ValueError, match=r"tau must lie in \(0, 1\)"):
+            build()
+
 
 class TestTrain:
     def small_cfg(self, **kw):
@@ -133,18 +161,45 @@ class TestTrain:
             train(BrokenTarget(), self.small_cfg(objective="reverse_kl"))
 
     def test_non_finite_gradient_raises(self):
-        class NanScoreTarget:
-            dim = 2
-
-            def log_prob(self, x):
-                return np.zeros(np.asarray(x).shape[0])
-
-            def score_x(self, x):
-                return np.full(np.asarray(x).shape, np.nan)
-
         with pytest.raises(RuntimeError,
                            match="non-finite gradient at step 1"):
             train(NanScoreTarget(), self.small_cfg(objective="reverse_kl"))
+
+    def test_lockstep_matches_solo_train(self):
+        contaminated = ContaminatedMixture(base=BENCH, outlier_weight=0.2)
+        cfg = self.small_cfg
+        jobs = [
+            (BENCH, cfg(iterations=12)),
+            (BENCH, cfg(schedule=TauSchedule.fixed(0.9), iterations=7)),
+            (BENCH, cfg(objective="reverse_kl", iterations=10)),
+            # fails at step 1 on the stream the cells around it read
+            (NanScoreTarget(), cfg(objective="reverse_kl", iterations=10)),
+            (contaminated, cfg(schedule=TauSchedule.fixed(0.99))),
+            (BENCH, cfg(objective="forward_kl", iterations=9)),
+            (BENCH, cfg(objective="forward_kl", iterations=9, seed=6)),
+            (BENCH, cfg(schedule=TauSchedule.stepwise(), seed=6)),
+            (BENCH, cfg(schedule=TauSchedule.linear(0.9, 0.3), seed=6,
+                        batch_size=100, iterations=5)),
+            (BENCH, cfg(objective="reverse_kl", seed=6, iterations=15)),
+        ]
+        outcomes = train_lockstep(jobs)
+        assert len(outcomes) == len(jobs)
+        for (target, job_cfg), outcome in zip(jobs, outcomes):
+            if isinstance(target, NanScoreTarget):
+                with pytest.raises(RuntimeError) as solo_error:
+                    train(target, job_cfg)
+                assert type(outcome) is RuntimeError
+                assert str(outcome) == str(solo_error.value) == \
+                    "non-finite gradient at step 1"
+                continue
+            solo = train(target, job_cfg)
+            assert outcome.loss_history.shape == (job_cfg.iterations,)
+            np.testing.assert_array_equal(outcome.loss_history,
+                                          solo.loss_history)
+            np.testing.assert_array_equal(outcome.model.mu, solo.model.mu)
+            np.testing.assert_array_equal(outcome.model.log_sigma,
+                                          solo.model.log_sigma)
+            assert outcome.clamp_count == solo.clamp_count
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
