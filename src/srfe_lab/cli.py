@@ -108,7 +108,10 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _cmd_experiment(args: argparse.Namespace, cfg: RunConfig) -> int:
-    result = _EXPERIMENTS[args.command](cfg)
+    try:
+        result = _EXPERIMENTS[args.command](cfg)
+    except OSError as exc:  # an output the driver could not write
+        raise SystemExit(f"srfe-lab: {exc}")
     for label, reason in result.failures.items():
         print(f"warning: cell {label} failed to train: {reason}",
               file=sys.stderr)
@@ -123,8 +126,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         flag = "PASS" if r.passed else "FAIL"
         print(f"{flag}  {r.name:<{width}}  {r.details}")
     if args.json_path:
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            json.dump([r.to_dict() for r in reports], fh, indent=2)
+        try:
+            with open(args.json_path, "w", encoding="utf-8") as fh:
+                json.dump([r.to_dict() for r in reports], fh, indent=2)
+        except OSError as exc:
+            raise SystemExit(f"srfe-lab: {exc}")
         print(f"report written to {args.json_path}")
     n_bad = sum(not r.passed for r in reports)
     print(f"{len(reports) - n_bad}/{len(reports)} checks passed")

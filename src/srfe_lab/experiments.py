@@ -6,18 +6,22 @@ schedules (exp3), and contamination robustness (exp4).  Each driver
 trains the diagonal-Gaussian model for every cell, evaluates it, writes
 one CSV, and hands the rows back for programmatic use.
 
-Cells are independent given their seeds.  A sweep trains all its cells in
-lockstep in the calling thread (training.train_lockstep): each iteration
-steps every cell once, in cell order, and cells that read equal noise share
-one draw.  srfe and reverse-KL cells with the same seed, batch size and
-dimension share standard-normal eps, so all cells of exp3 and exp4 and the
-srfe and reverse-KL cells of exp1 read one stream, and exp2 reads one per
-trial seed; forward-KL cells share per seed, batch size and target.  Every
-cell sees the noise it would see alone, so the CSVs are byte-identical
-across runs with the same seed.  The target entropies are estimated before
-training and the trained cells evaluated after it, in cell order.  A fitting
-step is about a hundred short numpy calls, so worker threads would mostly
-pass the interpreter lock between them rather than overlap work.
+Cells are independent given their seeds.  A sweep trains all its cells
+with one training.train_lockstep call: each iteration steps every cell
+once, in cell order, and cells that read equal noise share one draw.  srfe
+and reverse-KL cells with the same seed, batch size and dimension share
+standard-normal eps, so all cells of exp3 and exp4 and the srfe and
+reverse-KL cells of exp1 read one stream, and exp2 reads one per trial
+seed; forward-KL cells share per seed, batch size and target.  The runner
+splits the cells into one interleaved share per allowed CPU, fits share 0
+in the calling process and the others in forked children, and puts the
+outcomes back in cell order.  Every cell sees the noise it would see alone,
+so the CSVs are byte-identical across runs with the same seed, whatever the
+number of CPUs.  The output directory is made first, then the target
+entropies are estimated, the cells trained, and the trained cells evaluated
+in cell order, in the calling process.  A fitting step is about a hundred
+short numpy calls, so worker threads would mostly pass the interpreter lock
+between them rather than overlap work; processes do not share it.
 """
 from __future__ import annotations
 
@@ -193,8 +197,9 @@ def _run_cells(cells: list[_Cell],
 
 def _execute(cells: list[_Cell], cfg: RunConfig, modes: GaussianMixture,
              csv_name: str) -> ExperimentResult:
-    result = _run_cells(cells, modes)
+    # before training, so an unwritable out_dir fails before any work
     os.makedirs(cfg.out_dir, exist_ok=True)
+    result = _run_cells(cells, modes)
     write_rows(os.path.join(cfg.out_dir, csv_name), result.rows)
     if cfg.dump_loss:
         stem = csv_name.rsplit(".", 1)[0]

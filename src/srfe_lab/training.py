@@ -12,11 +12,23 @@ time.  Jobs that would draw equal noise share one draw per iteration:
 srfe and reverse-KL jobs with the same seed, batch size and dimension
 (standard normal eps), and forward-KL jobs with the same seed, batch size
 and target (target samples).  train is the one-job case.
+
+Jobs are split into one interleaved share per CPU this process may run on
+(job i to share i mod P).  The calling process fits share 0; each other
+share is fitted the same way in a child made with os.fork, which redraws
+its noise from the same seeds and pickles its outcomes back over a pipe.
+Every job therefore gets the outcome it gets alone.  With one CPU, one job,
+no os.fork, or a second Python thread alive (its locks would be copied
+held), there is one share and no fork.
 """
 
 from __future__ import annotations
 
 import numbers
+import os
+import pickle
+import sys
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -217,18 +229,25 @@ class _Fit:
                            clamp_count=self.clamp_count)
 
 
-def train_lockstep(jobs) -> list[TrainResult | Exception]:
-    """Fit every (target, TrainConfig) job, all advancing one iteration at a
-    time in job order.  Each job gets exactly the result train gives it.
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    Jobs whose noise streams have the same key (see _Fit.stream) share one
-    generator seeded with their seed, which draws one read-only batch per
-    iteration while any of them is still fitting; a job with fewer
-    iterations stops early and has read a prefix of the stream.  A
-    RuntimeError or FloatingPointError from a job's step ends that job
-    only and takes its place in the returned list; any other exception
-    propagates.
-    """
+
+def _share_count(n_jobs: int) -> int:
+    """How many processes fit n_jobs: one per allowed CPU, at most one per
+    job, and one where forking is unavailable or unsafe."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return max(1, min(n_jobs, _cpu_count()))
+
+
+def _fit_lockstep(jobs, parent: int | None = None) -> list:
+    """train_lockstep's loop, in this process.  A forked share passes the
+    pid of the process that reads its outcomes, and exits once that
+    process is gone."""
     fits = [_Fit(target, cfg) for target, cfg in jobs]
     keys = [fit.stream() for fit in fits]
     rngs = {}
@@ -238,6 +257,8 @@ def train_lockstep(jobs) -> list[TrainResult | Exception]:
     active = list(range(len(fits)))
     t = 0
     while active:
+        if parent is not None and os.getppid() != parent:
+            os._exit(1)  # no one is left to read this share's outcomes
         t += 1
         # each batch is dropped after its last reader, so no more batches
         # are alive during a step than one job alone would hold
@@ -262,6 +283,91 @@ def train_lockstep(jobs) -> list[TrainResult | Exception]:
                 else:
                     outcomes[i] = fit.result()
         active = still
+    return outcomes
+
+
+def _fork_share(jobs, parent: int):
+    """Fit jobs in a forked child; its pid and the read end of the pipe
+    that carries ("done", outcomes) or ("raise", exception) back."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        # the child never returns into the caller's code
+        code = 1
+        try:
+            os.close(read_fd)
+            try:
+                payload = ("done", _fit_lockstep(jobs, parent))
+            except Exception as exc:
+                payload = ("raise", exc)
+            with os.fdopen(write_fd, "wb") as fh:
+                pickle.dump(payload, fh, pickle.HIGHEST_PROTOCOL)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, os.fdopen(read_fd, "rb")
+
+
+def train_lockstep(jobs) -> list[TrainResult | Exception]:
+    """Fit every (target, TrainConfig) job, all advancing one iteration at a
+    time in job order.  Each job gets exactly the result train gives it.
+
+    Jobs whose noise streams have the same key (see _Fit.stream) share one
+    generator seeded with their seed, which draws one read-only batch per
+    iteration while any of them is still fitting; a job with fewer
+    iterations stops early and has read a prefix of the stream.  A
+    RuntimeError or FloatingPointError from a job's step ends that job
+    only and takes its place in the returned list; any other exception
+    propagates.
+
+    The jobs are fitted in _share_count interleaved shares: share 0 in
+    this process, every other share in a forked child (see the module
+    docstring).  Outcomes come back in job order.
+    """
+    jobs = list(jobs)
+    shares = _share_count(len(jobs))
+    outcomes: list = [None] * len(jobs)
+    children = []  # (share, pid, pipe read end), until reaped
+    try:
+        if shares > 1:
+            # a child that prints, a warning say, would also write out its
+            # copy of what is still buffered
+            for stream in (sys.stdout, sys.stderr):
+                if stream is not None:
+                    stream.flush()
+        parent = os.getpid()
+        for s in range(1, shares):
+            children.append((s, *_fork_share(jobs[s::shares], parent)))
+        outcomes[::shares] = _fit_lockstep(jobs[::shares])
+        while children:
+            s, pid, fh = children[0]
+            with fh:
+                data = fh.read()
+            _, status = os.waitpid(pid, 0)
+            children.pop(0)
+            code = os.waitstatus_to_exitcode(status)
+            if code != 0:
+                raise ChildProcessError(
+                    f"training share {s} exited with status {code}")
+            kind, value = pickle.loads(data)
+            if kind == "raise":
+                raise value
+            outcomes[s::shares] = value
+    finally:
+        if children:  # the run failed midway
+            # imported here: at module level it would add about a
+            # millisecond to every command's start-up
+            import signal
+            for _, pid, fh in children:
+                fh.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
     return outcomes
 
 

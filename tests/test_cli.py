@@ -35,6 +35,16 @@ class TestVerify:
         assert "PASS" in text
         assert "FAIL" not in text
 
+    def test_unwritable_json_is_a_clean_error(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        path = blocker / "x.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--json", str(path)])
+        assert str(exc.value).startswith("srfe-lab: ")
+        assert str(path) in str(exc.value)
+        assert "report written" not in capsys.readouterr().out
+
     def test_negative_control_exit_code(self, capsys):
         code = main(["verify", "--inject-failure"])
         assert code == 1
@@ -99,6 +109,30 @@ class TestExperimentCommands:
             f"warning: cell {s.describe()} failed to train: "
             "non-finite loss at step 1"
             for s in experiments.exp3_schedules()]
+
+
+    @pytest.mark.parametrize("command", ["exp1", "exp2", "exp3", "exp4"])
+    def test_unwritable_out_fails_before_training(self, tmp_path, capsys,
+                                                   monkeypatch, command):
+        trained = []
+        real_runner = experiments.train_lockstep
+
+        def recording_runner(jobs):
+            trained.append(jobs)
+            return real_runner(jobs)
+
+        monkeypatch.setattr(experiments, "train_lockstep", recording_runner)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"iterations": 1, "batch_size": 20}))
+        out = blocker / "sub"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg_path), "--out", str(out)])
+        assert str(exc.value).startswith("srfe-lab: ")
+        assert str(out) in str(exc.value)
+        assert trained == []
+        assert capsys.readouterr().out == ""
 
 
 class TestDensityGrid:

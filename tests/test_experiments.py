@@ -71,6 +71,8 @@ def test_cells_run_in_calling_thread_in_order(tmp_path, monkeypatch):
         return real_step(fit, t, noise)
 
     monkeypatch.setattr(training._Fit, "step", recording_step)
+    # one share: a forked share's steps would not reach this recorder
+    monkeypatch.setattr(training, "_cpu_count", lambda: 1)
     run_exp1(RunConfig(tau_grid=(0.3, 0.7), iterations=2, batch_size=20,
                        out_dir=str(tmp_path)))
     me = threading.get_ident()
@@ -169,6 +171,8 @@ class TestExp4:
             return real_step(q, target, tau, eps)
 
         monkeypatch.setattr(training, "srfe_mc_step", recording_step)
+        # one share: a forked share's steps would not reach this recorder
+        monkeypatch.setattr(training, "_cpu_count", lambda: 1)
         res = run_exp4(RunConfig(tau_grid=(0.3, 0.7),
                                  outlier_weights=(0.0, 0.2), iterations=3,
                                  batch_size=20, out_dir=str(tmp_path)))

@@ -1,10 +1,20 @@
 """Optimizer arithmetic frozen against hand-computed steps, schedule shapes,
-and determinism of the fitting loop, alone and in lockstep."""
+and determinism of the fitting loop, alone, in lockstep and in forked
+shares."""
 import math
+import os
+import select
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from srfe_lab import training
 from srfe_lab.gaussians import (ContaminatedMixture, DiagonalGaussian,
                                 GaussianMixture)
 from srfe_lab.training import (Adam, TauSchedule, TrainConfig, TrainResult,
@@ -23,6 +33,45 @@ class NanScoreTarget:
 
     def score_x(self, x):
         return np.full(np.asarray(x).shape, np.nan)
+
+
+class RejectingTarget:
+    """Raises an exception the runner does not turn into a failed job."""
+    dim = 2
+
+    def log_prob_and_score(self, x):
+        raise ValueError("target rejects the batch")
+
+
+class ExitingTarget:
+    """Ends the process that steps it, as a crash would."""
+    dim = 2
+
+    def log_prob_and_score(self, x):
+        os._exit(3)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Pins the runner to two CPUs and lists the pid of every child that
+    os.fork makes."""
+    pids = []
+    real_fork = os.fork
+
+    def recording_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(training, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestAdam:
@@ -165,10 +214,10 @@ class TestTrain:
                            match="non-finite gradient at step 1"):
             train(NanScoreTarget(), self.small_cfg(objective="reverse_kl"))
 
-    def test_lockstep_matches_solo_train(self):
+    def lockstep_jobs(self):
         contaminated = ContaminatedMixture(base=BENCH, outlier_weight=0.2)
         cfg = self.small_cfg
-        jobs = [
+        return [
             (BENCH, cfg(iterations=12)),
             (BENCH, cfg(schedule=TauSchedule.fixed(0.9), iterations=7)),
             (BENCH, cfg(objective="reverse_kl", iterations=10)),
@@ -182,6 +231,9 @@ class TestTrain:
                         batch_size=100, iterations=5)),
             (BENCH, cfg(objective="reverse_kl", seed=6, iterations=15)),
         ]
+
+    def test_lockstep_matches_solo_train(self):
+        jobs = self.lockstep_jobs()
         outcomes = train_lockstep(jobs)
         assert len(outcomes) == len(jobs)
         for (target, job_cfg), outcome in zip(jobs, outcomes):
@@ -200,6 +252,123 @@ class TestTrain:
             np.testing.assert_array_equal(outcome.model.log_sigma,
                                           solo.model.log_sigma)
             assert outcome.clamp_count == solo.clamp_count
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_shares_match_one_share(self, monkeypatch, forks, cpus):
+        jobs = self.lockstep_jobs()
+        monkeypatch.setattr(training, "_cpu_count", lambda: 1)
+        alone = train_lockstep(jobs)
+        assert forks == []
+        monkeypatch.setattr(training, "_cpu_count", lambda: cpus)
+        shared = train_lockstep(jobs)
+        assert len(forks) == cpus - 1
+        assert len(shared) == len(alone) == len(jobs)
+        for a, b in zip(alone, shared):
+            assert type(a) is type(b)
+            if isinstance(a, Exception):
+                assert str(a) == str(b) == "non-finite gradient at step 1"
+                continue
+            for x, y in ((a.loss_history, b.loss_history),
+                         (a.model.mu, b.model.mu),
+                         (a.model.log_sigma, b.model.log_sigma)):
+                np.testing.assert_array_equal(x, y)
+                assert x.flags.writeable == y.flags.writeable
+            assert a.clamp_count == b.clamp_count
+        assert_no_child_left()
+
+    def test_other_exception_in_forked_share_propagates(self, forks):
+        cfg = self.small_cfg
+        # job 1 is share 1, fitted in the child
+        jobs = [(BENCH, cfg()), (RejectingTarget(), cfg()), (BENCH, cfg())]
+        with pytest.raises(ValueError) as error:
+            train_lockstep(jobs)
+        assert type(error.value) is ValueError
+        assert str(error.value) == "target rejects the batch"
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_forked_share_that_dies_is_an_error(self, forks):
+        cfg = self.small_cfg
+        jobs = [(BENCH, cfg()), (ExitingTarget(), cfg())]
+        with pytest.raises(ChildProcessError,
+                           match="^training share 1 exited with status 3$"):
+            train_lockstep(jobs)
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_second_thread_keeps_every_step_in_process(self, monkeypatch,
+                                                       forks):
+        steps = []
+        real_step = training._Fit.step
+
+        def recording_step(fit, t, noise):
+            steps.append((os.getpid(), t))
+            return real_step(fit, t, noise)
+
+        monkeypatch.setattr(training._Fit, "step", recording_step)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            outcomes = train_lockstep([(BENCH, self.small_cfg(iterations=4))
+                                       for _ in range(3)])
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert forks == []
+        assert all(isinstance(o, TrainResult) for o in outcomes)
+        assert steps == [(os.getpid(), t) for t in range(1, 5)
+                         for _ in range(3)]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                        reason="reads process states from /proc")
+    def test_forked_share_stops_when_its_parent_dies(self):
+        # a parent that fits a long share and prints its child's pid
+        script = (
+            "import os, sys\n"
+            "from srfe_lab import training\n"
+            "from srfe_lab.experiments import benchmark_target\n"
+            "real_fork = os.fork\n"
+            "def fork():\n"
+            "    pid = real_fork()\n"
+            "    if pid:\n"
+            "        print(pid, flush=True)\n"
+            "    return pid\n"
+            "os.fork = fork\n"
+            "training._cpu_count = lambda: 2\n"
+            "cfg = training.TrainConfig(iterations=10**6, batch_size=100)\n"
+            "training.train_lockstep([(benchmark_target(), cfg)] * 2)\n")
+        src = str(Path(training.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.Popen([sys.executable, "-c", script], env=env,
+                                stdout=subprocess.PIPE, text=True)
+        try:
+            # the runner forks at once; wait no longer if it never does
+            ready, _, _ = select.select([proc.stdout], [], [], 30)
+            assert ready, "the runner made no child"
+            child = int(proc.stdout.readline())
+        finally:
+            proc.kill()
+            proc.wait(timeout=30)
+            proc.stdout.close()
+
+        def running():
+            try:
+                with open(f"/proc/{child}/stat") as fh:
+                    state = fh.read().rsplit(")", 1)[1].split()[0]
+            except FileNotFoundError:
+                return False
+            return state not in ("Z", "X")  # a zombie has stopped
+
+        deadline = time.monotonic() + 30
+        while running() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        alive = running()
+        if alive:
+            os.kill(child, signal.SIGKILL)
+        assert not alive
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
