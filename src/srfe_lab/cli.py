@@ -120,6 +120,9 @@ def _cmd_experiment(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.seed < 0:  # as exp1-exp4 reject it; numpy seeds are >= 0
+        raise SystemExit(f"srfe-lab: seed must be an integer >= 0, "
+                         f"got {args.seed}")
     reports = run_all(seed=args.seed, inject_failure=args.inject_failure)
     width = max(len(r.name) for r in reports)
     for r in reports:

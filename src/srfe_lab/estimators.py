@@ -9,11 +9,12 @@ constant and the gradient is zero.  Forward and reverse KL losses use the
 same sample-in, numbers-out style so the training loop can treat all three
 uniformly.
 
-Targets are duck-typed.  dim is the dimension d of their points.  On a
-batch x of shape (n, d), log_prob(x) gives the (n,) log densities, score_x(x)
-their (n, d) x-gradients, and log_prob_and_score(x) both from one pass (the
-free-energy step uses it); sample(n, rng) draws (n, d) points for forward
-KL.  The Gaussian models in srfe_lab.gaussians provide all five.
+Targets are duck-typed, with four members.  dim is the dimension d of
+their points.  On a batch x of shape (n, d), log_prob(x) gives the (n,) log
+densities and log_prob_and_score(x) gives them together with their (n, d)
+x-gradients, from one pass; sample(n, rng) draws (n, d) points.  The
+free-energy step and the reverse-KL gradient read the score, forward KL the
+samples.  The Gaussian models in srfe_lab.gaussians provide all four.
 
 The second-moment tools at the bottom work on a finite support with a
 softmax-parameterized model, where everything can also be enumerated exactly.
@@ -174,7 +175,7 @@ def reverse_kl_grad(q: DiagonalGaussian, target, eps: np.ndarray) -> GradReport:
     """Pathwise derivative of reverse_kl_loss: the srfe gradient's kernel
     with uniform weights and scale -1 (the tau -> 0 endpoint)."""
     eps = np.asarray(eps, dtype=np.float64)
-    score = np.asarray(target.score_x(q.transform(eps)))
+    score = np.asarray(target.log_prob_and_score(q.transform(eps))[1])
     n = eps.shape[0]
     return _pathwise_grad(q, score, eps, np.full(n, 1.0 / n), -1.0)
 

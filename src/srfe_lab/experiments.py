@@ -7,28 +7,21 @@ trains the diagonal-Gaussian model for every cell, evaluates it, writes
 one CSV, and hands the rows back for programmatic use.
 
 Cells are independent given their seeds.  A sweep trains all its cells
-with one training.train_lockstep call: each iteration steps every cell
-once, in cell order, and cells that read equal noise share one draw.  srfe
-and reverse-KL cells with the same seed, batch size and dimension share
-standard-normal eps, so all cells of exp3 and exp4 and the srfe and
-reverse-KL cells of exp1 read one stream, and exp2 reads one per trial
-seed; forward-KL cells share per seed, batch size and target.  The runner
-splits the cells into one interleaved share per allowed CPU, fits share 0
-in the calling process and the others in forked children, and puts the
-outcomes back in cell order.  Every cell sees the noise it would see alone,
-so the CSVs are byte-identical across runs with the same seed, whatever the
-number of CPUs.  The output directory is made first, then the target
-entropies are estimated, the cells trained, and the trained cells evaluated
-in cell order, in the calling process.  A fitting step is about a hundred
-short numpy calls, so worker threads would mostly pass the interpreter lock
-between them rather than overlap work; processes do not share it.
+with one training.train_lockstep call, which steps every cell once per
+iteration in cell order, lets cells that read equal noise share one draw,
+and spreads the cells over the allowed CPUs; the training module docstring
+states which cells share and how the work is forked.  Every cell sees the
+noise it would see alone, so the CSVs are byte-identical across runs with
+the same seed, whatever the number of CPUs.  The output directory is made
+first, then the target entropies are estimated, the cells trained, and the
+trained cells evaluated in cell order, in the calling process.
 """
 from __future__ import annotations
 
 import csv
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -84,7 +77,7 @@ class RunConfig:
 
     def __post_init__(self):
         # TrainConfig checks the training settings and the seed
-        _train_cfg(self, "srfe", TauSchedule.fixed(0.5), self.seed)
+        _train_cfg(self, "srfe", self.seed)
         if self.trials is not None:
             _require_count("trials", self.trials, 1)
         for name in ("tau_grid", "outlier_weights"):
@@ -144,7 +137,6 @@ _FAILED = EvalMetrics(mode_coverage=-1, ess=math.nan, entropy_error=math.nan,
 @dataclass(frozen=True)
 class _Cell:
     label: str
-    method: str
     tau: float | None
     schedule_name: str | None
     outlier_weight: float | None
@@ -187,9 +179,9 @@ def _run_cells(cells: list[_Cell],
                                entropies[(id(cell.target), seed)])
             loss, clamped = float(outcome.loss_history[-1]), outcome.clamp_count
             history = np.asarray(outcome.loss_history)
-        rows.append(ResultRow(cell.method, cell.tau, cell.schedule_name,
-                              cell.outlier_weight, metrics, loss, clamped,
-                              cell.trial, seed))
+        rows.append(ResultRow(cell.train_cfg.objective, cell.tau,
+                              cell.schedule_name, cell.outlier_weight,
+                              metrics, loss, clamped, cell.trial, seed))
         histories[cell.label] = history
     return ExperimentResult(rows=rows, aggregate=None, histories=histories,
                             failures=failures)
@@ -232,10 +224,8 @@ def _write_file(path: str, header, rows) -> None:
 
 def write_rows(path: str, rows: list[ResultRow]) -> None:
     _write_file(path, CSV_HEADER, (
-        (r.method, r.tau, r.schedule, r.outlier_weight,
-         r.metrics.mode_coverage, r.metrics.ess, r.metrics.entropy_error,
-         r.metrics.test_log_lik, r.final_loss, r.clamped_steps, r.trial,
-         r.seed)
+        (r.method, r.tau, r.schedule, r.outlier_weight, *astuple(r.metrics),
+         r.final_loss, r.clamped_steps, r.trial, r.seed)
         for r in rows))
 
 
@@ -243,14 +233,14 @@ def dump_history(path: str, history: np.ndarray) -> None:
     _write_file(path, ("step", "loss"), enumerate(history, start=1))
 
 
-def _train_cfg(cfg: RunConfig, objective: str, schedule: TauSchedule,
-               seed: int, **defaults) -> TrainConfig:
+def _train_cfg(cfg: RunConfig, objective: str, seed: int,
+               **defaults) -> TrainConfig:
     """The RunConfig training fields that are set, over the experiment's
-    defaults, over TrainConfig's."""
+    defaults (the schedule among them), over TrainConfig's."""
     settings = {name: getattr(cfg, name)
                 for name in ("iterations", "batch_size", "learning_rate")
                 if getattr(cfg, name) is not None}
-    return TrainConfig(objective=objective, schedule=schedule, seed=seed,
+    return TrainConfig(objective=objective, seed=seed,
                        **{**defaults, **settings})
 
 
@@ -259,17 +249,13 @@ def run_exp1(cfg: RunConfig) -> ExperimentResult:
     loss across a small weight grid, one run each."""
     target = benchmark_target()
     taus = cfg.tau_grid if cfg.tau_grid is not None else EXP1_TAUS
-    cells = [
-        _Cell("forward_kl", "forward_kl", None, None, None,
-              _train_cfg(cfg, "forward_kl", TauSchedule.fixed(0.5), cfg.seed),
-              target),
-        _Cell("reverse_kl", "reverse_kl", None, None, None,
-              _train_cfg(cfg, "reverse_kl", TauSchedule.fixed(0.5), cfg.seed),
-              target),
-    ]
+    cells = [_Cell(objective, None, None, None,
+                   _train_cfg(cfg, objective, cfg.seed), target)
+             for objective in ("forward_kl", "reverse_kl")]
     for tau in taus:
-        cells.append(_Cell(f"srfe_tau_{tau:g}", "srfe", float(tau), None, None,
-                           _train_cfg(cfg, "srfe", TauSchedule.fixed(tau), cfg.seed),
+        cells.append(_Cell(f"srfe_tau_{tau:g}", float(tau), None, None,
+                           _train_cfg(cfg, "srfe", cfg.seed,
+                                      schedule=TauSchedule.fixed(tau)),
                            target))
     return _execute(cells, cfg, target, "exp1.csv")
 
@@ -281,9 +267,9 @@ def run_exp2(cfg: RunConfig) -> ExperimentResult:
     taus = cfg.tau_grid if cfg.tau_grid is not None else EXP2_TAUS
     trials = cfg.trials if cfg.trials is not None else 3
     cells = [
-        _Cell(f"srfe_tau_{tau:g}_trial_{trial}", "srfe", float(tau), None,
-              None, _train_cfg(cfg, "srfe", TauSchedule.fixed(tau),
-                               cfg.seed + trial),
+        _Cell(f"srfe_tau_{tau:g}_trial_{trial}", float(tau), None, None,
+              _train_cfg(cfg, "srfe", cfg.seed + trial,
+                         schedule=TauSchedule.fixed(tau)),
               target, trial)
         for tau in taus for trial in range(trials)
     ]
@@ -292,22 +278,18 @@ def run_exp2(cfg: RunConfig) -> ExperimentResult:
     aggregate = []
     for tau in taus:
         group = [r.metrics for r in result.rows if r.tau == float(tau)]
-        stacked = np.array([[m.mode_coverage, m.ess, m.entropy_error,
-                             m.test_log_lik] for m in group])
-        mean = stacked.mean(axis=0)
-        std = stacked.std(axis=0)
+        stacked = np.array([astuple(m) for m in group], dtype=np.float64)
+        # a failed trial is NaN in every metric, its sentinel coverage too
+        stacked[[m is _FAILED for m in group]] = math.nan
         aggregate.append(AggregateRow(
             tau=float(tau),
-            mean=EvalMetrics(float(mean[0]), float(mean[1]), float(mean[2]),
-                             float(mean[3])),
-            std=EvalMetrics(float(std[0]), float(std[1]), float(std[2]),
-                            float(std[3]))))
+            mean=EvalMetrics(*map(float, stacked.mean(axis=0))),
+            std=EvalMetrics(*map(float, stacked.std(axis=0)))))
     _write_file(os.path.join(cfg.out_dir, "exp2_aggregate.csv"),
                 AGGREGATE_HEADER, (
-                    (a.tau, a.mean.mode_coverage, a.std.mode_coverage,
-                     a.mean.ess, a.std.ess, a.mean.entropy_error,
-                     a.std.entropy_error, a.mean.test_log_lik,
-                     a.std.test_log_lik)
+                    (a.tau, *(v for pair in zip(astuple(a.mean),
+                                                astuple(a.std))
+                              for v in pair))
                     for a in aggregate))
     return replace(result, aggregate=aggregate)
 
@@ -328,8 +310,8 @@ def run_exp3(cfg: RunConfig) -> ExperimentResult:
     the instability contrast lives in the trajectory, not the final row."""
     target = benchmark_target()
     cells = [
-        _Cell(sched.describe(), "srfe", None, sched.describe(), None,
-              _train_cfg(cfg, "srfe", sched, cfg.seed), target)
+        _Cell(sched.describe(), None, sched.describe(), None,
+              _train_cfg(cfg, "srfe", cfg.seed, schedule=sched), target)
         for sched in exp3_schedules()
     ]
     return _execute(cells, cfg, target, "exp3.csv")
@@ -346,9 +328,9 @@ def run_exp4(cfg: RunConfig) -> ExperimentResult:
         target = ContaminatedMixture(base=base, outlier_weight=float(w))
         for tau in taus:
             cells.append(_Cell(
-                f"w_{w:g}_tau_{tau:g}", "srfe", float(tau), None, float(w),
-                _train_cfg(cfg, "srfe", TauSchedule.fixed(tau), cfg.seed,
-                           iterations=1500),
+                f"w_{w:g}_tau_{tau:g}", float(tau), None, float(w),
+                _train_cfg(cfg, "srfe", cfg.seed,
+                           schedule=TauSchedule.fixed(tau), iterations=1500),
                 target))
     return _execute(cells, cfg, base, "exp4.csv")
 
@@ -361,6 +343,8 @@ def density_grid(dist, bounds: tuple[float, float, float, float],
     varying fastest.  Bounds are (x_low, x_high, y_low, y_high).
     """
     x0, x1, y0, y1 = bounds
+    if not all(map(math.isfinite, bounds)):
+        raise ValueError(f"bounds must be finite, got {tuple(bounds)}")
     if not (x1 > x0 and y1 > y0):
         raise ValueError("bounds must satisfy x_low < x_high and y_low < y_high")
     if resolution < 2:

@@ -106,16 +106,12 @@ class DiagonalGaussian:
         """0.5 d (1 + log 2 pi) + sum log_sigma."""
         return 0.5 * self.dim * (1.0 + LOG_2PI) + float(self.log_sigma.sum())
 
-    def score_x(self, x):
-        """Gradient of log density in x: -(x - mu) / sigma^2."""
-        xb, single = _as_batch(x, self.dim)
-        out = np.stack([-(xj - mj) / vj for xj, mj, vj
-                        in zip(xb.T, self.mu, self.sigma ** 2)]).T
-        return out[0] if single else out
-
     def log_prob_and_score(self, x):
-        """(log_prob(x), score_x(x))."""
-        return self.log_prob(x), self.score_x(x)
+        """(log_prob(x), its x-gradient -(x - mu) / sigma^2)."""
+        xb, single = _as_batch(x, self.dim)
+        score = np.stack([-(xj - mj) / vj for xj, mj, vj
+                          in zip(xb.T, self.mu, self.sigma ** 2)]).T
+        return self.log_prob(x), score[0] if single else score
 
     def param_score(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Per-sample gradients of log q in (mu, log_sigma).
@@ -204,10 +200,6 @@ class GaussianMixture:
         score = np.stack(cols).T
         return (float(lp[0]), score[0]) if single else (lp, score)
 
-    def score_x(self, x):
-        """Gradient of log density in x."""
-        return self.log_prob_and_score(x)[1]
-
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         comps = rng.choice(self.n_components, size=n, p=self.weights)
         noise = rng.standard_normal((n, self.dim))
@@ -280,10 +272,6 @@ class ContaminatedMixture:
             share = np.where(in_box & ~on_edge, share, 1.0)
             score = share[:, None] * score
         return (float(out[0]), score[0]) if single else (out, score)
-
-    def score_x(self, x):
-        """Gradient of log density in x; see log_prob_and_score."""
-        return self.log_prob_and_score(x)[1]
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         # Fixed draw order keeps results reproducible for a given generator.

@@ -19,7 +19,10 @@ share is fitted the same way in a child made with os.fork, which redraws
 its noise from the same seeds and pickles its outcomes back over a pipe.
 Every job therefore gets the outcome it gets alone.  With one CPU, one job,
 no os.fork, or a second Python thread alive (its locks would be copied
-held), there is one share and no fork.
+held), there is one share and no fork.  Shares are processes, not threads:
+a fitting step is about a hundred short numpy calls, so worker threads
+would mostly pass the interpreter lock between them rather than overlap
+work.
 """
 
 from __future__ import annotations
@@ -50,16 +53,17 @@ OBJECTIVES = ("srfe", "forward_kl", "reverse_kl")
 
 
 class Adam:
-    """Stock Adam with bias correction, on a flat parameter vector."""
+    """Stock Adam with bias correction, elementwise on a parameter array
+    of the given shape."""
 
     beta1 = 0.9
     beta2 = 0.999
     eps = 1e-8
 
-    def __init__(self, dim: int, lr: float = 0.05):
+    def __init__(self, shape, lr: float = 0.05):
         self.lr = lr
-        self.m = np.zeros(dim)
-        self.v = np.zeros(dim)
+        self.m = np.zeros(shape)
+        self.v = np.zeros(shape)
         self.t = 0
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -78,58 +82,53 @@ class Adam:
 class TauSchedule:
     """tau as a function of the iteration counter t = 1..total.
 
-    kinds: "fixed" holds value; "linear" interpolates start -> end along
-    (t-1)/(total-1) hitting both endpoints exactly; "stepwise" splits the
-    run into len(taus) equal segments and holds each level in turn.
+    kinds: "linear" interpolates between its two levels along
+    (t-1)/(total-1), hitting both exactly; "stepwise" splits the run into
+    len(levels) equal segments and holds each level in turn; "fixed" is
+    stepwise with one level.
     """
 
     kind: str
-    value: float = 0.5
-    start: float = 0.3
-    end: float = 0.9
-    taus: tuple[float, ...] = (0.3, 0.5, 0.7, 0.9)
+    levels: tuple[float, ...]
 
     def __post_init__(self):
-        if self.kind not in ("fixed", "linear", "stepwise"):
+        n = len(self.levels)
+        count_ok = {"fixed": n == 1, "linear": n == 2,
+                    "stepwise": n >= 1}.get(self.kind)
+        if count_ok is None:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.kind == "stepwise" and len(self.taus) == 0:
-            raise ValueError("stepwise schedule needs at least one level")
+        if not count_ok:
+            raise ValueError(f"a {self.kind} schedule cannot have {n} levels")
         # every tau the schedule can return, so a bad one fails here and
         # not on the step that reaches it
-        _check_tau_open({"fixed": self.value,
-                         "linear": (self.start, self.end),
-                         "stepwise": self.taus}[self.kind])
+        _check_tau_open(self.levels)
 
     @classmethod
     def fixed(cls, value: float) -> "TauSchedule":
-        return cls(kind="fixed", value=value)
+        return cls("fixed", (value,))
 
     @classmethod
     def linear(cls, start: float, end: float) -> "TauSchedule":
-        return cls(kind="linear", start=start, end=end)
+        return cls("linear", (start, end))
 
     @classmethod
     def stepwise(cls, taus=(0.3, 0.5, 0.7, 0.9)) -> "TauSchedule":
-        return cls(kind="stepwise", taus=tuple(taus))
+        return cls("stepwise", tuple(taus))
 
     def tau_at(self, t: int, total: int) -> float:
         if not (1 <= t <= total):
             raise ValueError(f"t must lie in [1, {total}], got {t}")
-        if self.kind == "fixed":
-            return self.value
         frac = 0.0 if total == 1 else (t - 1) / (total - 1)
         if self.kind == "linear":
+            start, end = self.levels
             # convex combination is exact at both endpoints
-            return self.start * (1.0 - frac) + self.end * frac
-        idx = min(int(frac * len(self.taus)), len(self.taus) - 1)
-        return self.taus[idx]
+            return start * (1.0 - frac) + end * frac
+        idx = min(int(frac * len(self.levels)), len(self.levels) - 1)
+        return self.levels[idx]
 
     def describe(self) -> str:
-        if self.kind == "fixed":
-            return f"fixed_{self.value:g}"
-        if self.kind == "linear":
-            return f"linear_{self.start:g}_to_{self.end:g}"
-        return "stepwise_" + "_".join(f"{t:g}" for t in self.taus)
+        sep = "_to_" if self.kind == "linear" else "_"
+        return f"{self.kind}_" + sep.join(f"{t:g}" for t in self.levels)
 
 
 @dataclass(frozen=True)
@@ -171,15 +170,14 @@ class TrainResult:
 
 
 class _Fit:
-    """One job's fitting state: mu, log_sigma, Adam, loss history and clamp
-    count, advanced one iteration at a time by step."""
+    """One job's fitting state: theta, whose rows are mu and log_sigma, Adam,
+    loss history and clamp count, advanced one iteration at a time by step."""
 
     def __init__(self, target, cfg: TrainConfig):
         self.target, self.cfg = target, cfg
         self.dim = target.dim
-        self.mu = np.zeros(self.dim)
-        self.log_sigma = np.zeros(self.dim)
-        self.opt = Adam(2 * self.dim, lr=cfg.learning_rate)
+        self.theta = np.zeros((2, self.dim))
+        self.opt = Adam(self.theta.shape, lr=cfg.learning_rate)
         self.losses = np.empty(cfg.iterations)
         self.clamp_count = 0
 
@@ -200,7 +198,7 @@ class _Fit:
         """Iteration t (1-based) on noise: eps for srfe and reverse KL,
         target samples for forward KL."""
         cfg, target = self.cfg, self.target
-        q = DiagonalGaussian(self.mu, self.log_sigma)
+        q = DiagonalGaussian(*self.theta)
         if cfg.objective == "srfe":
             tau = cfg.schedule.tau_at(t, cfg.iterations)
             report, grad = srfe_mc_step(q, target, tau, noise)
@@ -215,16 +213,14 @@ class _Fit:
 
         if not np.isfinite(loss):
             raise RuntimeError(f"non-finite loss at step {t}")
-        flat_grad = np.concatenate([grad.d_mu, grad.d_log_sigma])
-        if not np.all(np.isfinite(flat_grad)):
+        d_theta = np.array((grad.d_mu, grad.d_log_sigma))
+        if not np.all(np.isfinite(d_theta)):
             raise RuntimeError(f"non-finite gradient at step {t}")
         self.losses[t - 1] = loss
-        theta = self.opt.step(np.concatenate([self.mu, self.log_sigma]),
-                              flat_grad)
-        self.mu, self.log_sigma = theta[:self.dim], theta[self.dim:]
+        self.theta = self.opt.step(self.theta, d_theta)
 
     def result(self) -> TrainResult:
-        return TrainResult(model=DiagonalGaussian(self.mu, self.log_sigma),
+        return TrainResult(model=DiagonalGaussian(*self.theta),
                            loss_history=self.losses,
                            clamp_count=self.clamp_count)
 
@@ -374,12 +370,12 @@ def train_lockstep(jobs) -> list[TrainResult | Exception]:
 def train(target, cfg: TrainConfig) -> TrainResult:
     """Fit a mean-field Gaussian to target under cfg.  Deterministic per seed.
 
-    target is duck-typed: dim, the dimension d of its points, for every
-    objective; then log_prob(x) and sample(n, rng) for forward KL,
-    log_prob(x) and score_x(x) for reverse KL, log_prob_and_score(x) for
-    srfe (x of shape (n, d); see srfe_lab.estimators).  The srfe loss clamps
-    its overlap estimate into [F_CLAMP_LOW, F_CLAMP_HIGH] of
-    srfe_lab.estimators.
+    target is duck-typed with four members: dim, log_prob(x),
+    log_prob_and_score(x) and sample(n, rng), x of shape (n, d) (see
+    srfe_lab.estimators).  srfe reads log_prob_and_score, reverse KL
+    log_prob and log_prob_and_score, forward KL log_prob and sample.  The
+    srfe loss clamps its overlap estimate into [F_CLAMP_LOW, F_CLAMP_HIGH]
+    of srfe_lab.estimators.
 
     Raises RuntimeError naming the step index if a loss or a gradient is
     non-finite (the clamp makes the free-energy loss finite by construction,

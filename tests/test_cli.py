@@ -45,6 +45,13 @@ class TestVerify:
         assert str(path) in str(exc.value)
         assert "report written" not in capsys.readouterr().out
 
+    def test_negative_seed_is_a_clean_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--seed", "-1"])
+        assert str(exc.value) == \
+            "srfe-lab: seed must be an integer >= 0, got -1"
+        assert capsys.readouterr().out == ""  # no check ran
+
     def test_negative_control_exit_code(self, capsys):
         code = main(["verify", "--inject-failure"])
         assert code == 1
@@ -184,8 +191,10 @@ class TestDensityGrid:
          "log_sigma must be finite"),
         (["--target", "model", "--out", "{tmp}/missing/grid.csv"],
          "{tmp}/missing/grid.csv"),
+        (["--target", "mixture", "--bounds=0,inf,0,1"],
+         "bounds must be finite, got (0.0, inf, 0.0, 1.0)"),
     ], ids=["weight-1.5", "weight-negative", "weight-nan", "mu-nan",
-            "log-sigma-inf", "unwritable-out"])
+            "log-sigma-inf", "unwritable-out", "bounds-inf"])
     def test_bad_input_is_a_clean_error(self, tmp_path, capsys, extra,
                                         message):
         argv = ["density-grid", "--bounds=0,1,0,1", "--res", "2",

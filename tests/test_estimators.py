@@ -197,7 +197,7 @@ def test_gradient_kernels_match_concatenated_form(d):
     q = DiagonalGaussian(mu=rng.normal(size=d) + 1.0,
                          log_sigma=rng.normal(scale=0.3, size=d))
     eps = rng.standard_normal((2000, d))
-    score = target.score_x(q.transform(eps))
+    score = target.log_prob_and_score(q.transform(eps))[1]
     w = rng.random(eps.shape[0])
     for weights, scale in ((w / w.sum(), -1.0 / 0.3),
                            (np.full(eps.shape[0], 1.0 / eps.shape[0]), -1.0)):

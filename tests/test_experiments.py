@@ -4,6 +4,7 @@ import csv
 import math
 import os
 import threading
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -106,6 +107,30 @@ class TestExp2:
         assert res.aggregate[0].mean.ess == pytest.approx(np.mean(esses))
         assert res.aggregate[0].std.ess == pytest.approx(np.std(esses))
 
+    def test_failed_trial_is_nan_in_every_aggregate_metric(self, tmp_path,
+                                                           monkeypatch):
+        real_runner = experiments.train_lockstep
+
+        def failing_second_cell(jobs):
+            outcomes = real_runner(jobs)
+            outcomes[1] = RuntimeError("non-finite loss at step 1")
+            return outcomes
+
+        monkeypatch.setattr(experiments, "train_lockstep",
+                            failing_second_cell)
+        cfg = RunConfig(tau_grid=(0.4, 0.6), trials=3, out_dir=str(tmp_path),
+                        **TINY)
+        res = run_exp2(cfg)
+        assert list(res.failures) == ["srfe_tau_0.4_trial_1"]
+        failed, trained = res.aggregate
+        # the failed row's sentinel coverage -1 is not averaged in
+        for metrics in (failed.mean, failed.std):
+            assert all(math.isnan(v) for v in astuple(metrics))
+        assert trained.mean.mode_coverage >= 1
+        assert all(math.isfinite(v) for v in astuple(trained.mean))
+        agg = read_csv(tmp_path / "exp2_aggregate.csv")
+        assert agg[1] == ["0.40000000000000002"] + ["nan"] * 8
+
 
 class TestExp3:
     def test_schedule_labels_and_histories(self, tmp_path):
@@ -203,13 +228,14 @@ def test_run_config_grids_become_float_tuples():
 
 class TestFailureIsolation:
     def assert_failed_cell(self, target, message):
-        cell = _Cell("bad", "srfe", 0.5, None, None,
+        cell = _Cell("bad", None, None, None,
                      TrainConfig(objective="reverse_kl", iterations=2,
                                  batch_size=10),
                      target)
         res = _run_cells([cell], benchmark_target())
         (row,), history = res.rows, res.histories["bad"]
         assert res.failures == {"bad": message}
+        assert row.method == "reverse_kl"
         assert row.metrics.mode_coverage == -1
         assert math.isnan(row.metrics.ess)
         assert math.isnan(row.final_loss)
@@ -223,8 +249,8 @@ class TestFailureIsolation:
             def log_prob(self, x):
                 return np.full(np.asarray(x).shape[0], np.nan)
 
-            def score_x(self, x):
-                return np.zeros_like(np.asarray(x))
+            def log_prob_and_score(self, x):
+                return self.log_prob(x), np.zeros_like(np.asarray(x))
 
             def sample(self, n, rng):
                 return rng.standard_normal((n, 2))
@@ -239,8 +265,8 @@ class TestFailureIsolation:
             def log_prob(self, x):
                 return np.zeros(np.asarray(x).shape[0])
 
-            def score_x(self, x):
-                return np.full(np.asarray(x).shape, np.nan)
+            def log_prob_and_score(self, x):
+                return self.log_prob(x), np.full(np.asarray(x).shape, np.nan)
 
             def sample(self, n, rng):  # the entropy estimate draws first
                 return rng.standard_normal((n, 2))
@@ -255,7 +281,7 @@ def test_clamped_steps_counts_every_clamped_step(tmp_path):
     far = DiagonalGaussian(mu=np.full(2, 100.0), log_sigma=np.zeros(2))
     cfg = TrainConfig(objective="srfe", schedule=TauSchedule.fixed(0.5),
                       iterations=4, batch_size=20)
-    res = _run_cells([_Cell("far", "srfe", 0.5, None, None, cfg, far)],
+    res = _run_cells([_Cell("far", 0.5, None, None, cfg, far)],
                      benchmark_target())
     (row,), history = res.rows, res.histories["far"]
     assert row.clamped_steps == cfg.iterations == history.size
@@ -317,6 +343,10 @@ class TestDensityGrid:
             density_grid(q, (1.0, -1.0, 0.0, 1.0), 5)
         with pytest.raises(ValueError):
             density_grid(q, (0.0, 1.0, 0.0, 1.0), 1)
+        for bounds in ((0.0, math.inf, 0.0, 1.0), (-math.inf, 1.0, 0.0, 1.0),
+                       (0.0, 1.0, 0.0, math.nan)):
+            with pytest.raises(ValueError, match="bounds must be finite"):
+                density_grid(q, bounds, 2)
 
 
 def test_dump_history_format(tmp_path):

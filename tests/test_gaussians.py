@@ -73,7 +73,7 @@ class TestDiagonalGaussian:
                              log_sigma=np.array([0.3, -0.1]))
         x = np.array([0.7, 0.2])
         h = 1e-6
-        s = q.score_x(x)
+        s = q.log_prob_and_score(x)[1]
         for k in range(2):
             xp, xm = x.copy(), x.copy()
             xp[k] += h
@@ -128,7 +128,7 @@ class TestGaussianMixture:
         h = 1e-6
         for _ in range(10):
             x = rng.uniform(-5, 5, size=2)
-            s = mix.score_x(x)
+            s = mix.log_prob_and_score(x)[1]
             for k in range(2):
                 xp, xm = x.copy(), x.copy()
                 xp[k] += h
@@ -195,14 +195,15 @@ class TestContaminatedMixture:
         rng = np.random.default_rng(4)
         xs = rng.uniform(-12, 12, size=(40, 2))
         np.testing.assert_array_equal(mix.log_prob(xs), base.log_prob(xs))
-        np.testing.assert_array_equal(mix.score_x(xs), base.score_x(xs))
+        np.testing.assert_array_equal(mix.log_prob_and_score(xs)[1],
+                                      base.log_prob_and_score(xs)[1])
 
     def test_score_matches_finite_differences_off_boundary(self):
         mix = ContaminatedMixture(base=make_mixture(), outlier_weight=0.2)
         h = 1e-6
         for x in (np.array([0.5, 1.0]), np.array([-4.0, 2.0]),
                   np.array([10.5, 0.5])):
-            s = mix.score_x(x)
+            s = mix.log_prob_and_score(x)[1]
             for k in range(2):
                 xp, xm = x.copy(), x.copy()
                 xp[k] += h
@@ -213,7 +214,7 @@ class TestContaminatedMixture:
     def test_boundary_score_warns(self):
         mix = ContaminatedMixture(base=make_mixture(), outlier_weight=0.2)
         with pytest.warns(RuntimeWarning):
-            mix.score_x(np.array([10.0, 0.0]))
+            mix.log_prob_and_score(np.array([10.0, 0.0]))
 
     def test_outlier_fraction_in_samples(self):
         mix = ContaminatedMixture(base=make_mixture(), outlier_weight=0.3)
@@ -239,26 +240,25 @@ class TestContaminatedMixture:
     ContaminatedMixture(base=make_mixture(), outlier_weight=0.2),
 ], ids=["diagonal", "mixture", "contaminated_w0", "contaminated_w0.2"])
 def test_log_prob_and_score_matches_separate_calls(dist):
-    # one pass must give exactly the numbers of the two separate methods,
-    # inside and outside the outlier box
+    # the one pass must give exactly log_prob's log densities, inside and
+    # outside the outlier box
     xs = np.random.default_rng(12).uniform(-12, 12, size=(40, 2))
     lp, score = dist.log_prob_and_score(xs)
     np.testing.assert_array_equal(lp, dist.log_prob(xs))
-    np.testing.assert_array_equal(score, dist.score_x(xs))
+    assert score.shape == (40, 2)
     lp1, score1 = dist.log_prob_and_score(xs[3])
     assert isinstance(lp1, float) and lp1 == dist.log_prob(xs[3])
     assert score1.shape == (2,)
-    np.testing.assert_array_equal(score1, dist.score_x(xs[3]))
 
 
 WIDTH_CASES = [
     (DiagonalGaussian(mu=np.array([0.5, -1.0]), log_sigma=np.array([0.2, -0.3])),
-     ("transform", "log_prob", "score_x", "log_prob_and_score", "param_score")),
-    (make_mixture(), ("log_prob", "score_x", "log_prob_and_score")),
+     ("transform", "log_prob", "log_prob_and_score", "param_score")),
+    (make_mixture(), ("log_prob", "log_prob_and_score")),
     (ContaminatedMixture(base=make_mixture(), outlier_weight=0.0),
-     ("log_prob", "score_x", "log_prob_and_score")),
+     ("log_prob", "log_prob_and_score")),
     (ContaminatedMixture(base=make_mixture(), outlier_weight=0.2),
-     ("log_prob", "score_x", "log_prob_and_score")),
+     ("log_prob", "log_prob_and_score")),
 ]
 
 
@@ -350,7 +350,9 @@ def test_kernels_match_broadcast_formulas(n_components, d):
                          log_sigma=rng.normal(scale=0.3, size=d))
     ref = broadcast_diagonal(q, xs)
     np.testing.assert_array_equal(q.log_prob(xs), ref[0])
-    np.testing.assert_allclose(q.score_x(xs), ref[1], rtol=1e-13, atol=0.0)
+    np.testing.assert_array_equal(q.log_prob_and_score(xs)[0], ref[0])
+    np.testing.assert_allclose(q.log_prob_and_score(xs)[1], ref[1],
+                               rtol=1e-13, atol=0.0)
     for got, want in zip(q.param_score(xs), ref[2:]):
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
     eps = rng.standard_normal((50, d))

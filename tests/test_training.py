@@ -31,8 +31,8 @@ class NanScoreTarget:
     def log_prob(self, x):
         return np.zeros(np.asarray(x).shape[0])
 
-    def score_x(self, x):
-        return np.full(np.asarray(x).shape, np.nan)
+    def log_prob_and_score(self, x):
+        return self.log_prob(x), np.full(np.asarray(x).shape, np.nan)
 
 
 class RejectingTarget:
@@ -143,7 +143,22 @@ class TestTauSchedule:
         with pytest.raises(ValueError):
             s.tau_at(11, 10)
         with pytest.raises(ValueError):
-            TauSchedule(kind="cosine")
+            TauSchedule("cosine", (0.5,))
+
+    def test_fixed_is_one_level_stepwise(self):
+        fixed, step = TauSchedule.fixed(0.35), TauSchedule.stepwise((0.35,))
+        assert fixed == TauSchedule("fixed", (0.35,))
+        assert fixed.levels == step.levels
+        assert [fixed.tau_at(t, 7) for t in range(1, 8)] == \
+            [step.tau_at(t, 7) for t in range(1, 8)] == [0.35] * 7
+
+    @pytest.mark.parametrize("kind, levels", [
+        ("fixed", (0.2, 0.3)), ("fixed", ()), ("linear", (0.3,)),
+        ("linear", (0.3, 0.5, 0.7)), ("stepwise", ())])
+    def test_rejects_wrong_level_count(self, kind, levels):
+        with pytest.raises(ValueError, match=f"a {kind} schedule cannot "
+                                             f"have {len(levels)} levels"):
+            TauSchedule(kind, levels)
 
     @pytest.mark.parametrize("build", [
         lambda: TauSchedule.fixed(1.5),
@@ -193,6 +208,24 @@ class TestTrain:
             res = train(BENCH, self.small_cfg(objective=obj, iterations=10))
             assert np.all(np.isfinite(res.loss_history))
 
+    @pytest.mark.parametrize("objective", ["srfe", "forward_kl",
+                                           "reverse_kl"])
+    def test_every_objective_runs_on_the_four_member_protocol(self,
+                                                              objective):
+        class Protocol:
+            """dim, log_prob, log_prob_and_score and sample, nothing else."""
+            dim = BENCH.dim
+            log_prob = staticmethod(BENCH.log_prob)
+            log_prob_and_score = staticmethod(BENCH.log_prob_and_score)
+            sample = staticmethod(BENCH.sample)
+
+        cfg = self.small_cfg(objective=objective, iterations=10)
+        got, want = train(Protocol(), cfg), train(BENCH, cfg)
+        np.testing.assert_array_equal(got.loss_history, want.loss_history)
+        np.testing.assert_array_equal(got.model.mu, want.model.mu)
+        np.testing.assert_array_equal(got.model.log_sigma,
+                                      want.model.log_sigma)
+
     def test_non_finite_loss_raises(self):
         class BrokenTarget:
             dim = 2
@@ -200,8 +233,8 @@ class TestTrain:
             def log_prob(self, x):
                 return np.full(np.asarray(x).shape[0], np.nan)
 
-            def score_x(self, x):
-                return np.zeros_like(np.asarray(x))
+            def log_prob_and_score(self, x):
+                return self.log_prob(x), np.zeros_like(np.asarray(x))
 
             def sample(self, n, rng):
                 return rng.standard_normal((n, 2))
