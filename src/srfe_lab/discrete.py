@@ -135,13 +135,18 @@ def _logsumexp_terms(a: np.ndarray, axis: int = -1):
     """(log sum exp(a), the shifted terms exp(a - m), their sum) along axis.
 
     m is the max along axis, kept as a length-1 axis; a row whose max is not
-    finite is not shifted, so an all -inf row gives -inf.
+    finite is not shifted, so an all -inf row gives -inf.  The terms are
+    shifted and exponentiated inside the one array returned; a is not
+    written.
     """
     m = a.max(axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    e = np.exp(a - m)
+    m[~np.isfinite(m)] = 0.0
+    e = np.subtract(a, m)
+    np.exp(e, out=e)
     s = e.sum(axis=axis)
-    return _log(s) + np.squeeze(m, axis=axis), e, s
+    lse = _log(s)
+    lse += np.squeeze(m, axis=axis)
+    return lse, e, s
 
 
 def _logsumexp(a: np.ndarray, axis: int = -1):

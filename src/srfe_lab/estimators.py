@@ -16,6 +16,14 @@ x-gradients, from one pass; sample(n, rng) draws (n, d) points.  The
 free-energy step and the reverse-KL gradient read the score, forward KL the
 samples.  The Gaussian models in srfe_lab.gaussians provide all four.
 
+The five fitting entry points (srfe_mc_step and the forward- and
+reverse-KL losses and gradients) take their batch, eps or xs, of shape
+(n, d) with n >= 1 and raise a ValueError naming that shape otherwise.  Buffers follow the
+rule of srfe_lab.gaussians: a call owns what it allocates, fills it in
+place, and never writes an argument, so a read-only noise batch shared
+between fits is safe.  The gradient kernels read the score and eps as the
+length-n rows of their (d, n) transposes.
+
 The second-moment tools at the bottom work on a finite support with a
 softmax-parameterized model, where everything can also be enumerated exactly.
 """
@@ -24,12 +32,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 from srfe_lab.discrete import DiscreteDist, _check_tau_open
-from srfe_lab.gaussians import DiagonalGaussian
+from srfe_lab.gaussians import DiagonalGaussian, _sum_rows
 
 __all__ = [
     "F_CLAMP_LOW",
@@ -83,6 +90,16 @@ def _clamp_log_f(log_f: float) -> tuple[float, bool]:
     return math.exp(log_f), False
 
 
+def _check_batch(name: str, batch, dim: int) -> np.ndarray:
+    """batch as a float array of shape (n, dim) with n >= 1, else a
+    ValueError."""
+    arr = np.asarray(batch, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[1] != dim or arr.shape[0] < 1:
+        raise ValueError(f"{name} must have shape (n, {dim}) with n >= 1, "
+                         f"got shape {arr.shape}")
+    return arr
+
+
 def _pathwise_grad(q: DiagonalGaussian, score: np.ndarray, eps: np.ndarray,
                    w: np.ndarray, scale: float) -> GradReport:
     """scale * sum_i w_i dr_i/dtheta for r = log p - log q at x = mu + sigma eps.
@@ -95,18 +112,30 @@ def _pathwise_grad(q: DiagonalGaussian, score: np.ndarray, eps: np.ndarray,
 
     second_moment is the mean squared norm of the per-sample contributions
     g_i = scale * n w_i dr_i/dtheta, whose mean is the gradient.  Each
-    coordinate is one pass over length-n columns; the squared norm
-    accumulates per column.
+    term is one pass over the (d, n) rows of score.T and eps.T; the squared
+    norm accumulates one coordinate at a time.
     """
-    d_mu, d_ls, sq = [], [], 0.0
-    for s_k, eps_k, sigma_k in zip(score.T, eps.T, q.sigma):
-        b_k = s_k * (sigma_k * eps_k) + 1.0
-        d_mu.append(scale * (w * s_k).sum())
-        d_ls.append(scale * (w * b_k).sum())
-        sq = sq + s_k * s_k + b_k * b_k
-    c = scale * (w.size * w)
-    return GradReport(d_mu=np.array(d_mu), d_log_sigma=np.array(d_ls),
-                      second_moment=float((c * c * sq).mean()))
+    st = score.T
+    b = np.empty((q.dim, w.size))
+    np.multiply(eps.T, q.sigma[:, None], out=b)
+    b *= st
+    b += 1.0
+    # each row sum runs over one contiguous row, as a length-n sum does
+    wb = np.empty_like(b)
+    d_mu = scale * np.multiply(st, w, out=wb).sum(axis=1)
+    d_ls = scale * np.multiply(b, w, out=wb).sum(axis=1)
+    np.square(st, out=wb)
+    np.square(b, out=b)
+    sq = np.add(wb[0], b[0])
+    for s2_k, b2_k in zip(wb[1:], b[1:]):
+        sq += s2_k
+        sq += b2_k
+    c = np.multiply(w, w.size)
+    c *= scale
+    np.multiply(c, c, out=c)
+    c *= sq
+    return GradReport(d_mu=d_mu, d_log_sigma=d_ls,
+                      second_moment=float(c.mean()))
 
 
 def srfe_mc_step(q: DiagonalGaussian, target, tau: float,
@@ -123,18 +152,18 @@ def srfe_mc_step(q: DiagonalGaussian, target, tau: float,
     no sample in the target's support (every r = -inf, f_hat = 0) clamps low.
     """
     _check_tau_open(tau)
-    eps = np.asarray(eps, dtype=np.float64)
-    if eps.ndim != 2 or eps.shape[1] != q.dim or eps.shape[0] < 1:
-        raise ValueError(f"eps must have shape (n, {q.dim}), got {eps.shape}")
+    eps = _check_batch("eps", eps, q.dim)
     x = q.transform(eps)
     log_p, score = target.log_prob_and_score(x)
-    r = np.asarray(log_p) - np.asarray(q.log_prob(x))
-    r_max = float(r.max())
+    w = np.subtract(log_p, q.log_prob(x))  # r, turned into weights below
+    r_max = float(w.max())
     if r_max == -math.inf:
         log_f = -math.inf
     else:
         # shift by the max so the largest weight is exactly 1
-        w = np.exp(tau * (r - r_max))
+        w -= r_max
+        w *= tau
+        np.exp(w, out=w)
         log_f = tau * r_max + math.log(float(w.mean()))
     f_hat, clamped = _clamp_log_f(log_f)
     loss = LossReport(loss=-math.log(f_hat) / (tau * (1.0 - tau)),
@@ -143,38 +172,40 @@ def srfe_mc_step(q: DiagonalGaussian, target, tau: float,
         zero = np.zeros(q.dim)
         return loss, GradReport(d_mu=zero, d_log_sigma=zero.copy(),
                                 second_moment=0.0)
-    return loss, _pathwise_grad(q, np.asarray(score), eps, w / w.sum(),
+    w /= w.sum()
+    return loss, _pathwise_grad(q, np.asarray(score), eps, w,
                                 -1.0 / (1.0 - tau))
 
 
 def forward_kl_loss(q: DiagonalGaussian, target, xs: np.ndarray) -> float:
     """mean[log p(x) - log q(x)] over target samples xs (shape (n, d))."""
-    xs = np.asarray(xs, dtype=np.float64)
-    return float(np.mean(np.asarray(target.log_prob(xs))
-                         - np.asarray(q.log_prob(xs))))
+    xs = _check_batch("xs", xs, q.dim)
+    r = np.subtract(target.log_prob(xs), q.log_prob(xs))
+    return float(r.mean())
 
 
 def forward_kl_grad(q: DiagonalGaussian, xs: np.ndarray) -> GradReport:
     """Gradient of forward_kl_loss: minus the mean model score at fixed xs."""
-    d_mu_i, d_ls_i = q.param_score(xs)
-    cols = [*d_mu_i.T, *d_ls_i.T]
-    mean = -np.array([c.mean() for c in cols])
-    sq = reduce(np.add, [c * c for c in cols])
+    d_mu_i, d_ls_i = q.param_score(_check_batch("xs", xs, q.dim))
+    rows = [*d_mu_i.T, *d_ls_i.T]
+    mean = -np.array([row.mean() for row in rows])
+    for row in rows:
+        np.square(row, out=row)
     return GradReport(d_mu=mean[:q.dim], d_log_sigma=mean[q.dim:],
-                      second_moment=float(sq.mean()))
+                      second_moment=float(_sum_rows(rows, out=rows[0]).mean()))
 
 
 def reverse_kl_loss(q: DiagonalGaussian, target, eps: np.ndarray) -> float:
     """mean[log q(x) - log p(x)] at x = mu + sigma eps."""
-    x = q.transform(np.asarray(eps, dtype=np.float64))
-    return float(-np.mean(np.asarray(target.log_prob(x))
-                          - np.asarray(q.log_prob(x))))
+    x = q.transform(_check_batch("eps", eps, q.dim))
+    r = np.subtract(target.log_prob(x), q.log_prob(x))
+    return float(-r.mean())
 
 
 def reverse_kl_grad(q: DiagonalGaussian, target, eps: np.ndarray) -> GradReport:
     """Pathwise derivative of reverse_kl_loss: the srfe gradient's kernel
     with uniform weights and scale -1 (the tau -> 0 endpoint)."""
-    eps = np.asarray(eps, dtype=np.float64)
+    eps = _check_batch("eps", eps, q.dim)
     score = np.asarray(target.log_prob_and_score(q.transform(eps))[1])
     n = eps.shape[0]
     return _pathwise_grad(q, score, eps, np.full(n, 1.0 / n), -1.0)

@@ -9,17 +9,22 @@ domain.
 Batches stay (n, d) at the interface: a method that takes points accepts a
 point of shape (d,) or a batch of shape (n, d), rejects any other width
 with a ValueError, and returns per-point values of shape (n,) or (n, d).
-Inside, the kernels work on (K, n) arrays and length-n columns, looping in
-Python over the K components and the d coordinates, so that every reduction
-runs over the long sample axis n; per-point vectors are built as (d, n)
-arrays and returned as their (n, d) transposes.
+Inside, the kernels work on (K, n) arrays and length-n rows, looping in
+Python over the d coordinates (and, where a sum over components must keep
+its order, the K components), so that every reduction runs over the long
+sample axis n.
+
+Buffers: a call owns what it allocates, allocates each result once with
+np.empty (or as the output of its first ufunc), fills it in place with
+out= and augmented assignment, and never writes an argument; a read-only
+batch is accepted.  Per-point vectors are (d, n) C-ordered arrays, so an
+(n, d) result is the .T view of one and its .T rows are contiguous.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -59,6 +64,18 @@ def _frozen_vector(v, name: str) -> np.ndarray:
     return arr
 
 
+def _sum_rows(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """rows[0] + rows[1] + ..., added left to right into out.  (An axis-0
+    sum pairs its terms differently when a row has length 1.)"""
+    if len(rows) == 1:
+        np.copyto(out, rows[0])
+    else:
+        np.add(rows[0], rows[1], out=out)
+        for row in rows[2:]:
+            out += row
+    return out
+
+
 @dataclass(frozen=True)
 class DiagonalGaussian:
     """Mean-field Gaussian N(mu, diag(exp(log_sigma))^2)."""
@@ -85,21 +102,32 @@ class DiagonalGaussian:
     def transform(self, eps: np.ndarray) -> np.ndarray:
         """Reparameterization x = mu + sigma * eps, elementwise."""
         eb, single = _as_batch(eps, self.dim)
-        out = np.stack([mj + sj * ej for mj, sj, ej
-                        in zip(self.mu, self.sigma, eb.T)]).T
-        return out[0] if single else out
+        out = np.empty((self.dim, eb.shape[0]))
+        np.multiply(eb.T, self.sigma[:, None], out=out)
+        out += self.mu[:, None]
+        return out.T[0] if single else out.T
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return self.transform(rng.standard_normal((n, self.dim)))
 
-    def _z_columns(self, xb: np.ndarray) -> list[np.ndarray]:
-        """(x_j - mu_j) / sigma_j, one length-n column per coordinate."""
-        return [(xj - mj) / sj for xj, mj, sj in zip(xb.T, self.mu, self.sigma)]
+    def _diff_rows(self, xb: np.ndarray) -> np.ndarray:
+        """x_j - mu_j, one length-n row per coordinate, in a new (d, n) array."""
+        diff = np.empty((self.dim, xb.shape[0]))
+        return np.subtract(xb.T, self.mu[:, None], out=diff)
+
+    def _log_prob_rows(self, diff: np.ndarray) -> np.ndarray:
+        """The log density from the rows x_j - mu_j, which it overwrites
+        with z_j = (x_j - mu_j) / sigma_j and then z_j^2."""
+        diff /= self.sigma[:, None]
+        np.square(diff, out=diff)
+        sq = _sum_rows(diff, out=diff[0])
+        sq *= 0.5
+        return np.subtract(-0.5 * self.dim * LOG_2PI - self.log_sigma.sum(),
+                           sq, out=sq)
 
     def log_prob(self, x):
         xb, single = _as_batch(x, self.dim)
-        sq = reduce(np.add, [z * z for z in self._z_columns(xb)])
-        out = -0.5 * self.dim * LOG_2PI - self.log_sigma.sum() - 0.5 * sq
+        out = self._log_prob_rows(self._diff_rows(xb))
         return float(out[0]) if single else out
 
     def entropy(self) -> float:
@@ -109,9 +137,11 @@ class DiagonalGaussian:
     def log_prob_and_score(self, x):
         """(log_prob(x), its x-gradient -(x - mu) / sigma^2)."""
         xb, single = _as_batch(x, self.dim)
-        score = np.stack([-(xj - mj) / vj for xj, mj, vj
-                          in zip(xb.T, self.mu, self.sigma ** 2)]).T
-        return self.log_prob(x), score[0] if single else score
+        diff = self._diff_rows(xb)
+        score = np.negative(diff)
+        score /= (self.sigma ** 2)[:, None]
+        lp = self._log_prob_rows(diff)
+        return (float(lp[0]), score.T[0]) if single else (lp, score.T)
 
     def param_score(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Per-sample gradients of log q in (mu, log_sigma).
@@ -120,12 +150,15 @@ class DiagonalGaussian:
         d/dlogsig_k = ((x_k - mu_k) / sigma_k)^2 - 1
         """
         xb, single = _as_batch(x, self.dim)
-        z = self._z_columns(xb)
-        d_mu = np.stack([zj / sj for zj, sj in zip(z, self.sigma)]).T
-        d_ls = np.stack([zj * zj - 1.0 for zj in z]).T
+        sigma = self.sigma[:, None]
+        d_ls = self._diff_rows(xb)
+        d_ls /= sigma
+        d_mu = np.divide(d_ls, sigma)
+        np.square(d_ls, out=d_ls)
+        d_ls -= 1.0
         if single:
-            return d_mu[0], d_ls[0]
-        return d_mu, d_ls
+            return d_mu.T[0], d_ls.T[0]
+        return d_mu.T, d_ls.T
 
 
 @dataclass(frozen=True)
@@ -168,14 +201,21 @@ class GaussianMixture:
 
     def _component_log_probs(self, xb: np.ndarray) -> np.ndarray:
         # (K, n): row k is the log of weight_k * N(x; m_k, variance I) on the
-        # (n, d) batch xb, its squared distance summed one coordinate at a time
+        # (n, d) batch xb, its squared distance summed one coordinate at a
+        # time over all K rows at once
+        out = np.empty((self.n_components, xb.shape[0]))
+        sq = np.empty_like(out) if self.dim > 1 else None
+        for j, (xj, mj) in enumerate(zip(xb.T, self.means.T)):
+            dst = sq if j else out
+            np.subtract(xj, mj[:, None], out=dst)
+            np.square(dst, out=dst)
+            if j:
+                out += sq
+        out *= 0.5
+        out /= self.variance
         norm = -0.5 * self.dim * (LOG_2PI + np.log(self.variance))
-        rows = []
-        for mean, log_w in zip(self.means, np.log(self.weights)):
-            sq = reduce(np.add, [np.square(xj - mj)
-                                 for xj, mj in zip(xb.T, mean)])
-            rows.append(log_w + norm - 0.5 * sq / self.variance)
-        return np.stack(rows)
+        return np.subtract((np.log(self.weights) + norm)[:, None], out,
+                           out=out)
 
     def log_prob(self, x):
         xb, single = _as_batch(x, self.dim)
@@ -191,14 +231,16 @@ class GaussianMixture:
         normalizes them: sum_k e_k (m_k - x) / (s variance).
         """
         xb, single = _as_batch(x, self.dim)
-        lp, e, s = _logsumexp_terms(self._component_log_probs(xb), axis=0)
-        denom = s * self.variance
-        cols = []
-        for xj, mj in zip(xb.T, self.means.T):  # coordinate j, K mean entries
-            cols.append(reduce(np.add, [e_k * (m_kj - xj)
-                                        for e_k, m_kj in zip(e, mj)]) / denom)
-        score = np.stack(cols).T
-        return (float(lp[0]), score[0]) if single else (lp, score)
+        lp, e, denom = _logsumexp_terms(self._component_log_probs(xb), axis=0)
+        denom *= self.variance
+        score = np.empty((self.dim, xb.shape[0]))
+        pull = np.empty_like(e)
+        for row, xj, mj in zip(score, xb.T, self.means.T):
+            np.subtract(mj[:, None], xj, out=pull)  # row k: m_kj - x_j
+            pull *= e
+            _sum_rows(pull, out=row)
+            row /= denom
+        return (float(lp[0]), score.T[0]) if single else (lp, score.T)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         comps = rng.choice(self.n_components, size=n, p=self.weights)
@@ -232,22 +274,30 @@ class ContaminatedMixture:
         return float(np.log(self.outlier_weight) - self.dim * np.log(side))
 
     def _blend(self, xb: np.ndarray, base_lp: np.ndarray):
-        """(log (1-w) + base log density, log density of the blend, which
-        rows of xb lie in the box); the mask is None at w = 0."""
-        base_lp = np.log1p(-self.outlier_weight) + base_lp
+        """(log density of the blend, which rows of xb lie outside the box);
+        the mask is None at w = 0.  base_lp is the caller's own array and is
+        shifted in place to log (1-w) + base log density."""
+        base_lp += np.log1p(-self.outlier_weight)
         if self.outlier_weight == 0.0:
-            return base_lp, base_lp, None
-        in_box = reduce(np.logical_and, [(xj >= BOX_LOW) & (xj <= BOX_HIGH)
-                                         for xj in xb.T])
+            return base_lp, None
+        inside = xb.T >= BOX_LOW
+        inside &= xb.T <= BOX_HIGH
+        outside = ~inside.all(axis=0)
         # in the box the uniform part is one constant c, and
         # log(e^a + e^c) = max(a, c) + log1p(e^-|a - c|); outside, only a
         c = self._log_box_density()
-        both = np.maximum(base_lp, c) + np.log1p(np.exp(-np.abs(base_lp - c)))
-        return base_lp, np.where(in_box, both, base_lp), in_box
+        out = np.subtract(base_lp, c)
+        np.abs(out, out=out)
+        np.negative(out, out=out)
+        np.exp(out, out=out)
+        np.log1p(out, out=out)
+        out += np.maximum(base_lp, c)
+        np.copyto(out, base_lp, where=outside)
+        return out, outside
 
     def log_prob(self, x):
         xb, single = _as_batch(x, self.dim)
-        out = self._blend(xb, self.base.log_prob(xb))[1]
+        out = self._blend(xb, self.base.log_prob(xb))[0]
         return float(out[0]) if single else out
 
     def log_prob_and_score(self, x):
@@ -260,17 +310,21 @@ class ContaminatedMixture:
         """
         xb, single = _as_batch(x, self.dim)
         base_lp, score = self.base.log_prob_and_score(xb)
-        base_lp, out, in_box = self._blend(xb, base_lp)
+        out, keep_base = self._blend(xb, base_lp)
         if self.outlier_weight > 0.0:
-            on_edge = reduce(np.logical_or, [(xj == BOX_LOW) | (xj == BOX_HIGH)
-                                             for xj in xb.T])
+            on_edge = xb.T == BOX_LOW
+            on_edge |= xb.T == BOX_HIGH
+            on_edge = on_edge.any(axis=0)
             if on_edge.any():
                 warnings.warn("score requested exactly on the outlier box "
                               "boundary; returning the base-mixture gradient "
                               "there", RuntimeWarning, stacklevel=2)
-            share = np.exp(base_lp - out)  # posterior weight of the base part
-            share = np.where(in_box & ~on_edge, share, 1.0)
-            score = share[:, None] * score
+            keep_base |= on_edge
+            # posterior weight of the base part, 1 where its gradient is kept
+            share = np.subtract(base_lp, out)
+            np.exp(share, out=share)
+            np.copyto(share, 1.0, where=keep_base)
+            np.multiply(score.T, share, out=score.T)
         return (float(out[0]), score[0]) if single else (out, score)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:

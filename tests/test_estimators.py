@@ -2,7 +2,10 @@
 behaviour, common-random-numbers derivative checks, the per-coordinate
 gradient kernels against the (n, 2d) concatenated form, the Gaussian closed
 form, and second-moment bounds on the softmax family."""
+import dataclasses
 import math
+import warnings
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -330,3 +333,293 @@ class TestSecondMoments:
         with pytest.raises(ValueError):
             estimator_second_moment("cr", p, np.zeros(3), 0.5, 10,
                                     np.random.default_rng(0))
+
+
+# ---------------------------------------------------------------------------
+# The step as list-and-stack formulas, from the target pass to the gradient.
+# The kernels fill preallocated (d, n) rows in place instead; every output
+# must come out bit for bit the same.
+# ---------------------------------------------------------------------------
+
+LOG_2PI = float(np.log(2.0 * np.pi))
+
+
+def reference_transform(q, eps):
+    return np.stack([mj + sj * ej for mj, sj, ej
+                     in zip(q.mu, q.sigma, eps.T)]).T
+
+
+def reference_z_columns(q, x):
+    return [(xj - mj) / sj for xj, mj, sj in zip(x.T, q.mu, q.sigma)]
+
+
+def reference_q_log_prob(q, x):
+    sq = reduce(np.add, [z * z for z in reference_z_columns(q, x)])
+    return -0.5 * q.dim * LOG_2PI - q.log_sigma.sum() - 0.5 * sq
+
+
+def reference_param_score(q, x):
+    z = reference_z_columns(q, x)
+    return (np.stack([zj / sj for zj, sj in zip(z, q.sigma)]).T,
+            np.stack([zj * zj - 1.0 for zj in z]).T)
+
+
+def reference_components(mix, x):
+    norm = -0.5 * mix.dim * (LOG_2PI + np.log(mix.variance))
+    rows = []
+    for mean, log_w in zip(mix.means, np.log(mix.weights)):
+        sq = reduce(np.add, [np.square(xj - mj) for xj, mj in zip(x.T, mean)])
+        rows.append(log_w + norm - 0.5 * sq / mix.variance)
+    return np.stack(rows)
+
+
+def reference_logsumexp_terms(a):
+    m = a.max(axis=0, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    e = np.exp(a - m)
+    s = e.sum(axis=0)
+    with np.errstate(divide="ignore"):
+        return np.log(s) + m[0], e, s
+
+
+def reference_mixture(mix, x):
+    """(log density, x-score) of a GaussianMixture."""
+    lp, e, s = reference_logsumexp_terms(reference_components(mix, x))
+    denom = s * mix.variance
+    cols = [reduce(np.add, [e_k * (m_kj - xj) for e_k, m_kj in zip(e, mj)])
+            / denom for xj, mj in zip(x.T, mix.means.T)]
+    return lp, np.stack(cols).T
+
+
+def reference_blend(con, x, base_lp):
+    base_lp = np.log1p(-con.outlier_weight) + base_lp
+    if con.outlier_weight == 0.0:
+        return base_lp, base_lp, None
+    in_box = reduce(np.logical_and, [(xj >= -10.0) & (xj <= 10.0)
+                                     for xj in x.T])
+    c = float(np.log(con.outlier_weight) - con.dim * np.log(20.0))
+    both = np.maximum(base_lp, c) + np.log1p(np.exp(-np.abs(base_lp - c)))
+    return base_lp, np.where(in_box, both, base_lp), in_box
+
+
+def reference_target(target, x):
+    """(log density, x-score) of a GaussianMixture or ContaminatedMixture."""
+    if isinstance(target, GaussianMixture):
+        return reference_mixture(target, x)
+    base_lp, score = reference_mixture(target.base, x)
+    base_lp, out, in_box = reference_blend(target, x, base_lp)
+    if target.outlier_weight > 0.0:
+        on_edge = reduce(np.logical_or, [(xj == -10.0) | (xj == 10.0)
+                                         for xj in x.T])
+        share = np.where(in_box & ~on_edge, np.exp(base_lp - out), 1.0)
+        score = share[:, None] * score
+    return out, score
+
+
+def reference_pathwise(q, score, eps, w, scale):
+    d_mu, d_ls, sq = [], [], 0.0
+    for s_k, eps_k, sigma_k in zip(score.T, eps.T, q.sigma):
+        b_k = s_k * (sigma_k * eps_k) + 1.0
+        d_mu.append(scale * (w * s_k).sum())
+        d_ls.append(scale * (w * b_k).sum())
+        sq = sq + s_k * s_k + b_k * b_k
+    c = scale * (w.size * w)
+    return np.array(d_mu), np.array(d_ls), float((c * c * sq).mean())
+
+
+def reference_srfe_step(q, target, tau, eps):
+    """(loss, f_hat, max_log_ratio, clamped) and (d_mu, d_ls, second moment)."""
+    x = reference_transform(q, eps)
+    log_p, score = reference_target(target, x)
+    r = log_p - reference_q_log_prob(q, x)
+    r_max = float(r.max())
+    w = np.exp(tau * (r - r_max))
+    log_f = tau * r_max + math.log(float(w.mean()))
+    if log_f < math.log(1e-10):
+        f_hat, clamped = 1e-10, True
+    elif log_f > 0.0:
+        f_hat, clamped = 1.0, True
+    else:
+        f_hat, clamped = math.exp(log_f), False
+    loss = (-math.log(f_hat) / (tau * (1.0 - tau)), f_hat, r_max, clamped)
+    if clamped:
+        return loss, (np.zeros(q.dim), np.zeros(q.dim), 0.0)
+    return loss, reference_pathwise(q, score, eps, w / w.sum(),
+                                    -1.0 / (1.0 - tau))
+
+
+def reference_forward_kl(q, target, xs):
+    """(loss, (d_mu, d_ls, second moment)) of forward KL at samples xs."""
+    loss = float(np.mean(reference_target(target, xs)[0]
+                         - reference_q_log_prob(q, xs)))
+    d_mu_i, d_ls_i = reference_param_score(q, xs)
+    cols = [*d_mu_i.T, *d_ls_i.T]
+    mean = -np.array([c.mean() for c in cols])
+    sq = reduce(np.add, [c * c for c in cols])
+    return loss, (mean[:q.dim], mean[q.dim:], float(sq.mean()))
+
+
+def reference_reverse_kl(q, target, eps):
+    """(loss, (d_mu, d_ls, second moment)) of reverse KL at noise eps."""
+    x = reference_transform(q, eps)
+    log_p, score = reference_target(target, x)
+    loss = float(-np.mean(log_p - reference_q_log_prob(q, x)))
+    n = eps.shape[0]
+    return loss, reference_pathwise(q, score, eps, np.full(n, 1.0 / n), -1.0)
+
+
+def layouts(a):
+    """a as a C-ordered array, an F-ordered copy and a strided view."""
+    holder = np.zeros((2 * a.shape[0], a.shape[1] + 1))
+    holder[::2, 1:] = a
+    return {"C": np.ascontiguousarray(a), "F": np.asfortranarray(a),
+            "strided": holder[::2, 1:]}
+
+
+def assert_grad_equal(got, want):
+    np.testing.assert_array_equal(got.d_mu, want[0])
+    np.testing.assert_array_equal(got.d_log_sigma, want[1])
+    assert got.second_moment == want[2]
+
+
+def reference_case(n_components, d):
+    """A random mixture, a model that puts some draws outside the box, and
+    a noise batch long enough for pairwise summation to recurse."""
+    rng = np.random.default_rng(1000 + 10 * n_components + d)
+    mix = GaussianMixture(means=rng.normal(scale=3.0, size=(n_components, d)),
+                          variance=0.7,
+                          weights=rng.dirichlet(np.ones(n_components)))
+    q = DiagonalGaussian(mu=rng.normal(size=d),
+                         log_sigma=rng.normal(0.8, 0.3, size=d))
+    eps = rng.standard_normal((1000, d))
+    eps[:7] *= 8.0
+    return rng, mix, q, eps
+
+
+@pytest.mark.parametrize("n_components", [1, 2, 3, 5])
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_steps_match_reference_formulas(n_components, d):
+    rng, mix, q, eps = reference_case(n_components, d)
+    far = DiagonalGaussian(mu=np.full(d, 60.0), log_sigma=np.zeros(d))
+    for target in (mix, ContaminatedMixture(base=mix, outlier_weight=0.2)):
+        cases = [(q, tau) for tau in (0.01, 0.5, 0.99)] + [(far, 0.5)]
+        for model, tau in cases:
+            want_loss, want_grad = reference_srfe_step(model, target, tau, eps)
+            if model is far:
+                assert want_loss[3]  # the clamped case
+            for eps_in in layouts(eps).values():
+                rep, grad = srfe_mc_step(model, target, tau, eps_in)
+                assert (rep.loss, rep.f_hat, rep.max_log_ratio,
+                        rep.clamped) == want_loss
+                assert_grad_equal(grad, want_grad)
+
+        want_loss, want_grad = reference_reverse_kl(q, target, eps)
+        for eps_in in layouts(eps).values():
+            assert reverse_kl_loss(q, target, eps_in) == want_loss
+            assert_grad_equal(reverse_kl_grad(q, target, eps_in), want_grad)
+
+        xs = target.sample(1000, rng)
+        want_loss, want_grad = reference_forward_kl(q, target, xs)
+        for xs_in in layouts(xs).values():
+            assert forward_kl_loss(q, target, xs_in) == want_loss
+            assert_grad_equal(forward_kl_grad(q, xs_in), want_grad)
+
+
+@pytest.mark.parametrize("n_components", [1, 2, 3, 5])
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_kernels_match_reference_formulas(n_components, d):
+    rng, mix, q, eps = reference_case(n_components, d)
+    x = reference_transform(q, eps)
+    x[::3, 0] = np.where(rng.random(x[::3].shape[0]) < 0.5, -10.0, 10.0)
+    for x_in in layouts(x).values():
+        np.testing.assert_array_equal(q.log_prob(x_in),
+                                      reference_q_log_prob(q, x))
+        for got, want in zip(q.param_score(x_in), reference_param_score(q, x)):
+            np.testing.assert_array_equal(got, want)
+        lp, score = q.log_prob_and_score(x_in)
+        np.testing.assert_array_equal(lp, reference_q_log_prob(q, x))
+        np.testing.assert_array_equal(score, np.stack(
+            [-(xj - mj) / vj for xj, mj, vj
+             in zip(x.T, q.mu, q.sigma ** 2)]).T)
+        want_lp, want_score = reference_mixture(mix, x)
+        np.testing.assert_array_equal(mix.log_prob(x_in), want_lp)
+        lp, score = mix.log_prob_and_score(x_in)
+        np.testing.assert_array_equal(lp, want_lp)
+        np.testing.assert_array_equal(score, want_score)
+        for w in (0.0, 0.2):
+            con = ContaminatedMixture(base=mix, outlier_weight=w)
+            want_lp, want_score = reference_target(con, x)
+            np.testing.assert_array_equal(con.log_prob(x_in), want_lp)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                lp, score = con.log_prob_and_score(x_in)
+            np.testing.assert_array_equal(lp, want_lp)
+            np.testing.assert_array_equal(score, want_score)
+    for eps_in in layouts(eps).values():
+        np.testing.assert_array_equal(q.transform(eps_in),
+                                      reference_transform(q, eps))
+
+
+# ---------------------------------------------------------------------------
+# Buffers: a call never writes an argument, and every estimator checks its
+# batch the same way
+# ---------------------------------------------------------------------------
+
+BOXED = ContaminatedMixture(base=BENCH, outlier_weight=0.2)
+MODEL = DiagonalGaussian(mu=np.array([0.5, 1.0]),
+                         log_sigma=np.array([0.3, -0.1]))
+
+# name -> (call on a batch, whether it also takes a single point)
+POINT_CALLS = {
+    "DiagonalGaussian.transform": (MODEL.transform, True),
+    "DiagonalGaussian.log_prob": (MODEL.log_prob, True),
+    "DiagonalGaussian.log_prob_and_score": (MODEL.log_prob_and_score, True),
+    "DiagonalGaussian.param_score": (MODEL.param_score, True),
+    "GaussianMixture.log_prob": (BENCH.log_prob, True),
+    "GaussianMixture.log_prob_and_score": (BENCH.log_prob_and_score, True),
+    "ContaminatedMixture.log_prob": (BOXED.log_prob, True),
+    "ContaminatedMixture.log_prob_and_score": (BOXED.log_prob_and_score,
+                                               True),
+    "srfe_mc_step": (lambda b: srfe_mc_step(MODEL, BOXED, 0.5, b), False),
+    "forward_kl_loss": (lambda b: forward_kl_loss(MODEL, BOXED, b), False),
+    "forward_kl_grad": (lambda b: forward_kl_grad(MODEL, b), False),
+    "reverse_kl_loss": (lambda b: reverse_kl_loss(MODEL, BOXED, b), False),
+    "reverse_kl_grad": (lambda b: reverse_kl_grad(MODEL, BOXED, b), False),
+}
+ESTIMATORS = ("srfe_mc_step", "forward_kl_loss", "forward_kl_grad",
+              "reverse_kl_loss", "reverse_kl_grad")
+
+
+def assert_same_result(got, want):
+    if dataclasses.is_dataclass(got):
+        got, want = dataclasses.astuple(got), dataclasses.astuple(want)
+    if isinstance(got, tuple):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same_result(g, w)
+    else:
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", sorted(POINT_CALLS))
+def test_inputs_are_never_written(name):
+    call, takes_point = POINT_CALLS[name]
+    x = 4.0 * np.random.default_rng(7).standard_normal((300, 2))
+    x[:5] *= 5.0  # some rows outside the outlier box
+    for batch in (x, x[3]) if takes_point else (x,):
+        before = batch.tobytes()
+        want = call(batch)
+        assert batch.tobytes() == before
+        frozen = batch.copy()
+        frozen.flags.writeable = False
+        assert_same_result(call(frozen), want)
+
+
+@pytest.mark.parametrize("name", ESTIMATORS)
+@pytest.mark.parametrize("shape", [(0, 2), (5, 3), (2,)])
+def test_every_estimator_checks_its_batch(name, shape):
+    call = POINT_CALLS[name][0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"\(n, 2\) with n >= 1"):
+            call(np.zeros(shape))
