@@ -37,6 +37,7 @@ from .discrete import (
 from .estimators import exact_second_moment, softmax
 from .gaussians import DiagonalGaussian, srfe_equal_covariance
 
+TAU_GRID_3 = (0.2, 0.5, 0.8)
 TAU_GRID_9 = tuple(round(0.1 * k, 1) for k in range(1, 10))
 A_GRID_31 = tuple(np.linspace(-1.0, 2.0, 31))
 
@@ -74,16 +75,14 @@ def dirichlet_pair(rng: np.random.Generator, size: int,
             DiscreteDist.from_unnormalized(draws[..., 1, :]))
 
 
-def check_kl_limits(p: DiscreteDist, q: DiscreteDist,
-                    eps_grid: tuple[float, float] = (0.02, 0.01)) -> CheckReport:
+def check_kl_limits(p: DiscreteDist, q: DiscreteDist) -> CheckReport:
     """Endpoint limits: tau -> 1 recovers KL(p||q), tau -> 0 recovers KL(q||p).
 
     The error at distance eps from an endpoint shrinks linearly, so halving
-    eps should roughly halve it; the same holds for the power divergence as
-    its order approaches 0 (KL(p||q)) and -1 (KL(q||p)).
+    eps (0.02 to 0.01) should roughly halve it; the same holds for the power
+    divergence as its order approaches 0 (KL(p||q)) and -1 (KL(q||p)).
     """
-    big, small = eps_grid
-    eps = np.asarray(eps_grid)
+    eps = np.array([0.02, 0.01])
     kf = kl_discrete(p, q)
     kr = kl_discrete(q, p)
     errs = np.abs([
@@ -102,7 +101,7 @@ def check_kl_limits(p: DiscreteDist, q: DiscreteDist,
     # first-order slope of the error matches the expansion coefficient
     slope_f = abs(kf - 0.5 * surprisal_stats(p, q).variance)
     slope_r = abs(kr - 0.5 * surprisal_stats(q, p).variance)
-    slope_obs = errs[:2, 1] / small
+    slope_obs = errs[:2, 1] / eps[1]
     slope_ok = True
     for obs, pred in zip(slope_obs, (slope_f, slope_r)):
         if pred > 1e-8:
@@ -111,22 +110,21 @@ def check_kl_limits(p: DiscreteDist, q: DiscreteDist,
         "kl_limits", bool(in_bracket.all()) and slope_ok,
         np.concatenate([ratios, slope_obs]),
         [1.7, 2.3, 1.7, 2.3, slope_f, slope_r],
-        f"error ratios at eps {big}/{small} (want within [1.7, 2.3]): "
+        "error ratios at eps 0.02/0.01 (want within [1.7, 2.3]): "
         f"{np.round(ratios, 3).tolist()}; "
         f"observed slopes {np.round(slope_obs, 5).tolist()} vs predicted "
         f"[{slope_f:.5f}, {slope_r:.5f}]",
     )
 
 
-def check_expansions(p: DiscreteDist, q: DiscreteDist,
-                     delta: float = 0.02) -> CheckReport:
+def check_expansions(p: DiscreteDist, q: DiscreteDist) -> CheckReport:
     """Quadratic remainder of the first-order endpoint expansions.
 
-    Halving the distance to the endpoint should cut the residual by about
-    4x (bracket [3, 5]); same for the power-divergence expansion in its
-    order parameter.
+    Halving the distance to the endpoint (0.02 to 0.01) should cut the
+    residual by about 4x (bracket [3, 5]); same for the power-divergence
+    expansion in its order parameter.
     """
-    steps = np.array([delta, delta / 2])
+    steps = np.array([0.02, 0.01])
     residuals = np.abs([
         srfe_discrete(p, q, 1.0 - steps)
         - expansion_prediction(p, q, 1.0 - steps, "forward"),
@@ -140,7 +138,7 @@ def check_expansions(p: DiscreteDist, q: DiscreteDist,
     ok = ((ratios >= 3.0) & (ratios <= 5.0)).all()
     return _report(
         "expansions", bool(ok), ratios, [3.0, 5.0],
-        f"residual ratios at step {delta} vs {delta / 2} "
+        "residual ratios at step 0.02 vs 0.01 "
         f"(forward, reverse, power-divergence): {np.round(ratios, 3).tolist()}",
     )
 
@@ -153,40 +151,42 @@ def _srfe_gaussian_location(shift: float, sigma: float, tau: float) -> float:
     return -log_f / (tau * (1.0 - tau))
 
 
-def check_fisher_metric(sigma: float, tau_grid=(0.2, 0.5, 0.8),
-                        delta: float = 1e-3, rel_tol: float = 1e-3,
+def check_fisher_metric(sigma: float, rel_tol: float = 1e-3,
                         spread_tol: float = 1e-8) -> CheckReport:
     """Local curvature equals the Fisher information of the location family.
 
     For N(theta, sigma^2) the divergence between parameters theta and
     theta + delta is delta^2 / (2 sigma^2) at every interpolation weight, so
-    the second difference quotient must give 1/sigma^2, independent of tau.
+    the second difference quotient (delta = 1e-3) must give 1/sigma^2,
+    independent of tau.
     """
     fisher = 1.0 / (sigma * sigma)
+    delta = 1e-3
     fd2 = np.array([
         (_srfe_gaussian_location(delta, sigma, tau)
          + _srfe_gaussian_location(-delta, sigma, tau)) / (delta * delta)
-        for tau in tau_grid
+        for tau in TAU_GRID_3
     ])
     rel_err = np.abs(fd2 - fisher) / fisher
     spread = (fd2.max() - fd2.min()) / fisher
     ok = rel_err.max() <= rel_tol and spread <= spread_tol
     return _report(
         f"fisher_metric_sigma_{sigma:g}", bool(ok),
-        np.append(rel_err, spread), [rel_tol] * len(tau_grid) + [spread_tol],
+        np.append(rel_err, spread), [rel_tol] * len(TAU_GRID_3) + [spread_tol],
         f"sigma={sigma}: second difference vs 1/sigma^2 rel errors "
         f"{[float(f'{e:.2e}') for e in rel_err]}, cross-tau spread {spread:.2e}",
     )
 
 
-def check_fisher_metric_simplex(t: float = 1e-2,
-                                tau_grid=(0.2, 0.5, 0.8)) -> CheckReport:
+def check_fisher_metric_simplex() -> CheckReport:
     """Local curvature on the simplex matches the Fisher quadratic form.
 
     Along p + t d (d a tangent direction) the divergence is
     (t^2/2) sum(d^2/p) up to a cubic remainder whose tau dependence is
     bounded by t^3 sum|d|^3 / p^2, so values across tau agree to that order.
+    Probed at t = 0.01.
     """
+    t = 1e-2
     p = np.array([0.3, 0.25, 0.2, 0.15, 0.1])
     d = np.array([1.0, -1.0, 0.5, -0.5, 0.0])
     base = DiscreteDist(p)
@@ -194,7 +194,7 @@ def check_fisher_metric_simplex(t: float = 1e-2,
     cubic = t ** 3 * float(np.sum(np.abs(d) ** 3 / p ** 2))
     signs = np.array([[1.0], [-1.0]])
     moved = DiscreteDist.from_unnormalized(p + signs * t * d)
-    vals = srfe_discrete(base, moved, np.asarray(tau_grid)[:, None])
+    vals = srfe_discrete(base, moved, np.asarray(TAU_GRID_3)[:, None])
     resid = np.abs(vals - quad).max()
     spread = float(vals[:, 0].max() - vals[:, 0].min())
     ok = resid <= cubic and spread <= cubic
@@ -205,42 +205,41 @@ def check_fisher_metric_simplex(t: float = 1e-2,
     )
 
 
-def check_tail_bounds(p: DiscreteDist, q: DiscreteDist,
-                      tau_grid=TAU_GRID_9, a_grid=A_GRID_31) -> CheckReport:
+def check_tail_bounds(p: DiscreteDist, q: DiscreteDist) -> CheckReport:
     """Exceedance probability of the surprisal gap never beats its bound."""
-    a = np.asarray(a_grid)
-    bounds = tail_bound(p, q, np.asarray(tau_grid)[:, None], a)
+    a = np.asarray(A_GRID_31)
+    bounds = tail_bound(p, q, np.asarray(TAU_GRID_9)[:, None], a)
     margin = exact_tail_prob(p, q, a) - bounds
     violations = int((margin > 0).sum())
     worst = float(margin.max())
     return _report(
         "tail_bounds", violations == 0, [violations], [0],
-        f"{len(tau_grid)}x{len(a_grid)} grid, {violations} violations, "
+        f"{len(TAU_GRID_9)}x{len(A_GRID_31)} grid, {violations} violations, "
         f"worst exact-minus-bound margin {worst:.3e}",
     )
 
 
-def check_tail_bounds_mc(mean_shift: float = 1.0, variance: float = 0.5,
-                         n: int = 10 ** 6, tau_grid=TAU_GRID_9,
-                         a_grid=A_GRID_31, seed: int = 0) -> CheckReport:
+def check_tail_bounds_mc(seed: int = 0) -> CheckReport:
     """Monte-Carlo tail check on a same-scale normal pair.
 
     Empirical exceedance frequencies may sit above the bound only by
     sampling noise; four binomial standard errors of slack makes a false
     alarm essentially impossible at n = 10^6.
     """
+    mean_shift, variance, n = 1.0, 0.5, 10 ** 6
     log_sigma = np.array([0.5 * np.log(variance)])
     p = DiagonalGaussian(np.array([mean_shift]), log_sigma)
     q = DiagonalGaussian(np.array([0.0]), log_sigma)
     rng = np.random.default_rng(seed)
     x = q.sample(n, rng)
     gaps = np.sort(p.log_prob(x) - q.log_prob(x))
-    freq = (n - np.searchsorted(gaps, np.asarray(a_grid), side="left")) / n
+    a = np.asarray(A_GRID_31)
+    freq = (n - np.searchsorted(gaps, a, side="left")) / n
     slack = 4.0 * np.sqrt(freq * (1.0 - freq) / n)
     value = srfe_equal_covariance(p.mu, q.mu, variance)
-    tau = np.asarray(tau_grid)[:, None]
+    tau = np.asarray(TAU_GRID_9)[:, None]
     log_f = -tau * (1.0 - tau) * value
-    margin = freq - np.exp(-tau * np.asarray(a_grid) + log_f) - slack
+    margin = freq - np.exp(-tau * a + log_f) - slack
     violations = int((margin > 0).sum())
     worst = float(margin.max())
     return _report(
@@ -250,15 +249,14 @@ def check_tail_bounds_mc(mean_shift: float = 1.0, variance: float = 0.5,
     )
 
 
-def check_kl_upper_bounds(p: DiscreteDist, q: DiscreteDist,
-                          tau_grid=TAU_GRID_9) -> CheckReport:
+def check_kl_upper_bounds(p: DiscreteDist, q: DiscreteDist) -> CheckReport:
     """Scaled KL in either direction upper-bounds the divergence, on every
     pair of the batch (p, q) of shape (n, k) at every weight.
 
     Also exercises a nearly-disjoint pair where the slack becomes large
     and positive rather than degenerate.
     """
-    gaps = kl_upper_bound_gap(p, q, np.asarray(tau_grid)[:, None])
+    gaps = kl_upper_bound_gap(p, q, np.asarray(TAU_GRID_9)[:, None])
     min_gap = float(np.min(gaps))
     near = DiscreteDist(np.array([1.0 - 1e-9, 1e-9]))
     far = DiscreteDist(np.array([1e-9, 1.0 - 1e-9]))
@@ -266,21 +264,22 @@ def check_kl_upper_bounds(p: DiscreteDist, q: DiscreteDist,
     ok = min_gap >= -1e-12 and nd_gap >= 1.0
     return _report(
         "kl_upper_bounds", bool(ok), [min_gap, nd_gap], [-1e-12, 1.0],
-        f"{gaps.size // len(tau_grid)} pairs x {len(tau_grid)} weights: "
+        f"{gaps.size // len(TAU_GRID_9)} pairs x {len(TAU_GRID_9)} weights: "
         f"min gap {min_gap:.3e}; "
         f"nearly-disjoint witness gap {nd_gap:.3f}",
     )
 
 
-def check_gradient_identity(p: DiscreteDist, logits: np.ndarray, tau: float,
-                            fd_step: float = 1e-5) -> CheckReport:
+def check_gradient_identity(p: DiscreteDist, logits: np.ndarray,
+                            tau: float) -> CheckReport:
     """Closed-form logit gradients vs central differences, softmax family.
 
     The free-energy gradient is -(escort - q)/tau; the power-divergence
     gradient at order tau - 1 is -(1/tau) E_q[(p/q)^tau (onehot - q)],
     whose baseline-subtracted variant is algebraically identical because
-    scores average to zero.
+    scores average to zero.  Central differences take step 1e-5.
     """
+    fd_step = 1e-5
     logits = np.asarray(logits, dtype=float)
     q = softmax(logits)
     q_dist = DiscreteDist.from_unnormalized(q)
@@ -294,8 +293,8 @@ def check_gradient_identity(p: DiscreteDist, logits: np.ndarray, tau: float,
 
     # row k of hi / lo moves logit k by +- fd_step
     bumps = fd_step * np.eye(logits.size)
-    hi = DiscreteDist.from_unnormalized([softmax(logits + b) for b in bumps])
-    lo = DiscreteDist.from_unnormalized([softmax(logits - b) for b in bumps])
+    hi = DiscreteDist.from_unnormalized(softmax(logits + bumps))
+    lo = DiscreteDist.from_unnormalized(softmax(logits - bumps))
     fd_srfe = (srfe_discrete(p, hi, tau) - srfe_discrete(p, lo, tau)) / (2 * fd_step)
     fd_cr = (cr_standard(p, hi, lam) - cr_standard(p, lo, lam)) / (2 * fd_step)
 
@@ -311,14 +310,14 @@ def check_gradient_identity(p: DiscreteDist, logits: np.ndarray, tau: float,
     )
 
 
-def check_monotone_equivalence(n_pairs: int = 10 ** 4, tau: float = 0.5,
-                               seed: int = 0) -> CheckReport:
+def check_monotone_equivalence(seed: int = 0) -> CheckReport:
     """Order agreement with the power divergence, plus the explicit map.
 
     The two divergences rank alternatives identically, and
     h(d) = -log(1 - tau(1-tau) d) / (tau(1-tau)) carries one value to the
-    other exactly.
+    other exactly.  Probed on 10^4 random triples at tau = 0.5.
     """
+    n_pairs, tau = 10 ** 4, 0.5
     # one triple (p, q1, q2) per row, drawn in the order of one draw each
     draws = np.random.default_rng(seed).dirichlet(np.ones(5), size=(n_pairs, 3))
     p = DiscreteDist.from_unnormalized(draws[:, :1])
@@ -361,8 +360,8 @@ def check_not_f_divergence(tau: float) -> CheckReport:
     )
 
 
-def check_second_moment_bounds(p: DiscreteDist, logits: np.ndarray,
-                               tau_grid=TAU_GRID_9) -> CheckReport:
+def check_second_moment_bounds(p: DiscreteDist,
+                               logits: np.ndarray) -> CheckReport:
     """One-sample estimator second moments respect their bounds.
 
     Also verifies the ratio-form identity (proposal-sampled moment equals
@@ -374,7 +373,7 @@ def check_second_moment_bounds(p: DiscreteDist, logits: np.ndarray,
     logits = np.asarray(logits, dtype=float)
     worst_excess = -np.inf
     worst_ratio = 0.0
-    for tau in tau_grid:
+    for tau in TAU_GRID_9:
         moments = {kind: exact_second_moment(kind, p, logits, tau)
                    for kind in ("cr", "srfe_escort", "srfe_q")}
         for rep in moments.values():

@@ -17,6 +17,7 @@ import numpy as np
 from .checks import run_all
 from .experiments import (
     RunConfig,
+    _write_file,
     benchmark_target,
     density_grid,
     run_exp1,
@@ -26,6 +27,7 @@ from .experiments import (
     write_csv,
 )
 from .gaussians import ContaminatedMixture, DiagonalGaussian
+from .training import _require_count
 
 _EXPERIMENTS = {"exp1": run_exp1, "exp2": run_exp2, "exp3": run_exp3,
                 "exp4": run_exp4}
@@ -120,9 +122,10 @@ def _cmd_experiment(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.seed < 0:  # as exp1-exp4 reject it; numpy seeds are >= 0
-        raise SystemExit(f"srfe-lab: seed must be an integer >= 0, "
-                         f"got {args.seed}")
+    try:  # the rule exp1-exp4 apply; numpy seeds are >= 0
+        _require_count("seed", args.seed, 0)
+    except ValueError as exc:
+        raise SystemExit(f"srfe-lab: {exc}")
     reports = run_all(seed=args.seed, inject_failure=args.inject_failure)
     width = max(len(r.name) for r in reports)
     for r in reports:
@@ -157,8 +160,7 @@ def _cmd_density_grid(args: argparse.Namespace) -> int:
         if args.out == "-":
             write_csv(sys.stdout, header, grid)
         else:
-            with open(args.out, "w", newline="", encoding="utf-8") as fh:
-                write_csv(fh, header, grid)
+            _write_file(args.out, header, grid)
     except (OSError, ValueError) as exc:
         raise SystemExit(f"srfe-lab: {exc}")
     return 0

@@ -304,14 +304,13 @@ def variational_objective(r: DiscreteDist, p: DiscreteDist, q: DiscreteDist,
     return kl_discrete(r, q) / tau + kl_discrete(r, p) / (1.0 - tau)
 
 
-def variational_minimize(p: DiscreteDist, q: DiscreteDist, tau: float,
-                         step: float = 0.1, max_iter: int = 10000,
-                         tol: float = 1e-6) -> VariationalSolution:
+def variational_minimize(p: DiscreteDist, q: DiscreteDist,
+                         tau: float) -> VariationalSolution:
     """Minimize J(r) by multiplicative-weights descent on the simplex.
 
-    Iterates r <- r exp(-step dJ/dr), renormalized, starting from uniform on
+    Iterates r <- r exp(-0.1 dJ/dr), renormalized, starting from uniform on
     the joint support.  Stops when the L1 change between iterates falls
-    below tol.
+    below 1e-6, or unconverged after 10000 iterations.
     """
     _check_tau_open(tau)
     if p.probs.ndim != 1 or q.probs.ndim != 1 or np.ndim(tau):
@@ -324,15 +323,15 @@ def variational_minimize(p: DiscreteDist, q: DiscreteDist, tau: float,
     r = np.full(int(mask.sum()), 1.0 / mask.sum())
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, 10_000 + 1):
         lr = np.log(r)
         grad = (lr - lq + 1.0) / tau + (lr - lp + 1.0) / (1.0 - tau)
         grad -= grad.mean()  # additive shifts cancel under renormalization
-        r_new = r * np.exp(-step * grad)
+        r_new = r * np.exp(-0.1 * grad)
         r_new /= r_new.sum()
         delta = np.abs(r_new - r).sum()
         r = r_new
-        if delta < tol:
+        if delta < 1e-6:
             converged = True
             break
     full = np.zeros(p.size)
@@ -426,42 +425,33 @@ def monotone_map(cr_value, tau):
     return _float_or_array(-np.log1p(-c * np.asarray(cr_value)) / c)
 
 
-_UNIFORM3 = None
-
-
-def _uniform3() -> DiscreteDist:
-    global _UNIFORM3
-    if _UNIFORM3 is None:
-        _UNIFORM3 = DiscreteDist(np.full(3, 1.0 / 3.0))
-    return _UNIFORM3
-
-
-def mixed_partial_probe(u: float, v: float, tau: float, h: float = 1e-4,
+def mixed_partial_probe(u: float, v: float, tau: float,
                         divergence: str = "srfe") -> float:
     """Central-difference mixed partial d2 G / du dv at (u, v).
 
     G(u, v) is the chosen divergence from (u, v, 1-u-v) to the uniform
     three-point distribution.  For an f-divergence this depends on
     w = 1-u-v only; the free-energy divergence breaks that pattern.
-    Uses the four-point stencil with step h in each coordinate.
+    Uses the four-point stencil with step h = 1e-4 in each coordinate,
+    evaluated as one batch of four distributions.
     """
+    h = 1e-4
     if np.ndim(u) or np.ndim(v) or np.ndim(tau):
         raise ValueError("mixed_partial_probe takes a single point and tau")
-    if h <= 0:
-        raise ValueError("h must be positive")
     if min(u - h, v - h) <= 0 or u + v + 2 * h >= 1:
         raise ValueError("probe stencil leaves the open simplex")
-
-    def g(a: float, b: float) -> float:
-        d = DiscreteDist(np.array([a, b, 1.0 - a - b]))
-        if divergence == "srfe":
-            return srfe_discrete(d, _uniform3(), tau)
-        if divergence == "kl":
-            return kl_discrete(d, _uniform3())
+    # stencil rows (u+h, v+h), (u+h, v-h), (u-h, v+h), (u-h, v-h)
+    a = u + np.array([h, h, -h, -h])
+    b = v + np.array([h, -h, h, -h])
+    d = DiscreteDist(np.stack([a, b, 1.0 - a - b], axis=-1))
+    uniform = DiscreteDist(np.full(3, 1.0 / 3.0))
+    if divergence == "srfe":
+        g = srfe_discrete(d, uniform, tau)
+    elif divergence == "kl":
+        g = kl_discrete(d, uniform)
+    else:
         raise ValueError(f"unknown divergence {divergence!r}")
-
-    num = g(u + h, v + h) - g(u + h, v - h) - g(u - h, v + h) + g(u - h, v - h)
-    return num / (4.0 * h * h)
+    return float(g[0] - g[1] - g[2] + g[3]) / (4.0 * h * h)
 
 
 def srfe_mixed_partial_analytic(u: float, v: float, tau: float) -> float:

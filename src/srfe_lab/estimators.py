@@ -219,10 +219,11 @@ _KINDS = ("cr", "srfe_escort", "srfe_q")
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
+    """Normalized exponentials along the last axis, one distribution per row."""
     z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max()
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def softmax_scores(logits: np.ndarray) -> np.ndarray:

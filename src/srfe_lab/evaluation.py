@@ -39,14 +39,11 @@ class EvalMetrics:
     test_log_lik: float
 
 
-def mode_coverage(q: DiagonalGaussian, modes: GaussianMixture,
-                  rel_threshold: float = MODE_REL_THRESHOLD) -> int:
-    """Number of mixture means where q is above rel_threshold of its maximum
-    over the means.  Compared in the log domain."""
-    if not 0.0 < rel_threshold <= 1.0:
-        raise ValueError("rel_threshold must lie in (0, 1]")
+def mode_coverage(q: DiagonalGaussian, modes: GaussianMixture) -> int:
+    """Number of mixture means where q is above MODE_REL_THRESHOLD of its
+    maximum over the means.  Compared in the log domain."""
     lq = np.asarray(q.log_prob(modes.means))
-    return int(np.sum(lq > lq.max() + math.log(rel_threshold)))
+    return int(np.sum(lq > lq.max() + math.log(MODE_REL_THRESHOLD)))
 
 
 def ess(q: DiagonalGaussian, target, n: int, rng: np.random.Generator) -> float:

@@ -54,13 +54,13 @@ OBJECTIVES = ("srfe", "forward_kl", "reverse_kl")
 
 class Adam:
     """Stock Adam with bias correction, elementwise on a parameter array
-    of the given shape."""
+    of the given shape, at learning rate lr (TrainConfig holds the default)."""
 
     beta1 = 0.9
     beta2 = 0.999
     eps = 1e-8
 
-    def __init__(self, shape, lr: float = 0.05):
+    def __init__(self, shape, lr: float):
         self.lr = lr
         self.m = np.zeros(shape)
         self.v = np.zeros(shape)

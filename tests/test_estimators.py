@@ -249,6 +249,13 @@ class TestSoftmax:
         np.testing.assert_allclose(softmax(z), softmax(z + 100.0), atol=1e-15)
         assert softmax(z).sum() == pytest.approx(1.0, abs=1e-15)
 
+    def test_batch_normalizes_each_row(self):
+        z = np.random.default_rng(4).standard_normal((5, 4)) * 3.0
+        batch = softmax(z)
+        assert batch.shape == z.shape
+        for row, logits in zip(batch, z):
+            np.testing.assert_array_equal(row, softmax(logits))
+
     def test_scores_center_under_model(self):
         z = np.array([0.3, -0.7, 1.1, 0.0])
         q = softmax(z)

@@ -40,10 +40,6 @@ class TestModeCoverage:
                              log_sigma=np.log(np.array([3.0, 0.7])))
         assert mode_coverage(q, BENCH) == 2
 
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            mode_coverage(broad_model(), BENCH, rel_threshold=0.0)
-
 
 class TestEss:
     def test_perfect_proposal(self):

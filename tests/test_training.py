@@ -77,15 +77,15 @@ def assert_no_child_left():
 class TestAdam:
     def test_first_step_frozen(self):
         # with bias correction the first update is lr * g/(|g| + eps*sqrt(1-b2))
-        opt = Adam(1)
+        opt = Adam(1, lr=0.05)
         out = opt.step(np.zeros(1), np.array([0.3]))
         assert out[0] == pytest.approx(-0.049999998333333389, abs=1e-16)
-        opt = Adam(1)
+        opt = Adam(1, lr=0.05)
         out = opt.step(np.zeros(1), np.array([-0.2]))
         assert out[0] == pytest.approx(0.049999997500000125, abs=1e-16)
 
     def test_two_steps_frozen(self):
-        opt = Adam(1)
+        opt = Adam(1, lr=0.05)
         p = opt.step(np.zeros(1), np.array([0.3]))
         p = opt.step(p, np.array([0.3]))
         assert p[0] == pytest.approx(-0.099999996666666778, abs=1e-15)
@@ -98,7 +98,7 @@ class TestAdam:
         assert p[1] == pytest.approx(-1.0 + 0.01, abs=1e-9)
 
     def test_rejects_non_finite_gradient(self):
-        opt = Adam(1)
+        opt = Adam(1, lr=0.05)
         with pytest.raises(ValueError):
             opt.step(np.zeros(1), np.array([np.nan]))
 
