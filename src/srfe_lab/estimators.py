@@ -13,16 +13,30 @@ Targets are duck-typed, with four members.  dim is the dimension d of
 their points.  On a batch x of shape (n, d), log_prob(x) gives the (n,) log
 densities and log_prob_and_score(x) gives them together with their (n, d)
 x-gradients, from one pass; sample(n, rng) draws (n, d) points.  The
-free-energy step and the reverse-KL gradient read the score, forward KL the
-samples.  The Gaussian models in srfe_lab.gaussians provide all four.
+free-energy step and the reverse-KL loss and gradient read
+log_prob_and_score, forward KL log_prob and the samples.  The Gaussian
+models in srfe_lab.gaussians provide all four.
 
-The five fitting entry points (srfe_mc_step and the forward- and
-reverse-KL losses and gradients) take their batch, eps or xs, of shape
-(n, d) with n >= 1 and raise a ValueError naming that shape otherwise.  Buffers follow the
-rule of srfe_lab.gaussians: a call owns what it allocates, fills it in
-place, and never writes an argument, so a read-only noise batch shared
-between fits is safe.  The gradient kernels read the score and eps as the
-length-n rows of their (d, n) transposes.
+The kernels work on stacks: J models, theta of shape (J, 2, d) whose rows
+are (mu, log_sigma), fitted on one shared batch of n points.  _q_rows and
+_target_rows make the q-side pass (x = mu + sigma eps, log q, and one
+target pass per distinct target over its rows), _q_side_rows turns it into
+losses and pathwise gradients, and _forward_rows does the same for forward
+KL on target samples.  Reverse KL is the q-side's tau = 0 row: uniform
+weights, scale -1, loss -mean(r).  The five fitting entry points
+(srfe_mc_step and the forward- and reverse-KL losses and gradients) are the
+kernels' one-row case; they take their batch, eps or xs, of shape (n, d)
+with n >= 1 and raise a ValueError naming that shape otherwise.
+
+Buffers follow the rule of srfe_lab.gaussians: a call owns what it
+allocates, fills it in place, and never writes an argument, so a read-only
+noise batch shared between fits is safe.  Every per-point stack buffer is
+a C-ordered (d, J, n) array (or (J, n) for one value per point) allocated
+with np.empty and filled through out=, so each of its (J, n) rows is one
+contiguous length-n row: its row sums run over contiguous memory and pair
+their terms as a single fit's length-n sums do, which keeps every row
+bit-identical to the fit stepped alone.  The gradient kernels read the
+score and eps as the length-n rows of their transposes.
 
 The second-moment tools at the bottom work on a finite support with a
 softmax-parameterized model, where everything can also be enumerated exactly.
@@ -30,13 +44,15 @@ softmax-parameterized model, where everything can also be enumerated exactly.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from srfe_lab.discrete import DiscreteDist, _check_tau_open
-from srfe_lab.gaussians import DiagonalGaussian, _sum_rows
+from srfe_lab.gaussians import (DiagonalGaussian, _log_norm, _log_prob_rows,
+                                _param_score_rows, _sum_rows, _transform_rows)
 
 __all__ = [
     "F_CLAMP_LOW",
@@ -100,9 +116,46 @@ def _check_batch(name: str, batch, dim: int) -> np.ndarray:
     return arr
 
 
-def _pathwise_grad(q: DiagonalGaussian, score: np.ndarray, eps: np.ndarray,
-                   w: np.ndarray, scale: float) -> GradReport:
-    """scale * sum_i w_i dr_i/dtheta for r = log p - log q at x = mu + sigma eps.
+def _theta(q: DiagonalGaussian) -> np.ndarray:
+    """q as a one-row stack, of shape (1, 2, d)."""
+    return np.stack((q.mu, q.log_sigma))[None]
+
+
+def _columns(theta: np.ndarray):
+    """mu and sigma of every row of theta as (d, J, 1) columns, and the log
+    normalizers as a (J, 1) column."""
+    # contiguous, so exp reads it as it reads a lone model's log_sigma
+    log_sigma = np.ascontiguousarray(theta[:, 1])
+    return (theta[:, 0].T[:, :, None], np.exp(log_sigma).T[:, :, None],
+            _log_norm(log_sigma)[:, None])
+
+
+def _q_rows(theta: np.ndarray, eps: np.ndarray):
+    """x = mu + sigma eps for every row of theta on eps (n, d), as a (d, J, n)
+    buffer, and log q(x) as (J, n)."""
+    mu, sigma, log_norm = _columns(theta)
+    (d, J, _), n = mu.shape, eps.shape[0]
+    x = _transform_rows(eps.T[:, None, :], mu, sigma, np.empty((d, J, n)))
+    diff = np.subtract(x, mu, out=np.empty((d, J, n)))
+    return x, _log_prob_rows(diff, sigma, log_norm, out=np.empty((J, n)))
+
+
+def _target_rows(target, x: np.ndarray, log_q: np.ndarray, r: np.ndarray,
+                 score: np.ndarray) -> None:
+    """One log_prob_and_score pass of target over the m rows of x (d, m, n),
+    a row slice of a stack's buffer: r = log p - log q into r (m, n), and
+    the score into the rows of score (d, m, n).  The pass sees the
+    (m n, d) transpose of the (d, m n) view of x."""
+    d, m, n = x.shape
+    log_p, s = target.log_prob_and_score(x.reshape(d, m * n).T)
+    np.subtract(np.reshape(log_p, (m, n)), log_q, out=r)
+    np.copyto(score, np.asarray(s).T.reshape(d, m, n))
+
+
+def _pathwise_rows(score: np.ndarray, eps: np.ndarray, sigma: np.ndarray,
+                   w: np.ndarray, scale: np.ndarray, moments: bool):
+    """scale_j * sum_i w_ji dr_ji/dtheta_j for each of L rows, with r = log p
+    - log q at x = mu + sigma eps.
 
     For the mean-field Gaussian the model-score term cancels against the
     sampling path, leaving
@@ -110,32 +163,175 @@ def _pathwise_grad(q: DiagonalGaussian, score: np.ndarray, eps: np.ndarray,
         dr/dmu_k       = s_k(x)                    (target x-score)
         dr/dlogsigma_k = s_k(x) sigma_k eps_k + 1
 
-    second_moment is the mean squared norm of the per-sample contributions
-    g_i = scale * n w_i dr_i/dtheta, whose mean is the gradient.  Each
-    term is one pass over the (d, n) rows of score.T and eps.T; the squared
-    norm accumulates one coordinate at a time.
+    score is (d, L, n), sigma (d, L, 1), w (L, n) and scale (L,).  Returns
+    d_mu and d_log_sigma as (d, L) and, if moments, each row's second
+    moment (else None): the mean squared norm of the per-sample
+    contributions g_i = scale n w_i dr_i/dtheta, whose mean is the
+    gradient.  The squared norm accumulates one coordinate at a time.
     """
-    st = score.T
-    b = np.empty((q.dim, w.size))
-    np.multiply(eps.T, q.sigma[:, None], out=b)
-    b *= st
+    b = np.empty(score.shape)
+    np.multiply(eps.T[:, None, :], sigma, out=b)
+    b *= score
     b += 1.0
-    # each row sum runs over one contiguous row, as a length-n sum does
-    wb = np.empty_like(b)
-    d_mu = scale * np.multiply(st, w, out=wb).sum(axis=1)
-    d_ls = scale * np.multiply(b, w, out=wb).sum(axis=1)
-    np.square(st, out=wb)
+    wb = np.empty(score.shape)
+    d_mu = np.multiply(score, w, out=wb).sum(axis=2)
+    d_mu *= scale
+    d_ls = np.multiply(b, w, out=wb).sum(axis=2)
+    d_ls *= scale
+    if not moments:
+        return d_mu, d_ls, None
+    np.square(score, out=wb)
     np.square(b, out=b)
     sq = np.add(wb[0], b[0])
     for s2_k, b2_k in zip(wb[1:], b[1:]):
         sq += s2_k
         sq += b2_k
-    c = np.multiply(w, w.size)
-    c *= scale
+    c = np.multiply(w, w.shape[1])
+    c *= scale[:, None]
     np.multiply(c, c, out=c)
     c *= sq
-    return GradReport(d_mu=d_mu, d_log_sigma=d_ls,
-                      second_moment=float(c.mean()))
+    return d_mu, d_ls, c.mean(axis=1)
+
+
+def _runs(keys):
+    """(start, stop, key) of each run of equal consecutive keys."""
+    start = 0
+    for key, run in itertools.groupby(keys):
+        stop = start + len(list(run))
+        yield start, stop, key
+        start = stop
+
+
+def _q_side_rows(theta: np.ndarray, eps: np.ndarray, r: np.ndarray,
+                 score: np.ndarray, taus, moments: bool = False):
+    """Losses and exact gradients of J q-side rows from one pass: theta (J,
+    2, d), eps (n, d), r = log p - log q (J, n), which becomes the weights,
+    and the score (d, J, n).  Row j is a free-energy row at taus[j] in
+    (0, 1), or a reverse-KL row at taus[j] = 0.
+
+    Returns a LossReport per row, the gradients as (J, 2, d) and, if
+    moments, the second moments as (J,) (else None; the fitting loop does
+    not read them).  A free-energy row weighs its samples by exp(tau r_i),
+    shifted by the row max; a row with no sample in the target's support
+    (every r = -inf, f_hat = 0) clamps low, and a clamped row's loss is
+    locally flat, so its gradient and second moment are zero.  A reverse-KL
+    row has uniform weights, scale -1, loss -mean(r), and f_hat 1 (the
+    overlap at tau = 0).
+    """
+    J, n = r.shape
+    r_max = r.max(axis=1)
+    # each row's weight total; a reverse-KL row's 1 keeps its weights 1/n
+    sums = np.ones(J)
+    scale = np.empty(J)
+    reports = []
+    for start, stop, reverse in _runs([tau == 0.0 for tau in taus]):
+        w = r[start:stop]
+        if reverse:
+            losses = w.mean(axis=1)
+            w.fill(1.0 / n)
+            scale[start:stop] = -1.0
+            reports += [LossReport(loss=float(-loss), f_hat=1.0,
+                                   max_log_ratio=float(top), clamped=False)
+                        for loss, top in zip(losses, r_max[start:stop])]
+            continue
+        tau = np.array(taus[start:stop])
+        top = r_max[start:stop]
+        # shift by the max so the largest weight is exactly 1; a row with no
+        # support keeps its -inf entries, whose weights come out 0
+        w -= np.where(top == -math.inf, 0.0, top)[:, None]
+        w *= tau[:, None]
+        np.exp(w, out=w)
+        w.sum(axis=1, out=sums[start:stop])
+        means = sums[start:stop] / n
+        for t, r_top, mean in zip(tau.tolist(), top.tolist(), means.tolist()):
+            if r_top == -math.inf:
+                log_f = -math.inf
+            else:
+                log_f = t * r_top + math.log(mean)
+            f_hat, clamped = _clamp_log_f(log_f)
+            reports.append(LossReport(loss=-math.log(f_hat) / (t * (1.0 - t)),
+                                      f_hat=f_hat, max_log_ratio=r_top,
+                                      clamped=clamped))
+        scale[start:stop] = -1.0 / (1.0 - tau)
+    grad = np.zeros((J, 2, score.shape[0]))
+    second = np.zeros(J) if moments else None
+    live = [j for j, rep in enumerate(reports) if not rep.clamped]
+    if not live:
+        return reports, grad, second
+    sigma = _columns(theta)[1]
+    if len(live) < J:  # gather the live rows into new C-ordered buffers
+        rows = np.array(live)
+        r, sums, scale = r[rows], sums[rows], scale[rows]
+        sigma = sigma[:, rows]
+        score = np.take(score, rows, axis=1,
+                        out=np.empty((score.shape[0], len(live), n)))
+    r /= sums[:, None]
+    d_mu, d_ls, live_moments = _pathwise_rows(score, eps, sigma, r, scale,
+                                              moments)
+    grad[live, 0] = d_mu.T
+    grad[live, 1] = d_ls.T
+    if moments:
+        second[live] = live_moments
+    return reports, grad, second
+
+
+def _forward_rows(theta: np.ndarray, xs: np.ndarray, log_p=None,
+                  moments: bool = False):
+    """Forward-KL losses and gradients of J rows at shared target samples
+    xs (n, d) with log densities log_p (n,): the losses mean[log p - log q]
+    as (J,) (None without log_p), the gradients, minus the mean model score,
+    as (J, 2, d), and, if moments, the second moments, mean squared norms
+    of the model score, as (J,) (else None)."""
+    mu, sigma, log_norm = _columns(theta)
+    (d, J, _), n = mu.shape, xs.shape[0]
+    diff = np.subtract(xs.T[:, None, :], mu, out=np.empty((d, J, n)))
+    d_mu, d_ls = _param_score_rows(diff, sigma)
+    losses = None
+    if log_p is not None:
+        r = _log_prob_rows(diff, sigma, log_norm, out=np.empty((J, n)))
+        np.subtract(log_p, r, out=r)
+        losses = r.mean(axis=1)
+    grad = np.empty((J, 2, d))
+    np.negative(d_mu.mean(axis=2).T, out=grad[:, 0])
+    np.negative(d_ls.mean(axis=2).T, out=grad[:, 1])
+    if not moments:
+        return losses, grad, None
+    rows = [*d_mu, *d_ls]
+    for row in rows:
+        np.square(row, out=row)
+    return losses, grad, _sum_rows(rows, out=rows[0]).mean(axis=1)
+
+
+def _grad_report(grad: np.ndarray, second: np.ndarray) -> GradReport:
+    """Row 0 of a stack's gradients as a GradReport."""
+    return GradReport(d_mu=grad[0, 0], d_log_sigma=grad[0, 1],
+                      second_moment=float(second[0]))
+
+
+def _pathwise_grad(q: DiagonalGaussian, score: np.ndarray, eps: np.ndarray,
+                   w: np.ndarray, scale: float) -> GradReport:
+    """_pathwise_rows on one row: scale * sum_i w_i dr_i/dtheta for q, the
+    (n, d) score and eps, and the weights w (n,)."""
+    n = w.size
+    rows = np.empty((q.dim, 1, n))
+    np.copyto(rows[:, 0], np.asarray(score).T)
+    d_mu, d_ls, second = _pathwise_rows(rows, eps, q.sigma[:, None, None],
+                                        w[None], np.array([scale]), True)
+    return GradReport(d_mu=d_mu[:, 0], d_log_sigma=d_ls[:, 0],
+                      second_moment=float(second[0]))
+
+
+def _one_q_side_row(q: DiagonalGaussian, target, tau: float, eps):
+    """One q-side row at tau (0 for reverse KL): its LossReport and
+    GradReport."""
+    eps = _check_batch("eps", eps, q.dim)
+    theta = _theta(q)
+    x, log_q = _q_rows(theta, eps)
+    r, score = np.empty(log_q.shape), np.empty(x.shape)
+    _target_rows(target, x, log_q, r, score)
+    (report,), grad, second = _q_side_rows(theta, eps, r, score, [tau],
+                                           moments=True)
+    return report, _grad_report(grad, second)
 
 
 def srfe_mc_step(q: DiagonalGaussian, target, tau: float,
@@ -147,68 +343,36 @@ def srfe_mc_step(q: DiagonalGaussian, target, tau: float,
     Deterministic given eps.  loss = -log f_hat / (tau (1 - tau)) with f_hat
     the clamped mean of exp(tau r), r = log p - log q at x = mu + sigma eps.
     Differentiating gives -mean_w[dr/dtheta] / (1 - tau) with weights
-    proportional to exp(tau r_i) (see _pathwise_grad).  When the clamp is
+    proportional to exp(tau r_i) (see _pathwise_rows).  When the clamp is
     active the loss is locally flat and the gradient is zero; a batch with
     no sample in the target's support (every r = -inf, f_hat = 0) clamps low.
     """
     _check_tau_open(tau)
-    eps = _check_batch("eps", eps, q.dim)
-    x = q.transform(eps)
-    log_p, score = target.log_prob_and_score(x)
-    w = np.subtract(log_p, q.log_prob(x))  # r, turned into weights below
-    r_max = float(w.max())
-    if r_max == -math.inf:
-        log_f = -math.inf
-    else:
-        # shift by the max so the largest weight is exactly 1
-        w -= r_max
-        w *= tau
-        np.exp(w, out=w)
-        log_f = tau * r_max + math.log(float(w.mean()))
-    f_hat, clamped = _clamp_log_f(log_f)
-    loss = LossReport(loss=-math.log(f_hat) / (tau * (1.0 - tau)),
-                      f_hat=f_hat, max_log_ratio=r_max, clamped=clamped)
-    if clamped:
-        zero = np.zeros(q.dim)
-        return loss, GradReport(d_mu=zero, d_log_sigma=zero.copy(),
-                                second_moment=0.0)
-    w /= w.sum()
-    return loss, _pathwise_grad(q, np.asarray(score), eps, w,
-                                -1.0 / (1.0 - tau))
+    return _one_q_side_row(q, target, tau, eps)
 
 
 def forward_kl_loss(q: DiagonalGaussian, target, xs: np.ndarray) -> float:
     """mean[log p(x) - log q(x)] over target samples xs (shape (n, d))."""
     xs = _check_batch("xs", xs, q.dim)
-    r = np.subtract(target.log_prob(xs), q.log_prob(xs))
-    return float(r.mean())
+    return float(_forward_rows(_theta(q), xs, target.log_prob(xs))[0][0])
 
 
 def forward_kl_grad(q: DiagonalGaussian, xs: np.ndarray) -> GradReport:
     """Gradient of forward_kl_loss: minus the mean model score at fixed xs."""
-    d_mu_i, d_ls_i = q.param_score(_check_batch("xs", xs, q.dim))
-    rows = [*d_mu_i.T, *d_ls_i.T]
-    mean = -np.array([row.mean() for row in rows])
-    for row in rows:
-        np.square(row, out=row)
-    return GradReport(d_mu=mean[:q.dim], d_log_sigma=mean[q.dim:],
-                      second_moment=float(_sum_rows(rows, out=rows[0]).mean()))
+    _, grad, second = _forward_rows(_theta(q), _check_batch("xs", xs, q.dim),
+                                    moments=True)
+    return _grad_report(grad, second)
 
 
 def reverse_kl_loss(q: DiagonalGaussian, target, eps: np.ndarray) -> float:
     """mean[log q(x) - log p(x)] at x = mu + sigma eps."""
-    x = q.transform(_check_batch("eps", eps, q.dim))
-    r = np.subtract(target.log_prob(x), q.log_prob(x))
-    return float(-r.mean())
+    return _one_q_side_row(q, target, 0.0, eps)[0].loss
 
 
 def reverse_kl_grad(q: DiagonalGaussian, target, eps: np.ndarray) -> GradReport:
     """Pathwise derivative of reverse_kl_loss: the srfe gradient's kernel
     with uniform weights and scale -1 (the tau -> 0 endpoint)."""
-    eps = _check_batch("eps", eps, q.dim)
-    score = np.asarray(target.log_prob_and_score(q.transform(eps))[1])
-    n = eps.shape[0]
-    return _pathwise_grad(q, score, eps, np.full(n, 1.0 / n), -1.0)
+    return _one_q_side_row(q, target, 0.0, eps)[1]
 
 
 # ---------------------------------------------------------------------------

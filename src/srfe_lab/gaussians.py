@@ -19,6 +19,13 @@ np.empty (or as the output of its first ufunc), fills it in place with
 out= and augmented assignment, and never writes an argument; a read-only
 batch is accepted.  Per-point vectors are (d, n) C-ordered arrays, so an
 (n, d) result is the .T view of one and its .T rows are contiguous.
+
+The mean-field Gaussian's row kernels (_transform_rows, _log_prob_rows,
+_param_score_rows) are module functions on parameter columns that
+broadcast against their rows: (d, 1) columns of one model on (d, n) rows,
+or (d, J, 1) columns of J models on the (d, J, n) rows of a stack of fits
+(see srfe_lab.estimators).  DiagonalGaussian's methods are their one-model
+case.
 """
 
 from __future__ import annotations
@@ -76,6 +83,41 @@ def _sum_rows(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _transform_rows(eps_rows, mu, sigma, out):
+    """x = mu + sigma eps, written into out, from rows of eps that
+    broadcast against it."""
+    np.multiply(eps_rows, sigma, out=out)
+    out += mu
+    return out
+
+
+def _log_norm(log_sigma):
+    """-d log(2 pi) / 2 - sum_j log sigma_j over the last axis of log_sigma:
+    a scalar for one model, one value per row for a (J, d) stack."""
+    return -0.5 * log_sigma.shape[-1] * LOG_2PI - log_sigma.sum(axis=-1)
+
+
+def _log_prob_rows(diff, sigma, log_norm, out):
+    """Mean-field Gaussian log densities log_norm - |z|^2 / 2 into out, from
+    the rows x_j - mu_j of diff, which it overwrites with z_j = (x_j - mu_j)
+    / sigma_j and then z_j^2."""
+    diff /= sigma
+    np.square(diff, out=diff)
+    sq = _sum_rows(diff, out=out)
+    sq *= 0.5
+    return np.subtract(log_norm, sq, out=sq)
+
+
+def _param_score_rows(diff, sigma):
+    """The (mu, log_sigma) gradients of log q, (x_j - mu_j) / sigma_j^2 and
+    z_j^2 - 1, as two new arrays shaped like diff, which is not written."""
+    d_ls = np.divide(diff, sigma, out=np.empty(diff.shape))
+    d_mu = np.divide(d_ls, sigma, out=np.empty(diff.shape))
+    np.square(d_ls, out=d_ls)
+    d_ls -= 1.0
+    return d_mu, d_ls
+
+
 @dataclass(frozen=True)
 class DiagonalGaussian:
     """Mean-field Gaussian N(mu, diag(exp(log_sigma))^2)."""
@@ -102,9 +144,8 @@ class DiagonalGaussian:
     def transform(self, eps: np.ndarray) -> np.ndarray:
         """Reparameterization x = mu + sigma * eps, elementwise."""
         eb, single = _as_batch(eps, self.dim)
-        out = np.empty((self.dim, eb.shape[0]))
-        np.multiply(eb.T, self.sigma[:, None], out=out)
-        out += self.mu[:, None]
+        out = _transform_rows(eb.T, self.mu[:, None], self.sigma[:, None],
+                              np.empty((self.dim, eb.shape[0])))
         return out.T[0] if single else out.T
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -116,14 +157,9 @@ class DiagonalGaussian:
         return np.subtract(xb.T, self.mu[:, None], out=diff)
 
     def _log_prob_rows(self, diff: np.ndarray) -> np.ndarray:
-        """The log density from the rows x_j - mu_j, which it overwrites
-        with z_j = (x_j - mu_j) / sigma_j and then z_j^2."""
-        diff /= self.sigma[:, None]
-        np.square(diff, out=diff)
-        sq = _sum_rows(diff, out=diff[0])
-        sq *= 0.5
-        return np.subtract(-0.5 * self.dim * LOG_2PI - self.log_sigma.sum(),
-                           sq, out=sq)
+        """The log density from the rows x_j - mu_j, which it overwrites."""
+        return _log_prob_rows(diff, self.sigma[:, None],
+                              _log_norm(self.log_sigma), out=diff[0])
 
     def log_prob(self, x):
         xb, single = _as_batch(x, self.dim)
@@ -150,12 +186,8 @@ class DiagonalGaussian:
         d/dlogsig_k = ((x_k - mu_k) / sigma_k)^2 - 1
         """
         xb, single = _as_batch(x, self.dim)
-        sigma = self.sigma[:, None]
-        d_ls = self._diff_rows(xb)
-        d_ls /= sigma
-        d_mu = np.divide(d_ls, sigma)
-        np.square(d_ls, out=d_ls)
-        d_ls -= 1.0
+        d_mu, d_ls = _param_score_rows(self._diff_rows(xb),
+                                       self.sigma[:, None])
         if single:
             return d_mu.T[0], d_ls.T[0]
         return d_mu.T, d_ls.T

@@ -8,10 +8,21 @@ seed because noise batches are drawn from one seeded generator in a fixed
 per-iteration order.
 
 train_lockstep fits many jobs together, one iteration of every job at a
-time.  Jobs that would draw equal noise share one draw per iteration:
+time.  Jobs that would draw equal noise read one draw per iteration:
 srfe and reverse-KL jobs with the same seed, batch size and dimension
 (standard normal eps), and forward-KL jobs with the same seed, batch size
 and target (target samples).  train is the one-job case.
+
+The jobs that read one noise stream form a stack (_Stack), and each
+iteration of a stack is one array program over all its jobs, built from
+the row kernels of srfe_lab.estimators.  theta and the Adam moments are
+(J, 2, d) arrays; x for every row is one C-ordered (d, J, n) buffer; there
+is one target pass per distinct target of a srfe/reverse-KL stack, over
+that target's rows, and one target.log_prob per forward-KL stack; and Adam
+takes one step for the whole stack.  A stack's rows are its jobs grouped by
+target, in job order otherwise, so each target's rows are one slice of the
+buffer.  Each row computes exactly what its job computes stepped alone, so
+stacking changes no number.
 
 Jobs are split into one interleaved share per CPU this process may run on
 (job i to share i mod P).  The calling process fits share 0; each other
@@ -20,13 +31,14 @@ its noise from the same seeds and pickles its outcomes back over a pipe.
 Every job therefore gets the outcome it gets alone.  With one CPU, one job,
 no os.fork, or a second Python thread alive (its locks would be copied
 held), there is one share and no fork.  Shares are processes, not threads:
-a fitting step is about a hundred short numpy calls, so worker threads
+a stack step is about a hundred short numpy calls, so worker threads
 would mostly pass the interpreter lock between them rather than overlap
 work.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 import os
 import pickle
@@ -37,13 +49,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from srfe_lab.discrete import _check_tau_open
-from srfe_lab.estimators import (
-    forward_kl_grad,
-    forward_kl_loss,
-    reverse_kl_grad,
-    reverse_kl_loss,
-    srfe_mc_step,
-)
+# srfe_mc_step and the KL losses and gradients are the one-row case of the
+# stack kernels and unused here, but perfbench/bench_trace.py patches them
+# on training by name
+from srfe_lab.estimators import (_forward_rows, _q_rows, _q_side_rows,
+                                 _runs, _target_rows, forward_kl_grad,
+                                 forward_kl_loss, reverse_kl_grad,
+                                 reverse_kl_loss, srfe_mc_step)
 from srfe_lab.gaussians import DiagonalGaussian
 
 __all__ = ["Adam", "TauSchedule", "TrainConfig", "TrainResult", "train",
@@ -54,7 +66,9 @@ OBJECTIVES = ("srfe", "forward_kl", "reverse_kl")
 
 class Adam:
     """Stock Adam with bias correction, elementwise on a parameter array
-    of the given shape, at learning rate lr (TrainConfig holds the default)."""
+    of the given shape, at learning rate lr (TrainConfig holds the default).
+    A stack of fits passes (J, ...) parameters and lr as a column that
+    broadcasts against them, one rate per row."""
 
     beta1 = 0.9
     beta2 = 0.999
@@ -76,6 +90,12 @@ class Adam:
         m_hat = self.m / (1.0 - self.beta1 ** self.t)
         v_hat = self.v / (1.0 - self.beta2 ** self.t)
         return params - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+    def take(self, rows) -> None:
+        """Keep the given rows of a stack's moments (and of its lr column)."""
+        self.m, self.v = self.m[rows], self.v[rows]
+        if np.ndim(self.lr):
+            self.lr = self.lr[rows]
 
 
 @dataclass(frozen=True)
@@ -169,60 +189,123 @@ class TrainResult:
     clamp_count: int
 
 
-class _Fit:
-    """One job's fitting state: theta, whose rows are mu and log_sigma, Adam,
-    loss history and clamp count, advanced one iteration at a time by step."""
+def _stream(target, cfg: TrainConfig) -> tuple:
+    """The key of the noise stream a job reads: equal keys draw equal
+    batches from equal seeds."""
+    if cfg.objective == "forward_kl":
+        return ("sample", cfg.seed, cfg.batch_size, id(target))
+    return ("normal", cfg.seed, cfg.batch_size, target.dim)
 
-    def __init__(self, target, cfg: TrainConfig):
-        self.target, self.cfg = target, cfg
-        self.dim = target.dim
-        self.theta = np.zeros((2, self.dim))
-        self.opt = Adam(self.theta.shape, lr=cfg.learning_rate)
-        self.losses = np.empty(cfg.iterations)
-        self.clamp_count = 0
 
-    def stream(self) -> tuple:
-        """The key of the noise stream this job reads: equal keys draw
-        equal batches from equal seeds."""
-        cfg = self.cfg
-        if cfg.objective == "forward_kl":
-            return ("sample", cfg.seed, cfg.batch_size, id(self.target))
-        return ("normal", cfg.seed, cfg.batch_size, self.dim)
+class _Stack:
+    """The jobs of one share that read one noise stream, stepped together.
 
-    def draw(self, rng: np.random.Generator) -> np.ndarray:
-        if self.cfg.objective == "forward_kl":
-            return np.asarray(self.target.sample(self.cfg.batch_size, rng))
-        return rng.standard_normal((self.cfg.batch_size, self.dim))
+    Row j of theta (J, 2, d), mu and log_sigma, belongs to job jobs[j];
+    Adam holds (J, 2, d) moments.  Rows leave the stack when their job
+    fails or finishes.
+    """
 
-    def step(self, t: int, noise: np.ndarray) -> None:
-        """Iteration t (1-based) on noise: eps for srfe and reverse KL,
-        target samples for forward KL."""
-        cfg, target = self.cfg, self.target
-        q = DiagonalGaussian(*self.theta)
-        if cfg.objective == "srfe":
-            tau = cfg.schedule.tau_at(t, cfg.iterations)
-            report, grad = srfe_mc_step(q, target, tau, noise)
-            loss = report.loss
-            self.clamp_count += int(report.clamped)
-        elif cfg.objective == "forward_kl":
-            loss = forward_kl_loss(q, target, noise)
-            grad = forward_kl_grad(q, noise)
+    def __init__(self, jobs: list, rows: list):
+        by_target = {}
+        for i in rows:
+            by_target.setdefault(id(jobs[i][0]), []).append(i)
+        self.jobs = [i for group in by_target.values() for i in group]
+        self.targets = [jobs[i][0] for i in self.jobs]
+        self.cfgs = [jobs[i][1] for i in self.jobs]
+        cfg = self.cfgs[0]
+        self.forward = cfg.objective == "forward_kl"
+        self.rng = np.random.default_rng(cfg.seed)
+        self.theta = np.zeros((len(self.jobs), 2, self.targets[0].dim))
+        self.opt = Adam(self.theta.shape, lr=np.array(
+            [c.learning_rate for c in self.cfgs])[:, None, None])
+        self.losses = [np.empty(c.iterations) for c in self.cfgs]
+        self.clamps = [0] * len(self.jobs)
+
+    def draw(self) -> np.ndarray:
+        """The next read-only batch of the stream: eps, or target samples
+        for forward KL."""
+        cfg = self.cfgs[0]
+        if self.forward:
+            noise = np.asarray(self.targets[0].sample(cfg.batch_size,
+                                                      self.rng))
         else:
-            loss = reverse_kl_loss(q, target, noise)
-            grad = reverse_kl_grad(q, target, noise)
+            noise = self.rng.standard_normal((cfg.batch_size,
+                                              self.theta.shape[2]))
+        noise.flags.writeable = False
+        return noise
 
-        if not np.isfinite(loss):
-            raise RuntimeError(f"non-finite loss at step {t}")
-        d_theta = np.array((grad.d_mu, grad.d_log_sigma))
-        if not np.all(np.isfinite(d_theta)):
-            raise RuntimeError(f"non-finite gradient at step {t}")
-        self.losses[t - 1] = loss
-        self.theta = self.opt.step(self.theta, d_theta)
+    def step(self, t: int, noise: np.ndarray) -> list:
+        """Iteration t (1-based) of every row on noise.  Returns (job,
+        outcome) for each job that failed or finished at this step."""
+        failed = {}  # row -> exception
+        if self.forward:
+            losses, clamped, grad = self._forward_step(noise, failed)
+        else:
+            losses, clamped, grad = self._q_side_step(t, noise, failed)
+        finite = np.isfinite(grad).all(axis=(1, 2))
+        for j, loss in enumerate(losses):
+            if j in failed:
+                continue
+            if not math.isfinite(loss):
+                failed[j] = RuntimeError(f"non-finite loss at step {t}")
+            elif not finite[j]:
+                failed[j] = RuntimeError(f"non-finite gradient at step {t}")
+            else:
+                self.losses[j][t - 1] = loss
+                self.clamps[j] += clamped[j]
+        ended = [(self.jobs[j], exc) for j, exc in failed.items()]
+        if failed:
+            keep = [j for j in range(len(self.jobs)) if j not in failed]
+            self._take(keep)
+            grad = grad[keep]
+        if self.jobs:
+            self.theta = self.opt.step(self.theta, grad)
+        done = [j for j, cfg in enumerate(self.cfgs) if cfg.iterations == t]
+        for j in done:
+            ended.append((self.jobs[j], TrainResult(
+                model=DiagonalGaussian(*self.theta[j]),
+                loss_history=self.losses[j], clamp_count=self.clamps[j])))
+        if done:
+            self._take([j for j in range(len(self.jobs)) if j not in done])
+        return ended
 
-    def result(self) -> TrainResult:
-        return TrainResult(model=DiagonalGaussian(*self.theta),
-                           loss_history=self.losses,
-                           clamp_count=self.clamp_count)
+    def _q_side_step(self, t: int, eps: np.ndarray, failed: dict):
+        """srfe and reverse-KL rows: one transform, one target pass per
+        target, one weight and gradient program."""
+        x, log_q = _q_rows(self.theta, eps)
+        r, score = np.empty(log_q.shape), np.empty(x.shape)
+        for start, stop, _ in _runs([id(t) for t in self.targets]):
+            target, rows = self.targets[start], slice(start, stop)
+            try:
+                _target_rows(target, x[:, rows], log_q[rows], r[rows],
+                             score[:, rows])
+            except (RuntimeError, FloatingPointError) as exc:
+                # harmless values for rows that leave the stack anyway
+                r[rows] = 0.0
+                score[:, rows] = 0.0
+                failed.update(dict.fromkeys(range(start, stop), exc))
+        taus = [cfg.schedule.tau_at(t, cfg.iterations)
+                if cfg.objective == "srfe" else 0.0 for cfg in self.cfgs]
+        reports, grad, _ = _q_side_rows(self.theta, eps, r, score, taus)
+        return ([rep.loss for rep in reports],
+                [rep.clamped for rep in reports], grad)
+
+    def _forward_step(self, xs: np.ndarray, failed: dict):
+        """Forward-KL rows: one target.log_prob on the shared samples."""
+        try:
+            log_p = self.targets[0].log_prob(xs)
+        except (RuntimeError, FloatingPointError) as exc:
+            failed.update(dict.fromkeys(range(len(self.jobs)), exc))
+            log_p = np.zeros(xs.shape[0])
+        losses, grad, _ = _forward_rows(self.theta, xs, log_p)
+        return losses.tolist(), [False] * len(self.jobs), grad
+
+    def _take(self, keep: list) -> None:
+        """Keep only the given rows."""
+        self.theta = self.theta[keep]
+        self.opt.take(keep)
+        for name in ("jobs", "targets", "cfgs", "losses", "clamps"):
+            setattr(self, name, [getattr(self, name)[j] for j in keep])
 
 
 def _cpu_count() -> int:
@@ -244,41 +327,21 @@ def _fit_lockstep(jobs, parent: int | None = None) -> list:
     """train_lockstep's loop, in this process.  A forked share passes the
     pid of the process that reads its outcomes, and exits once that
     process is gone."""
-    fits = [_Fit(target, cfg) for target, cfg in jobs]
-    keys = [fit.stream() for fit in fits]
-    rngs = {}
-    for fit, key in zip(fits, keys):
-        rngs.setdefault(key, np.random.default_rng(fit.cfg.seed))
-    outcomes: list = [None] * len(fits)
-    active = list(range(len(fits)))
+    streams = {}
+    for i, (target, cfg) in enumerate(jobs):
+        streams.setdefault(_stream(target, cfg), []).append(i)
+    stacks = [_Stack(jobs, rows) for rows in streams.values()]
+    outcomes: list = [None] * len(jobs)
     t = 0
-    while active:
+    while stacks:
         if parent is not None and os.getppid() != parent:
             os._exit(1)  # no one is left to read this share's outcomes
         t += 1
-        # each batch is dropped after its last reader, so no more batches
-        # are alive during a step than one job alone would hold
-        last_reader = {keys[i]: i for i in active}
-        batches = {}
-        still = []
-        for i in active:
-            fit, key = fits[i], keys[i]
-            noise = batches.get(key)
-            if noise is None:
-                noise = batches[key] = fit.draw(rngs[key])
-                noise.flags.writeable = False
-            if last_reader[key] == i:
-                del batches[key]
-            try:
-                fit.step(t, noise)
-            except (RuntimeError, FloatingPointError) as exc:
-                outcomes[i] = exc
-            else:
-                if t < fit.cfg.iterations:
-                    still.append(i)
-                else:
-                    outcomes[i] = fit.result()
-        active = still
+        # one batch is alive at a time: each is dropped after its stack's step
+        for stack in stacks:
+            for i, outcome in stack.step(t, stack.draw()):
+                outcomes[i] = outcome
+        stacks = [stack for stack in stacks if stack.jobs]
     return outcomes
 
 
@@ -314,13 +377,19 @@ def train_lockstep(jobs) -> list[TrainResult | Exception]:
     """Fit every (target, TrainConfig) job, all advancing one iteration at a
     time in job order.  Each job gets exactly the result train gives it.
 
-    Jobs whose noise streams have the same key (see _Fit.stream) share one
-    generator seeded with their seed, which draws one read-only batch per
-    iteration while any of them is still fitting; a job with fewer
-    iterations stops early and has read a prefix of the stream.  A
-    RuntimeError or FloatingPointError from a job's step ends that job
-    only and takes its place in the returned list; any other exception
-    propagates.
+    Jobs whose noise streams have the same key (see _stream) form one stack
+    with one generator seeded with their seed, which draws one read-only
+    batch per iteration while any of them is still fitting; a job with
+    fewer iterations stops early and has read a prefix of the stream.
+
+    Failures end jobs, not the stack.  A job whose loss or gradient is
+    non-finite at step t ends with RuntimeError("non-finite loss at step
+    t") or RuntimeError("non-finite gradient at step t") and leaves the
+    stack with its Adam rows; the other rows step on.  A RuntimeError or
+    FloatingPointError raised by a target pass ends every job of that pass
+    (the jobs of the stack with that target) with that exception.  A
+    failed job's exception takes its place in the returned list.  Any
+    other exception propagates.
 
     The jobs are fitted in _share_count interleaved shares: share 0 in
     this process, every other share in a forked child (see the module
@@ -372,8 +441,8 @@ def train(target, cfg: TrainConfig) -> TrainResult:
 
     target is duck-typed with four members: dim, log_prob(x),
     log_prob_and_score(x) and sample(n, rng), x of shape (n, d) (see
-    srfe_lab.estimators).  srfe reads log_prob_and_score, reverse KL
-    log_prob and log_prob_and_score, forward KL log_prob and sample.  The
+    srfe_lab.estimators).  srfe and reverse KL read log_prob_and_score,
+    forward KL log_prob and sample.  The
     srfe loss clamps its overlap estimate into [F_CLAMP_LOW, F_CLAMP_HIGH]
     of srfe_lab.estimators.
 

@@ -1,7 +1,8 @@
 """Monte-Carlo losses and gradients: exact zero at the target, clamp
 behaviour, common-random-numbers derivative checks, the per-coordinate
-gradient kernels against the (n, 2d) concatenated form, the Gaussian closed
-form, and second-moment bounds on the softmax family."""
+gradient kernels against the (n, 2d) concatenated form, every row of a
+stack of fits against the same fit alone, the Gaussian closed form, and
+second-moment bounds on the softmax family."""
 import dataclasses
 import math
 import warnings
@@ -12,7 +13,11 @@ import pytest
 
 from srfe_lab.discrete import DiscreteDist
 from srfe_lab.estimators import (
+    _forward_rows,
     _pathwise_grad,
+    _q_rows,
+    _q_side_rows,
+    _target_rows,
     estimator_second_moment,
     exact_second_moment,
     forward_kl_grad,
@@ -565,6 +570,94 @@ def test_kernels_match_reference_formulas(n_components, d):
     for eps_in in layouts(eps).values():
         np.testing.assert_array_equal(q.transform(eps_in),
                                       reference_transform(q, eps))
+
+
+# ---------------------------------------------------------------------------
+# Stacks: J fits on one shared batch, one array program.  Each row must come
+# out bit for bit as the same fit stepped alone by the one-row functions.
+# ---------------------------------------------------------------------------
+
+class NoSupport:
+    """No point in its support: every log ratio is -inf, so a free-energy
+    row clamps low."""
+    dim = 2
+
+    def log_prob_and_score(self, x):
+        x = np.asarray(x)
+        return np.full(x.shape[0], -np.inf), np.zeros_like(x)
+
+
+def stack_models():
+    """Models near the benchmark target and one far from it, which clamps
+    low at every tau."""
+    rng = np.random.default_rng(11)
+    near = [DiagonalGaussian(mu=rng.normal(scale=2.0, size=2),
+                             log_sigma=rng.normal(0.3, 0.3, size=2))
+            for _ in range(3)]
+    return near + [DiagonalGaussian(mu=np.full(2, 60.0),
+                                    log_sigma=np.zeros(2))]
+
+
+def stack_of(models):
+    return np.stack([np.stack((q.mu, q.log_sigma)) for q in models])
+
+
+@pytest.mark.parametrize("n", [1, 7, 1000])
+def test_stacked_q_side_rows_match_one_row_calls(n):
+    targets = (BENCH, ContaminatedMixture(base=BENCH, outlier_weight=0.0),
+               ContaminatedMixture(base=BENCH, outlier_weight=0.2),
+               NoSupport())
+    # rows grouped by target, as a stack orders them; tau 0 is reverse KL
+    rows = [(target, q, tau) for target in targets for q in stack_models()
+            for tau in (0.01, 0.0, 0.5, 0.99)]
+    theta = stack_of([q for _, q, _ in rows])
+    taus = [tau for _, _, tau in rows]
+    eps = np.random.default_rng(12).standard_normal((n, 2))
+    eps[:3] *= 6.0
+    clamped = 0
+    for eps_in in layouts(eps).values():
+        x, log_q = _q_rows(theta, eps_in)
+        assert x.flags.c_contiguous and log_q.flags.c_contiguous
+        r, score = np.empty(log_q.shape), np.empty(x.shape)
+        per_target = len(rows) // len(targets)
+        for k, target in enumerate(targets):
+            part = slice(k * per_target, (k + 1) * per_target)
+            _target_rows(target, x[:, part], log_q[part], r[part],
+                         score[:, part])
+        reports, grad, second = _q_side_rows(theta, eps_in, r, score, taus,
+                                             moments=True)
+        for j, (target, q, tau) in enumerate(rows):
+            if tau == 0.0:
+                want_loss = reverse_kl_loss(q, target, eps)
+                want = reverse_kl_grad(q, target, eps)
+                assert reports[j].loss == want_loss
+                assert reports[j].f_hat == 1.0 and not reports[j].clamped
+            else:
+                want_rep, want = srfe_mc_step(q, target, tau, eps)
+                assert reports[j] == want_rep
+                clamped += want_rep.clamped
+            np.testing.assert_array_equal(grad[j, 0], want.d_mu)
+            np.testing.assert_array_equal(grad[j, 1], want.d_log_sigma)
+            assert second[j] == want.second_moment
+        without = _q_side_rows(theta, eps_in, r.copy(), score, taus)
+        assert without[1].shape == grad.shape and without[2] is None
+    # the far model and the no-support target clamp low, at every tau
+    assert clamped >= 3 * 7
+
+
+@pytest.mark.parametrize("n", [1, 7, 1000])
+def test_stacked_forward_rows_match_one_row_calls(n):
+    models = stack_models()
+    xs = BENCH.sample(n, np.random.default_rng(13))
+    for xs_in in layouts(xs).values():
+        losses, grad, second = _forward_rows(
+            stack_of(models), xs_in, BENCH.log_prob(xs_in), moments=True)
+        for j, q in enumerate(models):
+            assert losses[j] == forward_kl_loss(q, BENCH, xs)
+            want = forward_kl_grad(q, xs)
+            np.testing.assert_array_equal(grad[j, 0], want.d_mu)
+            np.testing.assert_array_equal(grad[j, 1], want.d_log_sigma)
+            assert second[j] == want.second_moment
 
 
 # ---------------------------------------------------------------------------

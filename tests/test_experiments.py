@@ -64,14 +64,14 @@ class TestExp1:
 
 def test_cells_run_in_calling_thread_in_order(tmp_path, monkeypatch):
     calls = []
-    real_step = training._Fit.step
+    real_step = training._Stack.step
 
-    def recording_step(fit, t, noise):
-        calls.append((threading.get_ident(), t, fit.cfg.objective,
-                      fit.cfg.schedule.describe()))
-        return real_step(fit, t, noise)
+    def recording_step(stack, t, noise):
+        calls.extend((threading.get_ident(), t, cfg.objective,
+                      cfg.schedule.describe()) for cfg in stack.cfgs)
+        return real_step(stack, t, noise)
 
-    monkeypatch.setattr(training._Fit, "step", recording_step)
+    monkeypatch.setattr(training._Stack, "step", recording_step)
     # one share: a forked share's steps would not reach this recorder
     monkeypatch.setattr(training, "_cpu_count", lambda: 1)
     run_exp1(RunConfig(tau_grid=(0.3, 0.7), iterations=2, batch_size=20,
@@ -189,13 +189,13 @@ class TestExp4:
     def test_cells_share_one_noise_batch_per_iteration(self, tmp_path,
                                                        monkeypatch):
         seen = []
-        real_step = training.srfe_mc_step
+        real_step = training._Stack.step
 
-        def recording_step(q, target, tau, eps):
-            seen.append(eps)
-            return real_step(q, target, tau, eps)
+        def recording_step(stack, t, eps):
+            seen.extend(eps for _ in stack.jobs)
+            return real_step(stack, t, eps)
 
-        monkeypatch.setattr(training, "srfe_mc_step", recording_step)
+        monkeypatch.setattr(training._Stack, "step", recording_step)
         # one share: a forked share's steps would not reach this recorder
         monkeypatch.setattr(training, "_cpu_count", lambda: 1)
         res = run_exp4(RunConfig(tau_grid=(0.3, 0.7),

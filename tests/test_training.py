@@ -1,6 +1,6 @@
 """Optimizer arithmetic frozen against hand-computed steps, schedule shapes,
-and determinism of the fitting loop, alone, in lockstep and in forked
-shares."""
+and determinism of the fitting loop, alone, in lockstep stacks (against the
+per-job loop they replace) and in forked shares."""
 import math
 import os
 import select
@@ -15,6 +15,9 @@ import numpy as np
 import pytest
 
 from srfe_lab import training
+from srfe_lab.estimators import (forward_kl_grad, forward_kl_loss,
+                                 reverse_kl_grad, reverse_kl_loss,
+                                 srfe_mc_step)
 from srfe_lab.gaussians import (ContaminatedMixture, DiagonalGaussian,
                                 GaussianMixture)
 from srfe_lab.training import (Adam, TauSchedule, TrainConfig, TrainResult,
@@ -49,6 +52,79 @@ class ExitingTarget:
 
     def log_prob_and_score(self, x):
         os._exit(3)
+
+
+class FailingTarget:
+    """BENCH until its pass number fail_at, which raises exc."""
+
+    def __init__(self, fail_at, exc):
+        self.dim, self.calls, self.fail_at, self.exc = 2, 0, fail_at, exc
+
+    def _count(self):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise self.exc
+
+    def log_prob(self, x):
+        self._count()
+        return BENCH.log_prob(x)
+
+    def log_prob_and_score(self, x):
+        self._count()
+        return BENCH.log_prob_and_score(x)
+
+    def sample(self, n, rng):
+        return BENCH.sample(n, rng)
+
+
+def per_job_fit(target, cfg):
+    """One job fitted alone, one one-row estimator call per iteration: the
+    loop the stacks replace, kept here as their reference."""
+    rng = np.random.default_rng(cfg.seed)
+    theta = np.zeros((2, target.dim))
+    opt = Adam(theta.shape, lr=cfg.learning_rate)
+    losses, clamps = np.empty(cfg.iterations), 0
+    for t in range(1, cfg.iterations + 1):
+        q = DiagonalGaussian(*theta)
+        if cfg.objective == "forward_kl":
+            xs = target.sample(cfg.batch_size, rng)
+            loss, grad = forward_kl_loss(q, target, xs), forward_kl_grad(q, xs)
+        else:
+            eps = rng.standard_normal((cfg.batch_size, target.dim))
+            if cfg.objective == "srfe":
+                tau = cfg.schedule.tau_at(t, cfg.iterations)
+                report, grad = srfe_mc_step(q, target, tau, eps)
+                loss, clamps = report.loss, clamps + report.clamped
+            else:
+                loss = reverse_kl_loss(q, target, eps)
+                grad = reverse_kl_grad(q, target, eps)
+        if not np.isfinite(loss):
+            raise RuntimeError(f"non-finite loss at step {t}")
+        d_theta = np.array((grad.d_mu, grad.d_log_sigma))
+        if not np.all(np.isfinite(d_theta)):
+            raise RuntimeError(f"non-finite gradient at step {t}")
+        losses[t - 1] = loss
+        theta = opt.step(theta, d_theta)
+    return TrainResult(model=DiagonalGaussian(*theta), loss_history=losses,
+                       clamp_count=clamps)
+
+
+def assert_same_outcome(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, Exception):
+        assert str(got) == str(want)
+        return
+    np.testing.assert_array_equal(got.loss_history, want.loss_history)
+    np.testing.assert_array_equal(got.model.mu, want.model.mu)
+    np.testing.assert_array_equal(got.model.log_sigma, want.model.log_sigma)
+    assert got.clamp_count == want.clamp_count
+
+
+def per_job_outcome(target, cfg):
+    try:
+        return per_job_fit(target, cfg)
+    except RuntimeError as exc:
+        return exc
 
 
 @pytest.fixture
@@ -286,6 +362,55 @@ class TestTrain:
                                           solo.model.log_sigma)
             assert outcome.clamp_count == solo.clamp_count
 
+    def test_stacks_match_the_per_job_loop(self, monkeypatch):
+        # mixed stacks whose rows finish at different iterations, a failing
+        # row among them, and rows that clamp
+        monkeypatch.setattr(training, "_cpu_count", lambda: 1)
+        jobs = self.lockstep_jobs()
+        outcomes = train_lockstep(jobs)
+        assert any(o.clamp_count for o in outcomes if isinstance(o, TrainResult))
+        for (target, job_cfg), outcome in zip(jobs, outcomes):
+            assert_same_outcome(outcome, per_job_outcome(target, job_cfg))
+
+    @pytest.mark.parametrize("exc", [RuntimeError("target gave up"),
+                                     FloatingPointError("overflow")],
+                             ids=["RuntimeError", "FloatingPointError"])
+    def test_target_error_ends_every_job_of_its_pass(self, monkeypatch, exc):
+        monkeypatch.setattr(training, "_cpu_count", lambda: 1)
+        cfg = self.small_cfg
+        failing, failing_samples = FailingTarget(3, exc), FailingTarget(4, exc)
+        contaminated = ContaminatedMixture(base=BENCH, outlier_weight=0.2)
+        # one eps stack holding three targets, and a forward-KL stack
+        jobs = [
+            (BENCH, cfg(iterations=6)),
+            (failing, cfg(schedule=TauSchedule.fixed(0.9))),
+            (contaminated, cfg(schedule=TauSchedule.fixed(0.99))),
+            (failing, cfg(objective="reverse_kl")),
+            (BENCH, cfg(objective="reverse_kl", iterations=8)),
+            (failing_samples, cfg(objective="forward_kl", iterations=6)),
+            (failing_samples, cfg(objective="forward_kl")),
+            (BENCH, cfg(objective="forward_kl", iterations=5)),
+        ]
+        outcomes = train_lockstep(jobs)
+        # the pass of step 3 raised once, for both of its jobs
+        assert outcomes[1] is outcomes[3] is exc
+        assert outcomes[5] is outcomes[6] is exc
+        assert failing.calls == 3 and failing_samples.calls == 4
+        for k in (0, 2, 4, 7):
+            assert_same_outcome(outcomes[k], per_job_outcome(*jobs[k]))
+
+    def test_non_finite_row_leaves_its_stack(self, monkeypatch):
+        monkeypatch.setattr(training, "_cpu_count", lambda: 1)
+        cfg = self.small_cfg
+        jobs = [(BENCH, cfg(objective="reverse_kl")),
+                (NanScoreTarget(), cfg(objective="reverse_kl")),
+                (BENCH, cfg(iterations=9))]
+        outcomes = train_lockstep(jobs)
+        assert type(outcomes[1]) is RuntimeError
+        assert str(outcomes[1]) == "non-finite gradient at step 1"
+        for k in (0, 2):
+            assert_same_outcome(outcomes[k], per_job_outcome(*jobs[k]))
+
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_shares_match_one_share(self, monkeypatch, forks, cpus):
         jobs = self.lockstep_jobs()
@@ -332,13 +457,13 @@ class TestTrain:
     def test_second_thread_keeps_every_step_in_process(self, monkeypatch,
                                                        forks):
         steps = []
-        real_step = training._Fit.step
+        real_step = training._Stack.step
 
-        def recording_step(fit, t, noise):
-            steps.append((os.getpid(), t))
-            return real_step(fit, t, noise)
+        def recording_step(stack, t, noise):
+            steps.extend((os.getpid(), t) for _ in stack.jobs)
+            return real_step(stack, t, noise)
 
-        monkeypatch.setattr(training._Fit, "step", recording_step)
+        monkeypatch.setattr(training._Stack, "step", recording_step)
         release = threading.Event()
         other = threading.Thread(target=release.wait)
         other.start()
