@@ -48,6 +48,10 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 # ContaminatedMixture's outlier box is [BOX_LOW, BOX_HIGH]^d.
 BOX_LOW = -10.0
 BOX_HIGH = 10.0
+# Rows a large Monte Carlo pass (verify's tail check, a target-entropy
+# estimate) holds at a time: its working set stays a few hundred kB per
+# block, whatever its draw count.
+BLOCK_ROWS = 8192
 
 
 def _as_batch(x, dim: int) -> tuple[np.ndarray, bool]:
@@ -276,8 +280,12 @@ class GaussianMixture:
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         comps = rng.choice(self.n_components, size=n, p=self.weights)
+        # the draws are built in the noise array: IEEE multiply and add
+        # commute, so this is means[comps] + sqrt(variance) * noise exactly
         noise = rng.standard_normal((n, self.dim))
-        return self.means[comps] + np.sqrt(self.variance) * noise
+        noise *= np.sqrt(self.variance)
+        noise += self.means[comps]
+        return noise
 
     def mean(self) -> np.ndarray:
         return self.weights @ self.means
@@ -364,7 +372,8 @@ class ContaminatedMixture:
         from_box = rng.random(n) < self.outlier_weight
         base_draws = self.base.sample(n, rng)
         box_draws = rng.uniform(BOX_LOW, BOX_HIGH, size=(n, self.dim))
-        return np.where(from_box[:, None], box_draws, base_draws)
+        np.copyto(base_draws, box_draws, where=from_box[:, None])
+        return base_draws
 
 
 def srfe_equal_covariance(mu1, mu2, variance: float) -> float:

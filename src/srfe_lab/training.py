@@ -28,12 +28,13 @@ Jobs are split into one interleaved share per CPU this process may run on
 (job i to share i mod P).  The calling process fits share 0; each other
 share is fitted the same way in a child made with os.fork, which redraws
 its noise from the same seeds and pickles its outcomes back over a pipe.
-Every job therefore gets the outcome it gets alone.  With one CPU, one job,
-no os.fork, or a second Python thread alive (its locks would be copied
-held), there is one share and no fork.  Shares are processes, not threads:
-a stack step is about a hundred short numpy calls, so worker threads
-would mostly pass the interpreter lock between them rather than overlap
-work.
+Every job therefore gets the outcome it gets alone (an exception that
+cannot cross the pipe as itself comes back as a RuntimeError naming it).
+With one CPU, one job, no os.fork, or a second Python thread alive (its
+locks would be copied held), there is one share and no fork.  Shares are
+processes, not threads: a stack step is about a hundred short numpy
+calls, so worker threads would mostly pass the interpreter lock between
+them rather than overlap work.
 """
 
 from __future__ import annotations
@@ -345,9 +346,22 @@ def _fit_lockstep(jobs, parent: int | None = None) -> list:
     return outcomes
 
 
+def _picklable(exc: Exception) -> Exception:
+    """exc, or where it does not survive a pickle round trip (a constructor
+    that takes other arguments than exc.args, say) a RuntimeError that
+    names its type and carries its message."""
+    try:
+        pickle.loads(pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
+    except Exception:
+        return RuntimeError(f"{type(exc).__name__}: {exc}")
+    return exc
+
+
 def _fork_share(jobs, parent: int):
     """Fit jobs in a forked child; its pid and the read end of the pipe
-    that carries ("done", outcomes) or ("raise", exception) back."""
+    that carries ("done", outcomes) or ("raise", exception) back.  Each
+    exception sent is first passed through _picklable, so that the parent
+    can always read the payload."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -361,9 +375,11 @@ def _fork_share(jobs, parent: int):
         try:
             os.close(read_fd)
             try:
-                payload = ("done", _fit_lockstep(jobs, parent))
+                outcomes = _fit_lockstep(jobs, parent)
+                payload = ("done", [_picklable(o) if isinstance(o, Exception)
+                                    else o for o in outcomes])
             except Exception as exc:
-                payload = ("raise", exc)
+                payload = ("raise", _picklable(exc))
             with os.fdopen(write_fd, "wb") as fh:
                 pickle.dump(payload, fh, pickle.HIGHEST_PROTOCOL)
             code = 0
@@ -393,7 +409,11 @@ def train_lockstep(jobs) -> list[TrainResult | Exception]:
 
     The jobs are fitted in _share_count interleaved shares: share 0 in
     this process, every other share in a forked child (see the module
-    docstring).  Outcomes come back in job order.
+    docstring).  Outcomes come back in job order.  An exception from a
+    forked share that does not survive a pickle round trip arrives as
+    RuntimeError("<its type name>: <its message>") in its place, in the
+    returned list or raised, so a failed job still fails alone and with
+    its message whatever the CPU count.
     """
     jobs = list(jobs)
     shares = _share_count(len(jobs))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -10,6 +12,26 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("default")
+
+
+@pytest.fixture
+def traced_peak_mb():
+    """fn -> the most memory, in MiB, that fn() held at once above what was
+    held when it was called, as tracemalloc sees it (numpy reports its
+    array buffers to tracemalloc)."""
+    def measure(fn):
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            fn()
+            return (tracemalloc.get_traced_memory()[1] - before) / 2 ** 20
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+    return measure
 
 
 @pytest.fixture(scope="session")

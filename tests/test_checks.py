@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from srfe_lab.checks import (
+    A_GRID_31,
+    TAU_GRID_9,
     CheckReport,
     check_expansions,
     check_fisher_metric,
@@ -15,10 +17,12 @@ from srfe_lab.checks import (
     check_not_f_divergence,
     check_second_moment_bounds,
     check_tail_bounds,
+    check_tail_bounds_mc,
     dirichlet_pair,
     run_all,
 )
 from srfe_lab.discrete import DiscreteDist
+from srfe_lab.gaussians import DiagonalGaussian, srfe_equal_covariance
 
 PAIR = (DiscreteDist(np.array([0.5, 0.5])), DiscreteDist(np.array([0.25, 0.75])))
 
@@ -127,6 +131,42 @@ class TestIndividualChecks:
         p, q = dirichlet_pair(np.random.default_rng(0), 7)
         assert p.size == q.size == 7
         assert p.probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def one_shot_tail_bounds_mc(seed):
+    """check_tail_bounds_mc's report as one pass over all 10^6 draws: the
+    whole gap array drawn, sorted and searched at once."""
+    mean_shift, variance, n = 1.0, 0.5, 10 ** 6
+    log_sigma = np.array([0.5 * np.log(variance)])
+    p = DiagonalGaussian(np.array([mean_shift]), log_sigma)
+    q = DiagonalGaussian(np.array([0.0]), log_sigma)
+    x = q.sample(n, np.random.default_rng(seed))
+    gaps = np.sort(p.log_prob(x) - q.log_prob(x))
+    a = np.asarray(A_GRID_31)
+    freq = (n - np.searchsorted(gaps, a, side="left")) / n
+    slack = 4.0 * np.sqrt(freq * (1.0 - freq) / n)
+    tau = np.asarray(TAU_GRID_9)[:, None]
+    log_f = -tau * (1.0 - tau) * srfe_equal_covariance(p.mu, q.mu, variance)
+    margin = freq - np.exp(-tau * a + log_f) - slack
+    violations = int((margin > 0).sum())
+    return CheckReport(
+        "tail_bounds_mc", violations == 0, np.array([float(violations)]),
+        np.array([0.0]),
+        f"normal pair shift {mean_shift}, variance {variance}, n={n}: "
+        f"{violations} violations, worst margin {float(margin.max()):.3e}",
+    ).to_dict()
+
+
+class TestTailBoundsMc:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_blocked_check_reports_the_one_shot_check(self, seed):
+        assert check_tail_bounds_mc(seed).to_dict() == \
+            one_shot_tail_bounds_mc(seed)
+
+    def test_holds_one_block_of_draws(self, traced_peak_mb):
+        # the one-shot pass held about 30 MiB: 10^6 draws, their gaps and
+        # the sorted copy
+        assert traced_peak_mb(lambda: check_tail_bounds_mc(1)) < 8.0
 
 
 def test_report_is_frozen():

@@ -8,7 +8,8 @@ import pytest
 from srfe_lab.evaluation import N_ENTROPY, N_ESS, entropy_error, ess, \
     evaluate, mode_coverage, target_entropy
 from srfe_lab.evaluation import test_log_lik as held_out_log_lik
-from srfe_lab.gaussians import DiagonalGaussian, GaussianMixture
+from srfe_lab.gaussians import (BLOCK_ROWS, ContaminatedMixture,
+                                DiagonalGaussian, GaussianMixture)
 
 MEANS = np.array([[-3.0, 0.0], [3.0, 0.0], [0.0, 4.0]])
 BENCH = GaussianMixture(means=MEANS, variance=0.5,
@@ -100,6 +101,27 @@ class TestEntropyError:
         # the model misses the spread between modes but matches one
         # component's entropy; the gap is the mixture's extra spread
         assert 0.3 <= err <= 1.5
+
+
+class TestTargetEntropy:
+    TARGETS = {"mixture": BENCH,
+               "w=0": ContaminatedMixture(base=BENCH, outlier_weight=0.0),
+               "w=0.2": ContaminatedMixture(base=BENCH, outlier_weight=0.2)}
+
+    @pytest.mark.parametrize("n", [1, BLOCK_ROWS - 1, BLOCK_ROWS + 1,
+                                   N_ENTROPY])
+    @pytest.mark.parametrize("name", TARGETS)
+    def test_blocked_mean_is_the_one_pass_mean(self, name, n):
+        target = self.TARGETS[name]
+        xs = target.sample(n, np.random.default_rng(5))
+        one_pass = -float(np.mean(target.log_prob(xs)))
+        assert target_entropy(target, n, np.random.default_rng(5)) == one_pass
+
+    def test_holds_the_sample_and_one_block(self, traced_peak_mb):
+        # one pass over all 10^5 draws held about 8.4 MiB
+        target = self.TARGETS["w=0.2"]
+        assert traced_peak_mb(lambda: target_entropy(
+            target, N_ENTROPY, np.random.default_rng(2))) < 6.0
 
 
 class TestTestLogLik:

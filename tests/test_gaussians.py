@@ -395,6 +395,37 @@ def test_kernels_match_broadcast_formulas(n_components, d):
                                   np.log1p(-0.2) + near.log_prob(outside))
 
 
+def out_of_place_samples(mix, n, rng, outlier_weight=None):
+    """The draws of GaussianMixture.sample, or ContaminatedMixture.sample
+    with its base mix, each formula taking a new array per operation."""
+    if outlier_weight is not None:
+        from_box = rng.random(n) < outlier_weight
+        base_draws = out_of_place_samples(mix, n, rng)
+        box_draws = rng.uniform(-10.0, 10.0, size=(n, mix.dim))
+        return np.where(from_box[:, None], box_draws, base_draws)
+    comps = rng.choice(mix.n_components, size=n, p=mix.weights)
+    noise = rng.standard_normal((n, mix.dim))
+    return mix.means[comps] + np.sqrt(mix.variance) * noise
+
+
+@pytest.mark.parametrize("n", [1, 7, 5000])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_samples_match_the_out_of_place_formulas(n, d):
+    rng = np.random.default_rng(10 * n + d)
+    mix = GaussianMixture(means=rng.normal(scale=3.0, size=(3, d)),
+                          variance=0.7, weights=WEIGHTS)
+    for w in (None, 0.0, 0.2):
+        dist = mix if w is None else ContaminatedMixture(base=mix,
+                                                         outlier_weight=w)
+        got_rng, want_rng = (np.random.default_rng(n) for _ in range(2))
+        got = dist.sample(n, got_rng)
+        want = out_of_place_samples(mix, n, want_rng, w)
+        assert got.shape == want.shape == (n, d)
+        assert got.tobytes() == want.tobytes()
+        # and the generator is left where the formulas leave it
+        assert got_rng.random() == want_rng.random()
+
+
 class TestEqualCovarianceValue:
     def test_unit_shift(self):
         assert srfe_equal_covariance([0.0], [1.0], 0.5) == 1.0

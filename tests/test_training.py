@@ -54,6 +54,22 @@ class ExitingTarget:
         os._exit(3)
 
 
+class TwoArgumentError(RuntimeError):
+    """A RuntimeError whose constructor does not take its own args back, so
+    pickle cannot rebuild it."""
+
+    def __init__(self, what, step):
+        super().__init__(f"{what} gave up at pass {step}")
+
+
+class TwoArgumentValueError(ValueError):
+    """The same for an exception the runner does not turn into a failed
+    job."""
+
+    def __init__(self, what, step):
+        super().__init__(f"{what} rejects pass {step}")
+
+
 class FailingTarget:
     """BENCH until its pass number fail_at, which raises exc."""
 
@@ -442,6 +458,45 @@ class TestTrain:
             train_lockstep(jobs)
         assert type(error.value) is ValueError
         assert str(error.value) == "target rejects the batch"
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_unpicklable_job_error_fails_each_job_alone(self, monkeypatch,
+                                                         forks):
+        cfg = self.small_cfg
+
+        def jobs():
+            # one failing target per job; jobs 1 and 3 are share 1's
+            return [(FailingTarget(3, TwoArgumentError("target", 3)),
+                     cfg(seed=k)) for k in range(4)]
+
+        monkeypatch.setattr(training, "_cpu_count", lambda: 1)
+        alone = train_lockstep(jobs())
+        monkeypatch.setattr(training, "_cpu_count", lambda: 2)
+        shared = train_lockstep(jobs())
+        assert len(forks) == 1
+        assert all(type(o) is TwoArgumentError for o in alone)
+        assert all(str(o) == "target gave up at pass 3" for o in alone)
+        for a, b in zip(alone[0::2], shared[0::2]):  # share 0, this process
+            assert type(b) is TwoArgumentError and str(b) == str(a)
+        for a, b in zip(alone[1::2], shared[1::2]):  # share 1, forked
+            assert type(b) is RuntimeError
+            assert str(b) == f"TwoArgumentError: {a}"
+        assert_no_child_left()
+
+    def test_unpicklable_raised_error_propagates_named(self, forks):
+        cfg = self.small_cfg
+
+        class Rejecting(RejectingTarget):
+            def log_prob_and_score(self, x):
+                raise TwoArgumentValueError("target", 1)
+
+        jobs = [(BENCH, cfg()), (Rejecting(), cfg()), (BENCH, cfg())]
+        with pytest.raises(RuntimeError) as error:
+            train_lockstep(jobs)
+        assert type(error.value) is RuntimeError
+        assert str(error.value) == \
+            "TwoArgumentValueError: target rejects pass 1"
         assert len(forks) == 1
         assert_no_child_left()
 
