@@ -20,6 +20,7 @@ import numpy as np
 
 from .discrete import (
     DiscreteDist,
+    _row_dot,
     cr_associated,
     cr_expansion_prediction,
     cr_standard,
@@ -83,8 +84,7 @@ def check_kl_limits(p: DiscreteDist, q: DiscreteDist) -> CheckReport:
     divergence as its order approaches 0 (KL(p||q)) and -1 (KL(q||p)).
     """
     eps = np.array([0.02, 0.01])
-    kf = kl_discrete(p, q)
-    kr = kl_discrete(q, p)
+    kf, kr = kl_discrete(p, q), kl_discrete(q, p)
     errs = np.abs([
         srfe_discrete(p, q, 1.0 - eps) - kf,
         srfe_discrete(p, q, eps) - kr,
@@ -102,10 +102,8 @@ def check_kl_limits(p: DiscreteDist, q: DiscreteDist) -> CheckReport:
     slope_f = abs(kf - 0.5 * surprisal_stats(p, q).variance)
     slope_r = abs(kr - 0.5 * surprisal_stats(q, p).variance)
     slope_obs = errs[:2, 1] / eps[1]
-    slope_ok = True
-    for obs, pred in zip(slope_obs, (slope_f, slope_r)):
-        if pred > 1e-8:
-            slope_ok = slope_ok and abs(obs - pred) <= 0.25 * pred
+    slope_ok = all(abs(obs - pred) <= 0.25 * pred
+                   for obs, pred in zip(slope_obs, (slope_f, slope_r)) if pred > 1e-8)
     return _report(
         "kl_limits", bool(in_bracket.all()) and slope_ok,
         np.concatenate([ratios, slope_obs]),
@@ -206,16 +204,17 @@ def check_fisher_metric_simplex() -> CheckReport:
 
 
 def check_tail_bounds(p: DiscreteDist, q: DiscreteDist) -> CheckReport:
-    """Exceedance probability of the surprisal gap never beats its bound."""
-    a = np.asarray(A_GRID_31)
-    bounds = tail_bound(p, q, np.asarray(TAU_GRID_9)[:, None], a)
+    """Exceedance probability of the surprisal gap never beats its bound,
+    on every pair of the batch (p, q) of shape (..., k); the report counts
+    the violations of all pairs and gives the worst margin."""
+    a = np.asarray(A_GRID_31)[:, None]
+    bounds = tail_bound(p, q, np.asarray(TAU_GRID_9)[:, None, None], a)
     margin = exact_tail_prob(p, q, a) - bounds
     violations = int((margin > 0).sum())
-    worst = float(margin.max())
     return _report(
         "tail_bounds", violations == 0, [violations], [0],
         f"{len(TAU_GRID_9)}x{len(A_GRID_31)} grid, {violations} violations, "
-        f"worst exact-minus-bound margin {worst:.3e}",
+        f"worst exact-minus-bound margin {margin.max():.3e}",
     )
 
 
@@ -250,11 +249,10 @@ def check_tail_bounds_mc(seed: int = 0) -> CheckReport:
     log_f = -tau * (1.0 - tau) * value
     margin = freq - np.exp(-tau * a + log_f) - slack
     violations = int((margin > 0).sum())
-    worst = float(margin.max())
     return _report(
         "tail_bounds_mc", violations == 0, [violations], [0],
         f"normal pair shift {mean_shift}, variance {variance}, n={n}: "
-        f"{violations} violations, worst margin {worst:.3e}",
+        f"{violations} violations, worst margin {margin.max():.3e}",
     )
 
 
@@ -280,40 +278,45 @@ def check_kl_upper_bounds(p: DiscreteDist, q: DiscreteDist) -> CheckReport:
 
 
 def check_gradient_identity(p: DiscreteDist, logits: np.ndarray,
-                            tau: float) -> CheckReport:
+                            tau) -> CheckReport:
     """Closed-form logit gradients vs central differences, softmax family.
 
     The free-energy gradient is -(escort - q)/tau; the power-divergence
     gradient at order tau - 1 is -(1/tau) E_q[(p/q)^tau (onehot - q)],
     whose baseline-subtracted variant is algebraically identical because
     scores average to zero.  Central differences take step 1e-5.
+
+    Takes one instance, or a batch: p and logits of shape (..., k) and tau
+    of the batch shape.  The report gives each error's maximum over the
+    batch and passes iff every instance passes.
     """
     fd_step = 1e-5
     logits = np.asarray(logits, dtype=float)
+    tau_col = np.asarray(tau, dtype=float)[..., None]
     q = softmax(logits)
     q_dist = DiscreteDist.from_unnormalized(q)
-    lam = tau - 1.0
 
-    closed_srfe = -(escort(p, q_dist, tau).probs - q) / tau
-    u_tau = (p.probs / q) ** tau
-    mean_u = float(q @ u_tau)
-    closed_cr = -q * (u_tau - mean_u) / tau
-    baselined = -q * ((u_tau - 1.0) - (mean_u - 1.0)) / tau
+    closed_srfe = -(escort(p, q_dist, tau).probs - q) / tau_col
+    u_tau = (p.probs / q) ** tau_col
+    mean_u = _row_dot(q, u_tau)[..., None]
+    closed_cr = -q * (u_tau - mean_u) / tau_col
+    baselined = -q * ((u_tau - 1.0) - (mean_u - 1.0)) / tau_col
 
-    # row k of hi / lo moves logit k by +- fd_step
-    bumps = fd_step * np.eye(logits.size)
-    hi = DiscreteDist.from_unnormalized(softmax(logits + bumps))
-    lo = DiscreteDist.from_unnormalized(softmax(logits - bumps))
-    fd_srfe = (srfe_discrete(p, hi, tau) - srfe_discrete(p, lo, tau)) / (2 * fd_step)
-    fd_cr = (cr_standard(p, hi, lam) - cr_standard(p, lo, lam)) / (2 * fd_step)
+    # row j of moved[0] / moved[1] moves logit j by +- fd_step, and meets
+    # its instance's p and tau as one more batch axis
+    bumps = fd_step * np.eye(logits.shape[-1])
+    moved = np.stack([logits[..., None, :] + bumps, logits[..., None, :] - bumps])
+    moved = DiscreteDist.from_unnormalized(softmax(moved))
+    p_rows = DiscreteDist(p.probs[..., None, :])
+    fd_srfe = np.subtract(*srfe_discrete(p_rows, moved, tau_col)) / (2 * fd_step)
+    fd_cr = np.subtract(*cr_standard(p_rows, moved, tau_col - 1.0)) / (2 * fd_step)
 
     err_srfe = float(np.abs(fd_srfe - closed_srfe).max())
     err_cr = float(np.abs(fd_cr - closed_cr).max())
     err_base = float(np.abs(closed_cr - baselined).max())
     ok = err_srfe <= 1e-6 and err_cr <= 1e-6 and err_base <= 1e-12
     return _report(
-        "gradient_identity", bool(ok), [err_srfe, err_cr, err_base],
-        [1e-6, 1e-6, 1e-12],
+        "gradient_identity", ok, [err_srfe, err_cr, err_base], [1e-6, 1e-6, 1e-12],
         f"max |fd - closed|: free-energy {err_srfe:.2e}, power-divergence "
         f"{err_cr:.2e}; baseline-subtracted discrepancy {err_base:.2e}",
     )
@@ -325,18 +328,23 @@ def check_monotone_equivalence(seed: int = 0) -> CheckReport:
     The two divergences rank alternatives identically, and
     h(d) = -log(1 - tau(1-tau) d) / (tau(1-tau)) carries one value to the
     other exactly.  Probed on 10^4 random triples at tau = 0.5.
+
+    The triples are drawn and evaluated BLOCK_ROWS // 4 at a time from one
+    generator, which gives the one-shot stream; the disagreements add up
+    and the worst map error is the maximum over the blocks.
     """
-    n_pairs, tau = 10 ** 4, 0.5
-    # one triple (p, q1, q2) per row, drawn in the order of one draw each
-    draws = np.random.default_rng(seed).dirichlet(np.ones(5), size=(n_pairs, 3))
-    p = DiscreteDist.from_unnormalized(draws[:, :1])
-    q = DiscreteDist.from_unnormalized(draws[:, 1:])
-    s = srfe_discrete(p, q, tau)
-    d = cr_associated(p, q, tau)
-    ds, dd = s[:, 0] - s[:, 1], d[:, 0] - d[:, 1]
-    distinct = np.abs(dd) > 1e-12 * np.maximum(1.0, np.abs(d).max(axis=1))
-    disagreements = int(np.sum(distinct & (ds * dd < 0)))
-    worst_map = float(np.max(np.abs(monotone_map(d, tau) - s), initial=0.0))
+    n_pairs, tau, block = 10 ** 4, 0.5, BLOCK_ROWS // 4
+    rng = np.random.default_rng(seed)
+    disagreements, worst_map = 0, 0.0
+    for start in range(0, n_pairs, block):
+        # one triple (p, q1, q2) per row, drawn in the order of one draw each
+        draws = rng.dirichlet(np.ones(5), size=(min(block, n_pairs - start), 3))
+        p, q = map(DiscreteDist.from_unnormalized, (draws[:, :1], draws[:, 1:]))
+        s, d = srfe_discrete(p, q, tau), cr_associated(p, q, tau)
+        ds, dd = s[:, 0] - s[:, 1], d[:, 0] - d[:, 1]
+        distinct = np.abs(dd) > 1e-12 * np.maximum(1.0, np.abs(d).max(axis=1))
+        disagreements += int(np.sum(distinct & (ds * dd < 0)))
+        worst_map = float(np.max(np.abs(monotone_map(d, tau) - s), initial=worst_map))
     ok = disagreements == 0 and worst_map <= 1e-12
     return _report(
         "monotone_equivalence", bool(ok), [disagreements, worst_map],
@@ -396,8 +404,7 @@ def check_second_moment_bounds(p: DiscreteDist,
 
     # starved-point sequence: proposal mass 10^-k on the heaviest target point
     tau_v = 0.7
-    heavy = np.array([0.4, 0.3, 0.2, 0.1])
-    heavy_dist = DiscreteDist(heavy)
+    heavy_dist = DiscreteDist(np.array([0.4, 0.3, 0.2, 0.1]))
     cr_series = []
     escort_ok = True
     for k in range(2, 9):
@@ -407,8 +414,7 @@ def check_second_moment_bounds(p: DiscreteDist,
         cr_series.append(exact_second_moment("cr", heavy_dist, lk, tau_v).empirical)
         esc = exact_second_moment("srfe_escort", heavy_dist, lk, tau_v)
         escort_ok = escort_ok and esc.empirical <= esc.bound * (1.0 + 1e-12)
-    growth = np.diff(np.array(cr_series))
-    grows = bool((growth > 0).all())
+    grows = bool((np.diff(cr_series) > 0).all())
     span = cr_series[-1] / cr_series[0]
 
     ok = worst_excess <= 0 and worst_ratio <= 1e-12 and grows and escort_ok
@@ -422,6 +428,16 @@ def check_second_moment_bounds(p: DiscreteDist,
     )
 
 
+def _stack_by_size(cases: list[tuple]) -> list[tuple]:
+    """Cases stacked field by field along a new first axis, one tuple per
+    support size (the last axis of a case's first field), each size's cases
+    in their order."""
+    groups: dict[int, list[tuple]] = {}
+    for case in cases:
+        groups.setdefault(case[0].shape[-1], []).append(case)
+    return [tuple(map(np.stack, zip(*group))) for group in groups.values()]
+
+
 def run_all(seed: int = 0, inject_failure: bool = False) -> list[CheckReport]:
     """The full battery, deterministic for a given seed.
 
@@ -432,31 +448,32 @@ def run_all(seed: int = 0, inject_failure: bool = False) -> list[CheckReport]:
     worked_p = DiscreteDist(np.array([0.5, 0.5]))
     worked_q = DiscreteDist(np.array([0.25, 0.75]))
     kl_pairs = dirichlet_pair(rng, 6, n=1000)
-    tail_pairs = [dirichlet_pair(rng, int(rng.integers(2, 11))) for _ in range(50)]
-    grad_cases = []
+    # drawn instance by instance, checked as one batch per support size
+    tail_draws = [tuple(rng.dirichlet(np.ones(int(rng.integers(2, 11))), size=2))
+                  for _ in range(50)]
+    grad_draws = []
     for _ in range(50):
         size = int(rng.integers(3, 7))
-        grad_cases.append((DiscreteDist.from_unnormalized(rng.dirichlet(np.ones(size))),
-                           rng.standard_normal(size),
-                           float(rng.uniform(0.1, 0.9))))
+        grad_draws.append((rng.dirichlet(np.ones(size)), rng.standard_normal(size),
+                           rng.uniform(0.1, 0.9)))
     moment_p = DiscreteDist.from_unnormalized(rng.dirichlet(np.ones(5)))
     moment_logits = rng.standard_normal(5)
 
     def tail_sweep() -> CheckReport:
-        reports = [check_tail_bounds(p, q) for p, q in tail_pairs]
-        failing = sum(not r.passed for r in reports)
+        reports = [check_tail_bounds(*map(DiscreteDist.from_unnormalized, pair))
+                   for pair in _stack_by_size(tail_draws)]
         total = int(sum(r.observed[0] for r in reports))
-        return _report("tail_bounds", failing == 0, [total], [0],
-                       f"{len(reports)} random pairs, 9x31 grid each: "
+        return _report("tail_bounds", all(r.passed for r in reports), [total], [0],
+                       f"{len(tail_draws)} random pairs, 9x31 grid each: "
                        f"{total} violations")
 
     def grad_sweep() -> CheckReport:
-        reports = [check_gradient_identity(p, lg, tau) for p, lg, tau in grad_cases]
-        failing = sum(not r.passed for r in reports)
+        reports = [check_gradient_identity(DiscreteDist.from_unnormalized(p), lg, tau)
+                   for p, lg, tau in _stack_by_size(grad_draws)]
         worst = np.max([r.observed for r in reports], axis=0)
-        return _report("gradient_identity", failing == 0, worst,
+        return _report("gradient_identity", all(r.passed for r in reports), worst,
                        [1e-6, 1e-6, 1e-12],
-                       f"{len(reports)} random softmax instances, worst "
+                       f"{len(grad_draws)} random softmax instances, worst "
                        f"errors {[float(f'{w:.2e}') for w in worst]}")
 
     reports = [

@@ -1,8 +1,11 @@
 """The verification battery: full run must be green, the negative control
 must stay red, and individual probes behave sensibly on edge inputs."""
+import math
+
 import numpy as np
 import pytest
 
+from srfe_lab import checks
 from srfe_lab.checks import (
     A_GRID_31,
     TAU_GRID_9,
@@ -21,8 +24,14 @@ from srfe_lab.checks import (
     dirichlet_pair,
     run_all,
 )
-from srfe_lab.discrete import DiscreteDist
-from srfe_lab.gaussians import DiagonalGaussian, srfe_equal_covariance
+from srfe_lab.discrete import (
+    DiscreteDist,
+    cr_associated,
+    monotone_map,
+    srfe_discrete,
+    tail_bound,
+)
+from srfe_lab.gaussians import BLOCK_ROWS, DiagonalGaussian, srfe_equal_covariance
 
 PAIR = (DiscreteDist(np.array([0.5, 0.5])), DiscreteDist(np.array([0.25, 0.75])))
 
@@ -112,10 +121,11 @@ class TestIndividualChecks:
 
         monkeypatch.setattr(DiscreteDist, "__post_init__", counting)
         assert check_monotone_equivalence(seed=3).passed
-        assert len(built) <= 3  # the triples go in as one batch, not 30000
+        # the triples go in as one batch per block, not 30000
+        assert len(built) <= 2 * math.ceil(10 ** 4 / (BLOCK_ROWS // 4))
         built.clear()
         assert all(r.passed for r in run_all(seed=0))
-        assert len(built) <= 1000
+        assert len(built) <= 100
 
     def test_not_f_divergence_names_and_result(self):
         for tau in (0.3, 0.5, 0.9):
@@ -167,6 +177,104 @@ class TestTailBoundsMc:
         # the one-shot pass held about 30 MiB: 10^6 draws, their gaps and
         # the sorted copy
         assert traced_peak_mb(lambda: check_tail_bounds_mc(1)) < 8.0
+
+
+def one_shot_monotone_equivalence(seed):
+    """check_monotone_equivalence's report as one pass over all 10^4
+    triples: every triple drawn and evaluated at once."""
+    n_pairs, tau = 10 ** 4, 0.5
+    draws = np.random.default_rng(seed).dirichlet(np.ones(5), size=(n_pairs, 3))
+    p = DiscreteDist.from_unnormalized(draws[:, :1])
+    q = DiscreteDist.from_unnormalized(draws[:, 1:])
+    s = srfe_discrete(p, q, tau)
+    d = cr_associated(p, q, tau)
+    ds, dd = s[:, 0] - s[:, 1], d[:, 0] - d[:, 1]
+    distinct = np.abs(dd) > 1e-12 * np.maximum(1.0, np.abs(d).max(axis=1))
+    disagreements = int(np.sum(distinct & (ds * dd < 0)))
+    worst_map = float(np.max(np.abs(monotone_map(d, tau) - s), initial=0.0))
+    return CheckReport(
+        "monotone_equivalence", disagreements == 0 and worst_map <= 1e-12,
+        np.array([float(disagreements), worst_map]), np.array([0.0, 1e-12]),
+        f"{n_pairs} random triples at weight {tau}: {disagreements} order "
+        f"disagreements; worst |map(cr) - value| {worst_map:.2e}",
+    ).to_dict()
+
+
+class TestMonotoneEquivalence:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_blocked_check_reports_the_one_shot_check(self, seed):
+        assert check_monotone_equivalence(seed).to_dict() == \
+            one_shot_monotone_equivalence(seed)
+
+    def test_holds_one_block_of_triples(self, traced_peak_mb):
+        # the one-shot pass held about 5.7 MiB
+        assert traced_peak_mb(lambda: check_monotone_equivalence(0)) < 2.5
+
+
+def test_battery_holds_a_small_working_set(traced_peak_mb):
+    # about 5.8 MiB when the monotone check held all its triples at once
+    assert traced_peak_mb(lambda: run_all(0)) < 3.0
+
+
+def test_stack_by_size_keeps_every_case_in_order():
+    sizes = [3, 5, 3, 4, 5, 3]
+    cases = [(np.full(k, float(i)), float(i)) for i, k in enumerate(sizes)]
+    groups = checks._stack_by_size(cases)
+    assert [g[0].shape for g in groups] == [(3, 3), (2, 5), (1, 4)]
+    assert [g[1].tolist() for g in groups] == [[0, 2, 5], [1, 4], [3]]
+    assert [g[0][:, 0].tolist() for g in groups] == [[0, 2, 5], [1, 4], [3]]
+
+
+def _worst_margin(report):
+    return float(report.details.rsplit(" ", 1)[1])
+
+
+class TestBatchedChecks:
+    """A batch of instances gives the report its one-instance calls give
+    together: the errors' column maxima, the summed violation count."""
+
+    @pytest.mark.parametrize("m", [1, 7])
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_gradient_identity_batch_is_its_rows(self, k, m):
+        rng = np.random.default_rng(100 * k + m)
+        probs = rng.dirichlet(np.ones(k), size=m)
+        logits = rng.standard_normal((m, k))
+        tau = rng.uniform(0.1, 0.9, size=m)
+        singles = [check_gradient_identity(DiscreteDist(probs[i]), logits[i],
+                                           float(tau[i])) for i in range(m)]
+        for i, single in enumerate(singles):
+            row = check_gradient_identity(DiscreteDist(probs[i:i + 1]),
+                                          logits[i:i + 1], tau[i:i + 1])
+            assert row.to_dict() == single.to_dict()
+        batch = check_gradient_identity(DiscreteDist(probs), logits, tau)
+        worst = np.max([r.observed for r in singles], axis=0)
+        assert batch.observed.tobytes() == worst.tobytes()
+        assert batch.passed == all(r.passed for r in singles)
+        assert batch.passed
+
+    @pytest.mark.parametrize("bound_scale", [1.0, 0.1])
+    @pytest.mark.parametrize("m", [1, 7])
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_tail_bounds_batch_is_its_rows(self, k, m, bound_scale, monkeypatch):
+        # a shrunken bound makes violations to count
+        monkeypatch.setattr(checks, "tail_bound",
+                            lambda *args: bound_scale * tail_bound(*args))
+        p, q = dirichlet_pair(np.random.default_rng(100 * k + m), k, n=m)
+        singles = [check_tail_bounds(DiscreteDist(p.probs[i]),
+                                     DiscreteDist(q.probs[i])) for i in range(m)]
+        for i, single in enumerate(singles):
+            row = check_tail_bounds(DiscreteDist(p.probs[i:i + 1]),
+                                    DiscreteDist(q.probs[i:i + 1]))
+            assert row.to_dict() == single.to_dict()
+        batch = check_tail_bounds(p, q)
+        violations = sum(int(r.observed[0]) for r in singles)
+        assert batch.observed.tolist() == [violations]
+        assert batch.passed == (violations == 0)
+        assert _worst_margin(batch) == max(map(_worst_margin, singles))
+        if bound_scale == 1.0:
+            assert violations == 0
+        elif k > 2:
+            assert violations > 0
 
 
 def test_report_is_frozen():
