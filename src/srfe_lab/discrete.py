@@ -207,6 +207,17 @@ def _require_absolutely_continuous(p: DiscreteDist, q: DiscreteDist,
         raise AbsoluteContinuityError(message)
 
 
+def _srfe_from_log_overlap(log_f: np.ndarray, tau) -> np.ndarray:
+    """-log F / (tau (1 - tau)); DisjointSupportError where log F = -inf."""
+    return -_nonzero_overlap(log_f, "divergence") / (tau * (1.0 - tau))
+
+
+def _cr_from_log_overlap(log_f: np.ndarray, tau) -> np.ndarray:
+    """(1 - F) / (tau (1 - tau)) from log F."""
+    # 1 - e^x via expm1 keeps precision when F is close to 1
+    return -np.expm1(log_f) / (tau * (1.0 - tau))
+
+
 def chernoff_coefficient(p: DiscreteDist, q: DiscreteDist, tau):
     """F(tau) = sum_i p_i^tau q_i^(1-tau) with 0-mass terms contributing 0.
 
@@ -227,16 +238,13 @@ def srfe_discrete(p: DiscreteDist, q: DiscreteDist, tau):
     p = q; tends to KL(p||q) as tau -> 1 and KL(q||p) as tau -> 0.
     """
     _check_tau_open(tau)
-    log_f = _nonzero_overlap(_log_overlap(p, q, tau), "divergence")
-    return _float_or_array(-log_f / (tau * (1.0 - tau)))
+    return _float_or_array(_srfe_from_log_overlap(_log_overlap(p, q, tau), tau))
 
 
 def cr_associated(p: DiscreteDist, q: DiscreteDist, tau):
     """(1 - F(tau)) / (tau (1 - tau)), the power-divergence companion."""
     _check_tau_open(tau)
-    log_f = _log_overlap(p, q, tau)
-    # 1 - e^x via expm1 keeps precision when F is close to 1
-    return _float_or_array(-np.expm1(log_f) / (tau * (1.0 - tau)))
+    return _float_or_array(_cr_from_log_overlap(_log_overlap(p, q, tau), tau))
 
 
 def cr_standard(p: DiscreteDist, q: DiscreteDist, lam):

@@ -179,6 +179,40 @@ class TestTailBoundsMc:
         assert traced_peak_mb(lambda: check_tail_bounds_mc(1)) < 8.0
 
 
+class TestTailLevelsInDrawSpace:
+    """check_tail_bounds_mc counts standard normal draws below the levels
+    z_a = (a v / shift + shift / 2) / sqrt(v); the one-shot reference
+    compares the log_prob gap of x = sigma z with a."""
+
+    a = np.asarray(A_GRID_31)
+    z_levels = (a * 0.5 / 1.0 + 0.5 * 1.0) / np.sqrt(0.5)
+
+    @staticmethod
+    def log_prob_gap(z):
+        log_sigma = np.array([0.5 * np.log(0.5)])
+        p = DiagonalGaussian(np.array([1.0]), log_sigma)
+        q = DiagonalGaussian(np.array([0.0]), log_sigma)
+        x = q.transform(np.asarray(z)[:, None])
+        return p.log_prob(x) - q.log_prob(x)
+
+    def test_gap_at_each_level_is_the_level(self):
+        err = np.abs(self.log_prob_gap(self.z_levels) - self.a)
+        # measured at most 2 eps
+        assert np.all(err <= 4 * np.finfo(float).eps * np.maximum(1.0, np.abs(self.a)))
+
+    @pytest.mark.parametrize("steps", [4, 64])
+    def test_draws_beside_a_level_count_as_their_gap_compares(self, steps):
+        # steps of the spacing at max(|z_a|, 1), the scale of the gap's own
+        # rounding: one nextafter step of z is narrower than that rounding at
+        # most levels, and at a = -1, where z_a = 0, it is subnormal
+        step = steps * np.spacing(np.maximum(np.abs(self.z_levels), 1.0))
+        for z in (self.z_levels - step, self.z_levels + step):
+            block = np.sort(z)
+            counted = np.searchsorted(block, self.z_levels, side="left")
+            gaps = np.sort(self.log_prob_gap(block))
+            assert counted.tolist() == np.searchsorted(gaps, self.a, side="left").tolist()
+
+
 def one_shot_monotone_equivalence(seed):
     """check_monotone_equivalence's report as one pass over all 10^4
     triples: every triple drawn and evaluated at once."""

@@ -394,6 +394,8 @@ class TestErrors:
         assert chernoff_coefficient(p, q, 0.5) == 0.0
         with pytest.raises(DisjointSupportError):
             srfe_discrete(p, q, 0.5)
+        # the power-divergence side stays finite: (1 - 0) / (tau (1 - tau))
+        assert cr_associated(p, q, 0.5) == 4.0
 
     def test_absolute_continuity(self):
         p = DiscreteDist(np.array([0.5, 0.5]))
