@@ -18,15 +18,20 @@ log_prob_and_score, forward KL log_prob and the samples.  The Gaussian
 models in srfe_lab.gaussians provide all four.
 
 The kernels work on stacks: J models, theta of shape (J, 2, d) whose rows
-are (mu, log_sigma), fitted on one shared batch of n points.  _q_rows and
-_target_rows make the q-side pass (x = mu + sigma eps, log q, and one
-target pass per distinct target over its rows), _q_side_rows turns it into
-losses and pathwise gradients, and _forward_rows does the same for forward
-KL on target samples.  Reverse KL is the q-side's tau = 0 row: uniform
-weights, scale -1, loss -mean(r).  The five fitting entry points
-(srfe_mc_step and the forward- and reverse-KL losses and gradients) are the
-kernels' one-row case; they take their batch, eps or xs, of shape (n, d)
-with n >= 1 and raise a ValueError naming that shape otherwise.
+are (mu, log_sigma), fitted on one shared batch of n points.  _q_side_step
+is the one q-side step, for the stacks of srfe_lab.training and for a
+single fit alike: _q_rows makes x = mu + sigma eps and log q for every row,
+_target_rows makes one target pass per run of rows with one target, and
+_q_side_rows turns them into losses and pathwise gradients.  That last is
+one array program for every row: reverse KL is the literal tau = 0 row,
+whose weights exp(0 r) = 1 make it uniform with scale -1 (its loss is
+-mean(r)), and a clamped row computes its weights and gradient like any
+other before the gradient is set to zero.  _forward_rows does the same for
+forward KL on target samples.  The five fitting entry points (srfe_mc_step
+and the forward- and reverse-KL losses and gradients) are the kernels'
+one-row case; they take their batch, eps or xs, of shape (n, d) with n >= 1
+and raise a ValueError naming that shape otherwise, and they raise the
+exception of a failed target pass.
 
 Buffers follow the rule of srfe_lab.gaussians: a call owns what it
 allocates, fills it in place, and never writes an argument, so a read-only
@@ -211,68 +216,80 @@ def _q_side_rows(theta: np.ndarray, eps: np.ndarray, r: np.ndarray,
 
     Returns a LossReport per row, the gradients as (J, 2, d) and, if
     moments, the second moments as (J,) (else None; the fitting loop does
-    not read them).  A free-energy row weighs its samples by exp(tau r_i),
-    shifted by the row max; a row with no sample in the target's support
-    (every r = -inf, f_hat = 0) clamps low, and a clamped row's loss is
-    locally flat, so its gradient and second moment are zero.  A reverse-KL
-    row has uniform weights, scale -1, loss -mean(r), and f_hat 1 (the
-    overlap at tau = 0).
+    not read them).  A row weighs its samples by exp(tau r_i), shifted by
+    the row max, and its gradient has scale -1/(1 - tau).  A free-energy row
+    with no sample in the target's support (every r = -inf, f_hat = 0)
+    clamps low, and a clamped row's loss is locally flat, so its gradient
+    and second moment are zero.  A reverse-KL row is the tau = 0 row:
+    weights exactly 1/n, scale -1, loss -mean(r), and f_hat 1 (the overlap
+    at tau = 0).  Every row takes the same array program.
     """
-    J, n = r.shape
+    n = r.shape[1]
+    tau = np.array(taus, dtype=np.float64)
+    reverse = tau == 0.0
+    # np.mean's sum and division, without its fixed cost
+    kl = iter(r[reverse].sum(axis=1).tolist())
     r_max = r.max(axis=1)
-    # each row's weight total; a reverse-KL row's 1 keeps its weights 1/n
-    sums = np.ones(J)
-    scale = np.empty(J)
+    # shift by the max so the largest weight is exactly 1; a row with no
+    # support keeps its -inf entries, whose weights come out 0
+    r -= np.where(reverse | (r_max == -math.inf), 0.0, r_max)[:, None]
+    # a reverse-KL row's weights are exp(0) = 1 whatever r holds, +-inf and
+    # nan included
+    r[reverse] = 0.0
+    r *= tau[:, None]
+    np.exp(r, out=r)
+    sums = r.sum(axis=1)
     reports = []
-    for start, stop, reverse in _runs([tau == 0.0 for tau in taus]):
-        w = r[start:stop]
-        if reverse:
-            losses = w.mean(axis=1)
-            w.fill(1.0 / n)
-            scale[start:stop] = -1.0
-            reports += [LossReport(loss=float(-loss), f_hat=1.0,
-                                   max_log_ratio=float(top), clamped=False)
-                        for loss, top in zip(losses, r_max[start:stop])]
+    for t, r_top, total in zip(tau.tolist(), r_max.tolist(), sums.tolist()):
+        if t == 0.0:
+            reports.append(LossReport(loss=-(next(kl) / n), f_hat=1.0,
+                                      max_log_ratio=r_top, clamped=False))
             continue
-        tau = np.array(taus[start:stop])
-        top = r_max[start:stop]
-        # shift by the max so the largest weight is exactly 1; a row with no
-        # support keeps its -inf entries, whose weights come out 0
-        w -= np.where(top == -math.inf, 0.0, top)[:, None]
-        w *= tau[:, None]
-        np.exp(w, out=w)
-        w.sum(axis=1, out=sums[start:stop])
-        means = sums[start:stop] / n
-        for t, r_top, mean in zip(tau.tolist(), top.tolist(), means.tolist()):
-            if r_top == -math.inf:
-                log_f = -math.inf
-            else:
-                log_f = t * r_top + math.log(mean)
-            f_hat, clamped = _clamp_log_f(log_f)
-            reports.append(LossReport(loss=-math.log(f_hat) / (t * (1.0 - t)),
-                                      f_hat=f_hat, max_log_ratio=r_top,
-                                      clamped=clamped))
-        scale[start:stop] = -1.0 / (1.0 - tau)
-    grad = np.zeros((J, 2, score.shape[0]))
-    second = np.zeros(J) if moments else None
-    live = [j for j, rep in enumerate(reports) if not rep.clamped]
-    if not live:
-        return reports, grad, second
-    sigma = _columns(theta)[1]
-    if len(live) < J:  # gather the live rows into new C-ordered buffers
-        rows = np.array(live)
-        r, sums, scale = r[rows], sums[rows], scale[rows]
-        sigma = sigma[:, rows]
-        score = np.take(score, rows, axis=1,
-                        out=np.empty((score.shape[0], len(live), n)))
-    r /= sums[:, None]
-    d_mu, d_ls, live_moments = _pathwise_rows(score, eps, sigma, r, scale,
-                                              moments)
-    grad[live, 0] = d_mu.T
-    grad[live, 1] = d_ls.T
+        log_f = (-math.inf if r_top == -math.inf
+                 else t * r_top + math.log(total / n))
+        f_hat, clamped = _clamp_log_f(log_f)
+        reports.append(LossReport(loss=-math.log(f_hat) / (t * (1.0 - t)),
+                                  f_hat=f_hat, max_log_ratio=r_top,
+                                  clamped=clamped))
+    # a row with no support divides 0 by 0 here; it is clamped
+    with np.errstate(invalid="ignore"):
+        r /= sums[:, None]
+    d_mu, d_ls, second = _pathwise_rows(score, eps, _columns(theta)[1], r,
+                                        -1.0 / (1.0 - tau), moments)
+    grad = np.stack((d_mu.T, d_ls.T), axis=1)
+    clamped = [rep.clamped for rep in reports]
+    grad[clamped] = 0.0
     if moments:
-        second[live] = live_moments
+        second[clamped] = 0.0
     return reports, grad, second
+
+
+def _q_side_step(theta: np.ndarray, eps: np.ndarray, targets, taus,
+                 moments: bool = False):
+    """One q-side step of J rows on eps (n, d): row j fits theta[j] to
+    targets[j] at taus[j] (0 for reverse KL), with rows of one target
+    adjacent.
+
+    Makes x and log q for every row (_q_rows), one log_prob_and_score pass
+    per run of equal targets (_target_rows), and the losses and gradients
+    (_q_side_rows).  Returns the reports, the gradients, the second moments
+    (None unless moments) and {row: exception} for each row whose pass
+    raised RuntimeError or FloatingPointError; those rows get harmless
+    values (r = 0, score 0), and any other exception propagates.
+    """
+    x, log_q = _q_rows(theta, eps)
+    r, score = np.empty(log_q.shape), np.empty(x.shape)
+    failed = {}
+    for start, stop, _ in _runs(map(id, targets)):
+        rows = slice(start, stop)
+        try:
+            _target_rows(targets[start], x[:, rows], log_q[rows], r[rows],
+                         score[:, rows])
+        except (RuntimeError, FloatingPointError) as exc:
+            r[rows] = 0.0
+            score[:, rows] = 0.0
+            failed.update(dict.fromkeys(range(start, stop), exc))
+    return (*_q_side_rows(theta, eps, r, score, taus, moments), failed)
 
 
 def _forward_rows(theta: np.ndarray, xs: np.ndarray, log_p=None,
@@ -323,14 +340,12 @@ def _pathwise_grad(q: DiagonalGaussian, score: np.ndarray, eps: np.ndarray,
 
 def _one_q_side_row(q: DiagonalGaussian, target, tau: float, eps):
     """One q-side row at tau (0 for reverse KL): its LossReport and
-    GradReport."""
+    GradReport.  An error of the target pass is raised."""
     eps = _check_batch("eps", eps, q.dim)
-    theta = _theta(q)
-    x, log_q = _q_rows(theta, eps)
-    r, score = np.empty(log_q.shape), np.empty(x.shape)
-    _target_rows(target, x, log_q, r, score)
-    (report,), grad, second = _q_side_rows(theta, eps, r, score, [tau],
-                                           moments=True)
+    (report,), grad, second, failed = _q_side_step(_theta(q), eps, [target],
+                                                   [tau], moments=True)
+    if failed:
+        raise failed[0]
     return report, _grad_report(grad, second)
 
 

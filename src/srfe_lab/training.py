@@ -16,13 +16,16 @@ and target (target samples).  train is the one-job case.
 The jobs that read one noise stream form a stack (_Stack), and each
 iteration of a stack is one array program over all its jobs, built from
 the row kernels of srfe_lab.estimators.  theta and the Adam moments are
-(J, 2, d) arrays; x for every row is one C-ordered (d, J, n) buffer; there
-is one target pass per distinct target of a srfe/reverse-KL stack, over
-that target's rows, and one target.log_prob per forward-KL stack; and Adam
-takes one step for the whole stack.  A stack's rows are its jobs grouped by
-target, in job order otherwise, so each target's rows are one slice of the
-buffer.  Each row computes exactly what its job computes stepped alone, so
-stacking changes no number.
+(J, 2, d) arrays.  A srfe/reverse-KL stack takes estimators._q_side_step,
+the q-side step a single fit takes too: x for every row is one C-ordered
+(d, J, n) buffer, with one target pass per distinct target over that
+target's rows.  A forward-KL stack makes one target.log_prob.  Adam then
+takes one step for the whole stack, failed rows included on a zero
+gradient, and the rows that failed or finished leave together.  A stack's
+rows are its jobs grouped by target, in job order otherwise, so each
+target's rows are one slice of the buffer.  Each row computes exactly what
+its job computes stepped alone, and Adam works elementwise, so stacking
+changes no number.
 
 Jobs are split into one interleaved share per CPU this process may run on
 (job i to share i mod P).  The calling process fits share 0; each other
@@ -53,10 +56,10 @@ from srfe_lab.discrete import _check_tau_open
 # srfe_mc_step and the KL losses and gradients are the one-row case of the
 # stack kernels and unused here, but perfbench/bench_trace.py patches them
 # on training by name
-from srfe_lab.estimators import (_forward_rows, _q_rows, _q_side_rows,
-                                 _runs, _target_rows, forward_kl_grad,
-                                 forward_kl_loss, reverse_kl_grad,
-                                 reverse_kl_loss, srfe_mc_step)
+from srfe_lab.estimators import (_forward_rows, _q_side_step,
+                                 forward_kl_grad, forward_kl_loss,
+                                 reverse_kl_grad, reverse_kl_loss,
+                                 srfe_mc_step)
 from srfe_lab.gaussians import DiagonalGaussian
 
 __all__ = ["Adam", "TauSchedule", "TrainConfig", "TrainResult", "train",
@@ -93,10 +96,8 @@ class Adam:
         return params - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
     def take(self, rows) -> None:
-        """Keep the given rows of a stack's moments (and of its lr column)."""
-        self.m, self.v = self.m[rows], self.v[rows]
-        if np.ndim(self.lr):
-            self.lr = self.lr[rows]
+        """Keep the given rows of a stack's moments and lr column."""
+        self.m, self.v, self.lr = self.m[rows], self.v[rows], self.lr[rows]
 
 
 @dataclass(frozen=True)
@@ -238,11 +239,10 @@ class _Stack:
     def step(self, t: int, noise: np.ndarray) -> list:
         """Iteration t (1-based) of every row on noise.  Returns (job,
         outcome) for each job that failed or finished at this step."""
-        failed = {}  # row -> exception
         if self.forward:
-            losses, clamped, grad = self._forward_step(noise, failed)
+            losses, clamped, grad, failed = self._forward_step(noise)
         else:
-            losses, clamped, grad = self._q_side_step(t, noise, failed)
+            losses, clamped, grad, failed = self._q_side_step(t, noise)
         finite = np.isfinite(grad).all(axis=(1, 2))
         for j, loss in enumerate(losses):
             if j in failed:
@@ -254,52 +254,40 @@ class _Stack:
             else:
                 self.losses[j][t - 1] = loss
                 self.clamps[j] += clamped[j]
+        # a failed row steps on a zero gradient and then leaves
+        grad[list(failed)] = 0.0
+        self.theta = self.opt.step(self.theta, grad)
         ended = [(self.jobs[j], exc) for j, exc in failed.items()]
-        if failed:
-            keep = [j for j in range(len(self.jobs)) if j not in failed]
-            self._take(keep)
-            grad = grad[keep]
-        if self.jobs:
-            self.theta = self.opt.step(self.theta, grad)
-        done = [j for j, cfg in enumerate(self.cfgs) if cfg.iterations == t]
-        for j in done:
-            ended.append((self.jobs[j], TrainResult(
-                model=DiagonalGaussian(*self.theta[j]),
-                loss_history=self.losses[j], clamp_count=self.clamps[j])))
-        if done:
-            self._take([j for j in range(len(self.jobs)) if j not in done])
+        ended += [(self.jobs[j], TrainResult(
+            model=DiagonalGaussian(*self.theta[j]),
+            loss_history=self.losses[j], clamp_count=self.clamps[j]))
+            for j, cfg in enumerate(self.cfgs)
+            if cfg.iterations == t and j not in failed]
+        if ended:
+            self._take([j for j, cfg in enumerate(self.cfgs)
+                        if cfg.iterations != t and j not in failed])
         return ended
 
-    def _q_side_step(self, t: int, eps: np.ndarray, failed: dict):
+    def _q_side_step(self, t: int, eps: np.ndarray):
         """srfe and reverse-KL rows: one transform, one target pass per
         target, one weight and gradient program."""
-        x, log_q = _q_rows(self.theta, eps)
-        r, score = np.empty(log_q.shape), np.empty(x.shape)
-        for start, stop, _ in _runs([id(t) for t in self.targets]):
-            target, rows = self.targets[start], slice(start, stop)
-            try:
-                _target_rows(target, x[:, rows], log_q[rows], r[rows],
-                             score[:, rows])
-            except (RuntimeError, FloatingPointError) as exc:
-                # harmless values for rows that leave the stack anyway
-                r[rows] = 0.0
-                score[:, rows] = 0.0
-                failed.update(dict.fromkeys(range(start, stop), exc))
         taus = [cfg.schedule.tau_at(t, cfg.iterations)
                 if cfg.objective == "srfe" else 0.0 for cfg in self.cfgs]
-        reports, grad, _ = _q_side_rows(self.theta, eps, r, score, taus)
+        reports, grad, _, failed = _q_side_step(self.theta, eps,
+                                                self.targets, taus)
         return ([rep.loss for rep in reports],
-                [rep.clamped for rep in reports], grad)
+                [rep.clamped for rep in reports], grad, failed)
 
-    def _forward_step(self, xs: np.ndarray, failed: dict):
+    def _forward_step(self, xs: np.ndarray):
         """Forward-KL rows: one target.log_prob on the shared samples."""
+        failed = {}
         try:
             log_p = self.targets[0].log_prob(xs)
         except (RuntimeError, FloatingPointError) as exc:
-            failed.update(dict.fromkeys(range(len(self.jobs)), exc))
+            failed = dict.fromkeys(range(len(self.jobs)), exc)
             log_p = np.zeros(xs.shape[0])
         losses, grad, _ = _forward_rows(self.theta, xs, log_p)
-        return losses.tolist(), [False] * len(self.jobs), grad
+        return losses.tolist(), [False] * len(self.jobs), grad, failed
 
     def _take(self, keep: list) -> None:
         """Keep only the given rows."""
@@ -340,7 +328,14 @@ def _fit_lockstep(jobs, parent: int | None = None) -> list:
         t += 1
         # one batch is alive at a time: each is dropped after its stack's step
         for stack in stacks:
-            for i, outcome in stack.step(t, stack.draw()):
+            try:
+                noise = stack.draw()
+            except (RuntimeError, FloatingPointError) as exc:
+                ended = [(i, exc) for i in stack.jobs]
+                stack._take([])
+            else:
+                ended = stack.step(t, noise)
+            for i, outcome in ended:
                 outcomes[i] = outcome
         stacks = [stack for stack in stacks if stack.jobs]
     return outcomes
@@ -398,14 +393,16 @@ def train_lockstep(jobs) -> list[TrainResult | Exception]:
     batch per iteration while any of them is still fitting; a job with
     fewer iterations stops early and has read a prefix of the stream.
 
-    Failures end jobs, not the stack.  A job whose loss or gradient is
+    Failures end jobs, not the call.  A job whose loss or gradient is
     non-finite at step t ends with RuntimeError("non-finite loss at step
     t") or RuntimeError("non-finite gradient at step t") and leaves the
     stack with its Adam rows; the other rows step on.  A RuntimeError or
     FloatingPointError raised by a target pass ends every job of that pass
-    (the jobs of the stack with that target) with that exception.  A
-    failed job's exception takes its place in the returned list.  Any
-    other exception propagates.
+    (the jobs of the stack with that target) with that exception, and one
+    raised by a forward-KL stack's target.sample ends every job of that
+    stack; the other stacks step on.  A failed job's exception takes its
+    place in the returned list, also at the job's last step.  Any other
+    exception propagates.
 
     The jobs are fitted in _share_count interleaved shares: share 0 in
     this process, every other share in a forked child (see the module

@@ -17,6 +17,7 @@ from srfe_lab.estimators import (
     _pathwise_grad,
     _q_rows,
     _q_side_rows,
+    _q_side_step,
     _target_rows,
     estimator_second_moment,
     exact_second_moment,
@@ -658,6 +659,74 @@ def test_stacked_forward_rows_match_one_row_calls(n):
             np.testing.assert_array_equal(grad[j, 0], want.d_mu)
             np.testing.assert_array_equal(grad[j, 1], want.d_log_sigma)
             assert second[j] == want.second_moment
+
+
+class RaisingTarget:
+    """Every pass raises exc."""
+    dim = 2
+
+    def __init__(self, exc):
+        self.exc = exc
+
+    def log_prob_and_score(self, x):
+        raise self.exc
+
+
+@pytest.mark.parametrize("n", [1, 7, 1000])
+def test_q_side_step_matches_one_row_calls_without_warnings(n):
+    exc = FloatingPointError("overflow")
+    targets = (BENCH, RaisingTarget(exc),
+               ContaminatedMixture(base=BENCH, outlier_weight=0.2),
+               NoSupport())
+    rows = [(target, q, tau) for target in targets for q in stack_models()
+            for tau in (0.01, 0.0, 0.5, 0.99)]
+    taus = [tau for _, _, tau in rows]
+    eps = np.random.default_rng(12).standard_normal((n, 2))
+    eps[:3] *= 6.0
+    # rows with no support and clamped rows compute their weights too, and
+    # must do so quietly
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reports, grad, second, failed = _q_side_step(
+            stack_of([q for _, q, _ in rows]), eps,
+            [target for target, _, _ in rows], taus, moments=True)
+        assert grad.shape == (len(rows), 2, 2) and second.shape == (len(rows),)
+        for j, (target, q, tau) in enumerate(rows):
+            if target is targets[1]:
+                assert failed.pop(j) is exc
+                with pytest.raises(FloatingPointError) as error:
+                    if tau:
+                        srfe_mc_step(q, target, tau, eps)
+                    else:
+                        reverse_kl_grad(q, target, eps)
+                assert error.value is exc
+                continue
+            if tau:
+                want_rep, want = srfe_mc_step(q, target, tau, eps)
+                assert reports[j] == want_rep
+            else:
+                assert reports[j].loss == reverse_kl_loss(q, target, eps)
+                want = reverse_kl_grad(q, target, eps)
+            np.testing.assert_array_equal(grad[j, 0], want.d_mu)
+            np.testing.assert_array_equal(grad[j, 1], want.d_log_sigma)
+            assert second[j] == want.second_moment
+            if reports[j].clamped:
+                assert not grad[j].any() and second[j] == 0.0
+    assert failed == {}
+    # the far model and the no-support target clamp low, at every tau
+    assert sum(rep.clamped for rep in reports) >= 3 * 7
+
+
+def test_reverse_kl_gradient_without_support_has_uniform_weights():
+    # every r is -inf: the loss is inf, and the tau = 0 row's weights are
+    # 1/n whatever r holds, so the pathwise gradient is finite
+    eps = np.random.default_rng(14).standard_normal((64, 2))
+    for q in stack_models():
+        assert reverse_kl_loss(q, NoSupport(), eps) == math.inf
+        grad = reverse_kl_grad(q, NoSupport(), eps)
+        np.testing.assert_array_equal(grad.d_mu, [0.0, 0.0])
+        np.testing.assert_array_equal(grad.d_log_sigma, [-1.0, -1.0])
+        assert grad.second_moment == 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,17 @@ class FailingTarget:
         return BENCH.sample(n, rng)
 
 
+class FailingSampler(FailingTarget):
+    """BENCH whose sample number fail_at raises exc."""
+
+    def log_prob(self, x):
+        return BENCH.log_prob(x)
+
+    def sample(self, n, rng):
+        self._count()
+        return BENCH.sample(n, rng)
+
+
 def per_job_fit(target, cfg):
     """One job fitted alone, one one-row estimator call per iteration: the
     loop the stacks replace, kept here as their reference."""
@@ -426,6 +437,67 @@ class TestTrain:
         assert str(outcomes[1]) == "non-finite gradient at step 1"
         for k in (0, 2):
             assert_same_outcome(outcomes[k], per_job_outcome(*jobs[k]))
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_sampler_error_ends_every_job_of_its_stack(self, monkeypatch,
+                                                       forks, cpus):
+        monkeypatch.setattr(training, "_cpu_count", lambda: cpus)
+        cfg = self.small_cfg
+        exc = RuntimeError("sampler gave up")
+        failing = FailingSampler(3, exc)
+        # jobs 1 and 3 read one stream; on two CPUs they are share 1's
+        jobs = [(BENCH, cfg(iterations=6)),
+                (failing, cfg(objective="forward_kl")),
+                (BENCH, cfg(objective="forward_kl", iterations=5)),
+                (failing, cfg(objective="forward_kl", iterations=8))]
+        outcomes = train_lockstep(jobs)
+        assert len(forks) == cpus - 1
+        for k in (1, 3):
+            assert type(outcomes[k]) is RuntimeError
+            assert str(outcomes[k]) == "sampler gave up"
+        if cpus == 1:
+            assert outcomes[1] is outcomes[3] is exc and failing.calls == 3
+        for k in (0, 2):
+            assert_same_outcome(outcomes[k], per_job_outcome(*jobs[k]))
+        assert_no_child_left()
+
+    def test_row_failing_at_its_last_step_ends_with_its_error(self,
+                                                              monkeypatch):
+        monkeypatch.setattr(training, "_cpu_count", lambda: 1)
+        cfg = self.small_cfg
+        exc = RuntimeError("target gave up")
+        # the pass of job 1's last step raises; job 2 is non-finite at its
+        # only step
+        jobs = [(BENCH, cfg(iterations=6)),
+                (FailingTarget(4, exc), cfg(iterations=4)),
+                (NanScoreTarget(), cfg(objective="reverse_kl", iterations=1)),
+                (BENCH, cfg(objective="reverse_kl", iterations=4))]
+        outcomes = train_lockstep(jobs)
+        assert outcomes[1] is exc
+        assert type(outcomes[2]) is RuntimeError
+        assert str(outcomes[2]) == "non-finite gradient at step 1"
+        for k in (0, 3):
+            assert_same_outcome(outcomes[k], per_job_outcome(*jobs[k]))
+
+    def test_stack_whose_rows_all_fail_ends_alone(self, monkeypatch):
+        monkeypatch.setattr(training, "_cpu_count", lambda: 1)
+        cfg = self.small_cfg
+
+        def jobs():
+            # seed 6's stack loses both its rows at step 1, one to its
+            # target's error and one to a non-finite gradient; seed 5's
+            # stack steps on
+            return [(BENCH, cfg(iterations=6)),
+                    (FailingTarget(1, RuntimeError("target gave up")),
+                     cfg(seed=6)),
+                    (BENCH, cfg(objective="reverse_kl", iterations=7)),
+                    (NanScoreTarget(), cfg(objective="reverse_kl", seed=6))]
+
+        outcomes = train_lockstep(jobs())
+        for got, job in zip(outcomes, jobs()):
+            assert_same_outcome(got, per_job_outcome(*job))
+        assert all(isinstance(o, TrainResult) for o in outcomes[::2])
+        assert all(isinstance(o, RuntimeError) for o in outcomes[1::2])
 
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_shares_match_one_share(self, monkeypatch, forks, cpus):
