@@ -90,13 +90,25 @@ class DiscreteDist:
 
     @classmethod
     def from_unnormalized(cls, weights) -> "DiscreteDist":
+        """weights divided by their sum along the last axis.  The checks
+        here are the ones the quotient needs, so it is not validated again
+        (finite nonnegative weights with a finite positive total give
+        finite nonnegative rows that sum to 1 within rounding)."""
         w = np.asarray(weights, dtype=np.float64)
+        if w.ndim == 0:
+            raise ValueError("weights must have a nonempty last axis")
         if np.any(w < 0) or not np.all(np.isfinite(w)):
             raise ValueError("weights must be finite and nonnegative")
         total = w.sum(axis=-1, keepdims=True)
         if np.any(total <= 0):
             raise ValueError("weights must have positive total mass")
-        return cls(w / total)
+        if not np.all(np.isfinite(total)):
+            raise ValueError("weights must have a finite total mass")
+        probs = w / total
+        probs.flags.writeable = False
+        dist = object.__new__(cls)
+        object.__setattr__(dist, "probs", probs)
+        return dist
 
     @property
     def size(self) -> int:

@@ -155,18 +155,10 @@ def _run_cells(cells: list[_Cell],
     training raised RuntimeError or FloatingPointError becomes a NaN row,
     and its label maps to the exception text in failures.
     """
-    # Before training, not after: each estimate allocates and frees its
-    # 1.6 MB (10^5, 2) sample array (and, in GaussianMixture.sample, the
-    # means[comps] gather of that size), and freeing a block that large
-    # raises glibc's heap trim threshold above what a training step holds.
-    # Below it, the heap top was handed back to the system after every step
-    # and faulted in again (default-config exp4: 1.4 million page faults and
-    # 2.5 s of system time, against 19 thousand and 0.05 s).  log_prob now
-    # runs in blocks of gaussians.BLOCK_ROWS rows, so its (K, 10^5)
-    # temporaries, which were the largest blocks freed, are gone and the
-    # sample arrays set the threshold; default exp4 takes 11.7 thousand
-    # minor faults in this process, against 17.3 thousand with log_prob
-    # over all rows at once.
+    # Before training: train_lockstep sets glibc's heap policy, and under
+    # it the estimates' 1.6 MB sample arrays come from the heap instead of
+    # being mapped and unmapped.  With the policy set before them, exp1 at
+    # 150 iterations peaked 1.1-1.2 MB higher: 40.8-41.0 against 39.7-39.8.
     entropies: dict[tuple[int, int], float] = {}
     for cell in cells:
         key = (id(cell.target), cell.train_cfg.seed)

@@ -284,7 +284,7 @@ class GaussianMixture:
         # commute, so this is means[comps] + sqrt(variance) * noise exactly
         noise = rng.standard_normal((n, self.dim))
         noise *= np.sqrt(self.variance)
-        noise += self.means[comps]
+        noise += np.take(self.means, comps, axis=0)
         return noise
 
     def mean(self) -> np.ndarray:

@@ -27,21 +27,27 @@ target's rows are one slice of the buffer.  Each row computes exactly what
 its job computes stepped alone, and Adam works elementwise, so stacking
 changes no number.
 
-Jobs are split into one interleaved share per CPU this process may run on
-(job i to share i mod P).  The calling process fits share 0; each other
-share is fitted the same way in a child made with os.fork, which redraws
-its noise from the same seeds and pickles its outcomes back over a pipe.
-Every job therefore gets the outcome it gets alone (an exception that
-cannot cross the pipe as itself comes back as a RuntimeError naming it).
-With one CPU, one job, no os.fork, or a second Python thread alive (its
-locks would be copied held), there is one share and no fork.  Shares are
-processes, not threads: a stack step is about a hundred short numpy
-calls, so worker threads would mostly pass the interpreter lock between
-them rather than overlap work.
+Jobs are split into one share per CPU this process may run on, balanced
+by a fixed cost count (_split): a job costs 1, and its noise stream 1 more
+in a share that does not read it yet.  The calling process fits share 0;
+each other share is fitted the same way in a child made with os.fork,
+which redraws its noise from the same seeds and pickles its outcomes back
+over a pipe.  Every job therefore gets the outcome it gets alone (an
+exception that cannot cross the pipe as itself comes back as a
+RuntimeError naming it).  With one CPU, one job, no os.fork, or a second
+Python thread alive (its locks would be copied held), there is one share
+and no fork.  Shares are processes, not threads: a stack step is about a
+hundred short numpy calls, so worker threads would mostly pass the
+interpreter lock between them rather than overlap work.
+
+Before it forks, the process sets glibc's heap policy (_set_heap_policy),
+which the shares inherit, so that the heap is not handed back to the
+kernel and faulted in again between stack steps.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import numbers
 import os
@@ -297,6 +303,31 @@ class _Stack:
             setattr(self, name, [getattr(self, name)[j] for j in keep])
 
 
+def _set_heap_policy() -> None:
+    """Keep glibc's heap from handing memory back between stack steps.
+
+    A stack step frees its (d, J, n) temporaries.  Under glibc's default
+    policy the trim threshold can then sit below what is free at the heap
+    top, which is handed back to the kernel and faulted in again on the
+    next step: default exp2 took 4.3 million minor faults and 7.6 s of
+    system time in the calling process.  This sets the trim threshold to
+    64 MiB and the mmap threshold to 32 MiB for the whole process and the
+    shares it forks, and they stay set after the fit returns.  Both are
+    set because any mallopt call freezes glibc's dynamic mmap threshold at
+    its current value, 128 kiB in a fresh process, and larger blocks would
+    then be mapped and faulted in on every step.  This does nothing where
+    the C library has no mallopt, or where CDLL(None) cannot open this
+    process's own symbols (as off Linux)."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+
+
 def _cpu_count() -> int:
     """The number of CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -310,6 +341,28 @@ def _share_count(n_jobs: int) -> int:
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
     return max(1, min(n_jobs, _cpu_count()))
+
+
+def _split(jobs, shares: int) -> list[list[int]]:
+    """The job indices of each share, balanced by a fixed cost count.
+
+    Walking the jobs in order, each goes to the share where its cost leaves
+    the lowest total, ties to the lowest index.  A job costs 1, and its
+    noise stream (see _stream) costs 1 more in a share that does not read
+    it yet: a q-side row adds about as much to a step as a stack's own draw
+    and overhead does, and a forward-KL stack with its one job costs about
+    two q-side rows."""
+    costs = [0] * shares
+    streams = [set() for _ in range(shares)]
+    split = [[] for _ in range(shares)]
+    for i, (target, cfg) in enumerate(jobs):
+        key = _stream(target, cfg)
+        s = min(range(shares),
+                key=lambda s: costs[s] + (key not in streams[s]))
+        costs[s] += 1 + (key not in streams[s])
+        streams[s].add(key)
+        split[s].append(i)
+    return split
 
 
 def _fit_lockstep(jobs, parent: int | None = None) -> list:
@@ -404,29 +457,36 @@ def train_lockstep(jobs) -> list[TrainResult | Exception]:
     place in the returned list, also at the job's last step.  Any other
     exception propagates.
 
-    The jobs are fitted in _share_count interleaved shares: share 0 in
-    this process, every other share in a forked child (see the module
-    docstring).  Outcomes come back in job order.  An exception from a
-    forked share that does not survive a pickle round trip arrives as
-    RuntimeError("<its type name>: <its message>") in its place, in the
-    returned list or raised, so a failed job still fails alone and with
-    its message whatever the CPU count.
+    The jobs are fitted in _share_count shares, split by _split's cost
+    count: share 0 in this process, every other share in a forked child
+    (see the module docstring).  Outcomes come back in job order.  An
+    exception from a forked share that does not survive a pickle round
+    trip arrives as RuntimeError("<its type name>: <its message>") in its
+    place, in the returned list or raised, so a failed job still fails
+    alone and with its message whatever the CPU count.
+
+    On entry, before any fork, this sets glibc's heap policy for the whole
+    process (see _set_heap_policy); it stays set after the call.
     """
+    _set_heap_policy()
     jobs = list(jobs)
-    shares = _share_count(len(jobs))
+    split = _split(jobs, _share_count(len(jobs)))
     outcomes: list = [None] * len(jobs)
     children = []  # (share, pid, pipe read end), until reaped
     try:
-        if shares > 1:
+        if len(split) > 1:
             # a child that prints, a warning say, would also write out its
             # copy of what is still buffered
             for stream in (sys.stdout, sys.stderr):
                 if stream is not None:
                     stream.flush()
         parent = os.getpid()
-        for s in range(1, shares):
-            children.append((s, *_fork_share(jobs[s::shares], parent)))
-        outcomes[::shares] = _fit_lockstep(jobs[::shares])
+        for s in range(1, len(split)):
+            children.append((s, *_fork_share([jobs[i] for i in split[s]],
+                                             parent)))
+        for i, outcome in zip(split[0],
+                              _fit_lockstep([jobs[i] for i in split[0]])):
+            outcomes[i] = outcome
         while children:
             s, pid, fh = children[0]
             with fh:
@@ -440,7 +500,8 @@ def train_lockstep(jobs) -> list[TrainResult | Exception]:
             kind, value = pickle.loads(data)
             if kind == "raise":
                 raise value
-            outcomes[s::shares] = value
+            for i, outcome in zip(split[s], value):
+                outcomes[i] = outcome
     finally:
         if children:  # the run failed midway
             # imported here: at module level it would add about a

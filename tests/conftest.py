@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -12,6 +16,24 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("default")
+
+
+@pytest.fixture
+def fresh_python():
+    """script -> its standard output, run by a fresh interpreter that
+    imports srfe_lab from this checkout.  For measurements that belong to
+    the whole process, such as page faults, which earlier tests move."""
+    import srfe_lab
+    src = str(Path(srfe_lab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+    def run(script):
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+    return run
 
 
 @pytest.fixture

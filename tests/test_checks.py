@@ -114,12 +114,21 @@ class TestIndividualChecks:
     def test_battery_builds_few_distributions(self, monkeypatch):
         built = []
         validate = DiscreteDist.__post_init__
+        normalize = DiscreteDist.from_unnormalized
 
         def counting(dist):
             built.append(dist.probs.shape)
             validate(dist)
 
+        def counting_normalize(cls, weights):
+            dist = normalize(weights)
+            built.append(dist.probs.shape)
+            return dist
+
         monkeypatch.setattr(DiscreteDist, "__post_init__", counting)
+        # from_unnormalized builds without __post_init__
+        monkeypatch.setattr(DiscreteDist, "from_unnormalized",
+                            classmethod(counting_normalize))
         assert check_monotone_equivalence(seed=3).passed
         # the triples go in as one batch per block, not 30000
         assert len(built) <= 2 * math.ceil(10 ** 4 / (BLOCK_ROWS // 4))

@@ -429,3 +429,21 @@ class TestErrors:
         p = DiscreteDist(np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
             p.probs[0] = 0.9
+
+    def test_unnormalized_weights_are_checked_once(self):
+        # the total overflows: dividing would give rows of zeros
+        with pytest.warns(RuntimeWarning, match="overflow"), \
+                pytest.raises(ValueError, match="finite total"):
+            DiscreteDist.from_unnormalized(np.array([1e308, 1e308]))
+        for bad in (2.0, [[0.5, np.inf]], [0.5, -0.1], np.zeros((2, 0))):
+            with pytest.raises(ValueError):
+                DiscreteDist.from_unnormalized(bad)
+        # the same result as validating the quotient, read-only and in
+        # the quotient's layout
+        w = np.arange(1.0, 13.0).reshape(3, 4)[:, ::2]
+        d = DiscreteDist.from_unnormalized(w)
+        want = DiscreteDist(w / w.sum(axis=-1, keepdims=True))
+        np.testing.assert_array_equal(d.probs, want.probs)
+        assert d.probs.strides == want.probs.strides
+        assert not d.probs.flags.writeable
+        assert d.probs is not w

@@ -3,6 +3,7 @@ correct cell layout, failure isolation, and the density-grid dump."""
 import csv
 import math
 import os
+import platform
 import threading
 from dataclasses import astuple
 
@@ -130,6 +131,21 @@ class TestExp2:
         assert all(math.isfinite(v) for v in astuple(trained.mean))
         agg = read_csv(tmp_path / "exp2_aggregate.csv")
         assert agg[1] == ["0.40000000000000002"] + ["nan"] * 8
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the heap policy is glibc's")
+    def test_sweep_steps_without_page_faults(self, fresh_python, tmp_path):
+        # three noise streams per share, stepped in turn: under glibc's
+        # default heap policy about 300 thousand faults in this process
+        config = tmp_path / "config.json"
+        config.write_text('{"iterations": 150}')
+        out = fresh_python(
+            "import resource\n"
+            "from srfe_lab import cli\n"
+            f"assert cli.main(['exp2', '--out', {str(tmp_path)!r},\n"
+            f"                 '--config', {str(config)!r}]) == 0\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)\n")
+        assert int(out.splitlines()[-1]) < 50_000
 
 
 class TestExp3:

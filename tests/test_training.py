@@ -3,6 +3,7 @@ and determinism of the fitting loop, alone, in lockstep stacks (against the
 per-job loop they replace) and in forked shares."""
 import math
 import os
+import platform
 import select
 import signal
 import subprocess
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from srfe_lab import training
+from srfe_lab import experiments, training
 from srfe_lab.estimators import (forward_kl_grad, forward_kl_loss,
                                  reverse_kl_grad, reverse_kl_loss,
                                  srfe_mc_step)
@@ -170,6 +171,22 @@ def forks(monkeypatch):
     monkeypatch.setattr(training, "_cpu_count", lambda: 2)
     monkeypatch.setattr(os, "fork", recording_fork)
     return pids
+
+
+def assert_same_outcomes(alone, shared):
+    """The outcomes of one share and of several agree bit for bit."""
+    assert len(shared) == len(alone)
+    for a, b in zip(alone, shared):
+        assert type(a) is type(b)
+        if isinstance(a, Exception):
+            assert str(a) == str(b) == "non-finite gradient at step 1"
+            continue
+        for x, y in ((a.loss_history, b.loss_history),
+                     (a.model.mu, b.model.mu),
+                     (a.model.log_sigma, b.model.log_sigma)):
+            np.testing.assert_array_equal(x, y)
+            assert x.flags.writeable == y.flags.writeable
+        assert a.clamp_count == b.clamp_count
 
 
 def assert_no_child_left():
@@ -450,6 +467,7 @@ class TestTrain:
                 (failing, cfg(objective="forward_kl")),
                 (BENCH, cfg(objective="forward_kl", iterations=5)),
                 (failing, cfg(objective="forward_kl", iterations=8))]
+        assert training._split(jobs, 2) == [[0, 2], [1, 3]]
         outcomes = train_lockstep(jobs)
         assert len(forks) == cpus - 1
         for k in (1, 3):
@@ -508,24 +526,32 @@ class TestTrain:
         monkeypatch.setattr(training, "_cpu_count", lambda: cpus)
         shared = train_lockstep(jobs)
         assert len(forks) == cpus - 1
-        assert len(shared) == len(alone) == len(jobs)
-        for a, b in zip(alone, shared):
-            assert type(a) is type(b)
-            if isinstance(a, Exception):
-                assert str(a) == str(b) == "non-finite gradient at step 1"
-                continue
-            for x, y in ((a.loss_history, b.loss_history),
-                         (a.model.mu, b.model.mu),
-                         (a.model.log_sigma, b.model.log_sigma)):
-                np.testing.assert_array_equal(x, y)
-                assert x.flags.writeable == y.flags.writeable
-            assert a.clamp_count == b.clamp_count
+        assert_same_outcomes(alone, shared)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_exp1_shaped_shares_match_one_share(self, monkeypatch, forks,
+                                                cpus):
+        # a forward-KL stack beside one q-side stream, split by cost
+        cfg = self.small_cfg
+        jobs = [(BENCH, cfg(objective="forward_kl")),
+                (BENCH, cfg(objective="reverse_kl"))]
+        jobs += [(BENCH, cfg(schedule=TauSchedule.fixed(tau)))
+                 for tau in (0.1, 0.3, 0.5, 0.7, 0.9)]
+        monkeypatch.setattr(training, "_cpu_count", lambda: 1)
+        alone = train_lockstep(jobs)
+        monkeypatch.setattr(training, "_cpu_count", lambda: cpus)
+        shared = train_lockstep(jobs)
+        assert len(forks) == cpus - 1
+        assert all(isinstance(o, TrainResult) for o in alone)
+        assert_same_outcomes(alone, shared)
         assert_no_child_left()
 
     def test_other_exception_in_forked_share_propagates(self, forks):
         cfg = self.small_cfg
         # job 1 is share 1, fitted in the child
         jobs = [(BENCH, cfg()), (RejectingTarget(), cfg()), (BENCH, cfg())]
+        assert training._split(jobs, 2) == [[0, 2], [1]]
         with pytest.raises(ValueError) as error:
             train_lockstep(jobs)
         assert type(error.value) is ValueError
@@ -542,6 +568,7 @@ class TestTrain:
             return [(FailingTarget(3, TwoArgumentError("target", 3)),
                      cfg(seed=k)) for k in range(4)]
 
+        assert training._split(jobs(), 2) == [[0, 2], [1, 3]]
         monkeypatch.setattr(training, "_cpu_count", lambda: 1)
         alone = train_lockstep(jobs())
         monkeypatch.setattr(training, "_cpu_count", lambda: 2)
@@ -660,3 +687,87 @@ class TestTrain:
             TrainConfig(objective="hellinger")
         with pytest.raises(ValueError):
             TrainConfig(iterations=0)
+
+
+def sweep_jobs(run, monkeypatch, tmp_path):
+    """The (target, TrainConfig) jobs a sweep at its default config hands
+    train_lockstep."""
+    class Handed(Exception):
+        pass
+
+    def hand_over(jobs):
+        raise Handed(list(jobs))
+
+    monkeypatch.setattr(experiments, "target_entropy", lambda *args: 0.0)
+    monkeypatch.setattr(experiments, "train_lockstep", hand_over)
+    with pytest.raises(Handed) as handed:
+        run(experiments.RunConfig(out_dir=str(tmp_path)))
+    return handed.value.args[0]
+
+
+class TestShares:
+    def test_exp1_puts_forward_kl_with_two_q_side_jobs(self, monkeypatch,
+                                                        tmp_path):
+        jobs = sweep_jobs(experiments.run_exp1, monkeypatch, tmp_path)
+        split = training._split(jobs, 2)
+        # forward KL, srfe 0.3 and 0.7 / reverse KL, srfe 0.1, 0.5 and 0.9
+        assert split == [[0, 3, 5], [1, 2, 4, 6]]
+        assert [jobs[i][1].objective for i in split[0]] == [
+            "forward_kl", "srfe", "srfe"]
+
+    @pytest.mark.parametrize("run", ["run_exp3", "run_exp4"])
+    def test_one_stream_sweeps_alternate(self, monkeypatch, tmp_path, run):
+        jobs = sweep_jobs(getattr(experiments, run), monkeypatch, tmp_path)
+        n = len(jobs)
+        assert training._split(jobs, 2) == [list(range(0, n, 2)),
+                                            list(range(1, n, 2))]
+
+    def test_exp2_shares_are_even(self, monkeypatch, tmp_path):
+        jobs = sweep_jobs(experiments.run_exp2, monkeypatch, tmp_path)
+        assert [len(share) for share in training._split(jobs, 2)] == [14, 13]
+
+    @pytest.mark.parametrize("shares", [1, 2, 3, 7])
+    def test_every_job_in_one_share_in_order(self, shares):
+        cfg = TrainConfig(iterations=3, batch_size=10)
+        jobs = [(BENCH, cfg), (BENCH, TrainConfig(objective="forward_kl")),
+                (BENCH, TrainConfig(seed=4))] * 3
+        split = training._split(jobs, shares)
+        assert sorted(i for share in split for i in share) == list(range(9))
+        assert all(share == sorted(share) and share for share in split)
+
+
+def cannot_open(error):
+    def opener(name):
+        raise error("cannot open this process's symbols")
+    return opener
+
+
+@pytest.mark.parametrize("opener", [
+    cannot_open(OSError), cannot_open(TypeError),
+    lambda name: object()],  # a C library without mallopt
+    ids=["OSError", "TypeError", "no_mallopt"])
+def test_heap_policy_without_mallopt_does_nothing(monkeypatch, opener):
+    monkeypatch.setattr(training.ctypes, "CDLL", opener)
+    training._set_heap_policy()
+    assert train(BENCH, TrainConfig(iterations=2, batch_size=10))
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the heap policy is glibc's")
+def test_one_share_steps_without_page_faults(fresh_python):
+    # glibc's default policy hands the heap back after a stack step and
+    # faults it in again on the next, about 120 thousand faults here
+    faults = fresh_python(
+        "import resource\n"
+        "from srfe_lab import training\n"
+        "from srfe_lab.experiments import benchmark_target\n"
+        "training._cpu_count = lambda: 1\n"
+        "jobs = [(benchmark_target(), training.TrainConfig(\n"
+        "    iterations=100, schedule=training.TauSchedule.fixed(tau)))\n"
+        "    for tau in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99)]\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "outcomes = training.train_lockstep(jobs)\n"
+        "after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "assert all(isinstance(o, training.TrainResult) for o in outcomes)\n"
+        "print(after - before)\n")
+    assert int(faults) < 10_000
