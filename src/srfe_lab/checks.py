@@ -45,7 +45,7 @@ TAU_GRID_9 = tuple(round(0.1 * k, 1) for k in range(1, 10))
 A_GRID_31 = tuple(np.linspace(-1.0, 2.0, 31))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CheckReport:
     name: str
     passed: bool

@@ -62,7 +62,7 @@ class AbsoluteContinuityError(ValueError):
     """A required density ratio is infinite (mass where the reference has none)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteDist:
     """A probability vector on a finite support, or a batch of them.
 
@@ -120,7 +120,7 @@ class DiscreteDist:
         return self.probs > 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SurprisalStats:
     """Mean and variance of the log ratio log(p/q) under the first argument
     (floats for a single pair, arrays for a batch)."""

@@ -27,11 +27,13 @@ one array program for every row: reverse KL is the literal tau = 0 row,
 whose weights exp(0 r) = 1 make it uniform with scale -1 (its loss is
 -mean(r)), and a clamped row computes its weights and gradient like any
 other before the gradient is set to zero.  _forward_rows does the same for
-forward KL on target samples.  The five fitting entry points (srfe_mc_step
-and the forward- and reverse-KL losses and gradients) are the kernels'
-one-row case; they take their batch, eps or xs, of shape (n, d) with n >= 1
-and raise a ValueError naming that shape otherwise, and they raise the
-exception of a failed target pass.
+forward KL on target samples and their log densities, which it takes from
+its caller: it calls no target, so a forward-KL stack of srfe_lab.training
+makes both its target calls where it draws.  The five fitting entry
+points (srfe_mc_step and the forward- and reverse-KL losses and
+gradients) are the kernels' one-row case; they take their batch, eps or
+xs, of shape (n, d) with n >= 1 and raise a ValueError naming that shape
+otherwise, and they raise the exception of a failed target pass.
 
 Buffers follow the rule of srfe_lab.gaussians: a call owns what it
 allocates, fills it in place, and never writes an argument, so a read-only
@@ -90,7 +92,7 @@ class LossReport:
     clamped: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GradReport:
     d_mu: np.ndarray
     d_log_sigma: np.ndarray
@@ -172,7 +174,8 @@ def _pathwise_rows(score: np.ndarray, eps: np.ndarray, sigma: np.ndarray,
     d_mu and d_log_sigma as (d, L) and, if moments, each row's second
     moment (else None): the mean squared norm of the per-sample
     contributions g_i = scale n w_i dr_i/dtheta, whose mean is the
-    gradient.  The squared norm accumulates one coordinate at a time.
+    gradient.  The squared norm adds s_0^2, b_0^2, s_1^2, b_1^2, ... left
+    to right (b_k = dr/dlogsigma_k).
     """
     b = np.empty(score.shape)
     np.multiply(eps.T[:, None, :], sigma, out=b)
@@ -187,10 +190,7 @@ def _pathwise_rows(score: np.ndarray, eps: np.ndarray, sigma: np.ndarray,
         return d_mu, d_ls, None
     np.square(score, out=wb)
     np.square(b, out=b)
-    sq = np.add(wb[0], b[0])
-    for s2_k, b2_k in zip(wb[1:], b[1:]):
-        sq += s2_k
-        sq += b2_k
+    sq = _sum_rows([row for pair in zip(wb, b) for row in pair], out=wb[0])
     c = np.multiply(w, w.shape[1])
     c *= scale[:, None]
     np.multiply(c, c, out=c)
@@ -322,19 +322,6 @@ def _forward_rows(theta: np.ndarray, xs: np.ndarray, log_p=None,
 def _grad_report(grad: np.ndarray, second: np.ndarray) -> GradReport:
     """Row 0 of a stack's gradients as a GradReport."""
     return GradReport(d_mu=grad[0, 0], d_log_sigma=grad[0, 1],
-                      second_moment=float(second[0]))
-
-
-def _pathwise_grad(q: DiagonalGaussian, score: np.ndarray, eps: np.ndarray,
-                   w: np.ndarray, scale: float) -> GradReport:
-    """_pathwise_rows on one row: scale * sum_i w_i dr_i/dtheta for q, the
-    (n, d) score and eps, and the weights w (n,)."""
-    n = w.size
-    rows = np.empty((q.dim, 1, n))
-    np.copyto(rows[:, 0], np.asarray(score).T)
-    d_mu, d_ls, second = _pathwise_rows(rows, eps, q.sigma[:, None, None],
-                                        w[None], np.array([scale]), True)
-    return GradReport(d_mu=d_mu[:, 0], d_log_sigma=d_ls[:, 0],
                       second_moment=float(second[0]))
 
 

@@ -122,7 +122,7 @@ class AggregateRow:
     std: EvalMetrics
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentResult:
     rows: list[ResultRow]
     aggregate: list[AggregateRow] | None

@@ -24,8 +24,12 @@ The mean-field Gaussian's row kernels (_transform_rows, _log_prob_rows,
 _param_score_rows) are module functions on parameter columns that
 broadcast against their rows: (d, 1) columns of one model on (d, n) rows,
 or (d, J, 1) columns of J models on the (d, J, n) rows of a stack of fits
-(see srfe_lab.estimators).  DiagonalGaussian's methods are their one-model
-case.
+(see srfe_lab.estimators).  DiagonalGaussian's transform and log_prob
+are the one-model case of the first two; _param_score_rows serves the
+forward-KL rows of srfe_lab.estimators alone.
+
+The classes that hold arrays compare and hash by identity (eq=False): a
+generated __eq__ would compare their arrays elementwise and fail.
 """
 
 from __future__ import annotations
@@ -122,7 +126,7 @@ def _param_score_rows(diff, sigma):
     return d_mu, d_ls
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiagonalGaussian:
     """Mean-field Gaussian N(mu, diag(exp(log_sigma))^2)."""
 
@@ -183,21 +187,8 @@ class DiagonalGaussian:
         lp = self._log_prob_rows(diff)
         return (float(lp[0]), score.T[0]) if single else (lp, score.T)
 
-    def param_score(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """Per-sample gradients of log q in (mu, log_sigma).
 
-        d/dmu_k     = (x_k - mu_k) / sigma_k^2
-        d/dlogsig_k = ((x_k - mu_k) / sigma_k)^2 - 1
-        """
-        xb, single = _as_batch(x, self.dim)
-        d_mu, d_ls = _param_score_rows(self._diff_rows(xb),
-                                       self.sigma[:, None])
-        if single:
-            return d_mu.T[0], d_ls.T[0]
-        return d_mu.T, d_ls.T
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianMixture:
     """Mixture of isotropic Gaussians sharing one variance.
 
@@ -286,9 +277,6 @@ class GaussianMixture:
         noise *= np.sqrt(self.variance)
         noise += np.take(self.means, comps, axis=0)
         return noise
-
-    def mean(self) -> np.ndarray:
-        return self.weights @ self.means
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,9 @@ the row kernels of srfe_lab.estimators.  theta and the Adam moments are
 (J, 2, d) arrays.  A srfe/reverse-KL stack takes estimators._q_side_step,
 the q-side step a single fit takes too: x for every row is one C-ordered
 (d, J, n) buffer, with one target pass per distinct target over that
-target's rows.  A forward-KL stack makes one target.log_prob.  Adam then
-takes one step for the whole stack, failed rows included on a zero
+target's rows.  A forward-KL stack calls its target only where it draws
+(_Stack.draw): target.sample, then target.log_prob on those samples.  Adam
+then takes one step for the whole stack, failed rows included on a zero
 gradient, and the rows that failed or finished leave together.  A stack's
 rows are its jobs grouped by target, in job order otherwise, so each
 target's rows are one slice of the buffer.  Each row computes exactly what
@@ -190,7 +191,7 @@ def _require_count(name: str, value, low: int) -> None:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrainResult:
     model: DiagonalGaussian
     loss_history: np.ndarray
@@ -229,26 +230,41 @@ class _Stack:
         self.losses = [np.empty(c.iterations) for c in self.cfgs]
         self.clamps = [0] * len(self.jobs)
 
-    def draw(self) -> np.ndarray:
-        """The next read-only batch of the stream: eps, or target samples
-        for forward KL."""
+    def draw(self):
+        """The next batch of the stream, read-only: eps, or for forward KL
+        the pair (xs, log_p) of target samples and their log densities.
+        These are a forward-KL stack's only calls of its target, so an
+        error of either ends the stack where draw is called."""
         cfg = self.cfgs[0]
-        if self.forward:
-            noise = np.asarray(self.targets[0].sample(cfg.batch_size,
-                                                      self.rng))
-        else:
-            noise = self.rng.standard_normal((cfg.batch_size,
-                                              self.theta.shape[2]))
-        noise.flags.writeable = False
-        return noise
+        if not self.forward:
+            eps = self.rng.standard_normal((cfg.batch_size,
+                                            self.theta.shape[2]))
+            eps.flags.writeable = False
+            return eps
+        xs = np.asarray(self.targets[0].sample(cfg.batch_size, self.rng))
+        xs.flags.writeable = False
+        return xs, self.targets[0].log_prob(xs)
 
-    def step(self, t: int, noise: np.ndarray) -> list:
-        """Iteration t (1-based) of every row on noise.  Returns (job,
-        outcome) for each job that failed or finished at this step."""
+    def step(self, t: int, noise) -> list:
+        """Iteration t (1-based) of every row on noise, a batch from draw.
+        Returns (job, outcome) for each job that failed or finished at this
+        step.
+
+        A srfe/reverse-KL stack takes one q-side step (one transform, one
+        target pass per target, one weight and gradient program); a
+        forward-KL stack's rows read the samples and log densities draw
+        made."""
         if self.forward:
-            losses, clamped, grad, failed = self._forward_step(noise)
+            losses, grad, _ = _forward_rows(self.theta, *noise)
+            losses, clamped, failed = (losses.tolist(),
+                                       [False] * len(self.jobs), {})
         else:
-            losses, clamped, grad, failed = self._q_side_step(t, noise)
+            taus = [cfg.schedule.tau_at(t, cfg.iterations)
+                    if cfg.objective == "srfe" else 0.0 for cfg in self.cfgs]
+            reports, grad, _, failed = _q_side_step(self.theta, noise,
+                                                    self.targets, taus)
+            losses = [rep.loss for rep in reports]
+            clamped = [rep.clamped for rep in reports]
         finite = np.isfinite(grad).all(axis=(1, 2))
         for j, loss in enumerate(losses):
             if j in failed:
@@ -273,27 +289,6 @@ class _Stack:
             self._take([j for j, cfg in enumerate(self.cfgs)
                         if cfg.iterations != t and j not in failed])
         return ended
-
-    def _q_side_step(self, t: int, eps: np.ndarray):
-        """srfe and reverse-KL rows: one transform, one target pass per
-        target, one weight and gradient program."""
-        taus = [cfg.schedule.tau_at(t, cfg.iterations)
-                if cfg.objective == "srfe" else 0.0 for cfg in self.cfgs]
-        reports, grad, _, failed = _q_side_step(self.theta, eps,
-                                                self.targets, taus)
-        return ([rep.loss for rep in reports],
-                [rep.clamped for rep in reports], grad, failed)
-
-    def _forward_step(self, xs: np.ndarray):
-        """Forward-KL rows: one target.log_prob on the shared samples."""
-        failed = {}
-        try:
-            log_p = self.targets[0].log_prob(xs)
-        except (RuntimeError, FloatingPointError) as exc:
-            failed = dict.fromkeys(range(len(self.jobs)), exc)
-            log_p = np.zeros(xs.shape[0])
-        losses, grad, _ = _forward_rows(self.theta, xs, log_p)
-        return losses.tolist(), [False] * len(self.jobs), grad, failed
 
     def _take(self, keep: list) -> None:
         """Keep only the given rows."""
@@ -452,10 +447,11 @@ def train_lockstep(jobs) -> list[TrainResult | Exception]:
     stack with its Adam rows; the other rows step on.  A RuntimeError or
     FloatingPointError raised by a target pass ends every job of that pass
     (the jobs of the stack with that target) with that exception, and one
-    raised by a forward-KL stack's target.sample ends every job of that
-    stack; the other stacks step on.  A failed job's exception takes its
-    place in the returned list, also at the job's last step.  Any other
-    exception propagates.
+    raised by a forward-KL stack's target.sample or target.log_prob, both
+    called where the stack draws, ends every job of that stack; the other
+    stacks step on.  A failed job's exception takes its place in the
+    returned list, also at the job's last step.  Any other exception
+    propagates.
 
     The jobs are fitted in _share_count shares, split by _split's cost
     count: share 0 in this process, every other share in a forked child

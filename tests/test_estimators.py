@@ -1,8 +1,9 @@
 """Monte-Carlo losses and gradients: exact zero at the target, clamp
-behaviour, common-random-numbers derivative checks, the per-coordinate
-gradient kernels against the (n, 2d) concatenated form, every row of a
-stack of fits against the same fit alone, the Gaussian closed form, and
-second-moment bounds on the softmax family."""
+behaviour, common-random-numbers derivative checks, the tau -> 0 endpoint
+against reverse KL, the per-coordinate gradient kernels against the (n, 2d)
+concatenated form, every row of a stack of fits against the same fit
+alone, the Gaussian closed form, and second-moment bounds on the softmax
+family."""
 import dataclasses
 import math
 import warnings
@@ -14,7 +15,7 @@ import pytest
 from srfe_lab.discrete import DiscreteDist
 from srfe_lab.estimators import (
     _forward_rows,
-    _pathwise_grad,
+    _pathwise_rows,
     _q_rows,
     _q_side_rows,
     _q_side_step,
@@ -33,6 +34,7 @@ from srfe_lab.gaussians import (
     ContaminatedMixture,
     DiagonalGaussian,
     GaussianMixture,
+    _param_score_rows,
 )
 
 MEANS = np.array([[-3.0, 0.0], [3.0, 0.0], [0.0, 4.0]])
@@ -184,7 +186,8 @@ class TestPathwiseGradients:
 
 
 def concatenated_pathwise(q, score, eps, w, scale):
-    """_pathwise_grad as one (n, 2d) array reduced over both axes."""
+    """_pathwise_rows on one row as one (n, 2d) array reduced over both
+    axes."""
     b = np.concatenate([score, score * (q.sigma * eps) + 1.0], axis=1)
     d = scale * (w[:, None] * b).sum(axis=0)
     g = scale * (w.size * w)[:, None] * b
@@ -207,15 +210,17 @@ def test_gradient_kernels_match_concatenated_form(d):
                          log_sigma=rng.normal(scale=0.3, size=d))
     eps = rng.standard_normal((2000, d))
     score = target.log_prob_and_score(q.transform(eps))[1]
+    rows = np.ascontiguousarray(score.T)[:, None, :]  # (d, 1, n)
     w = rng.random(eps.shape[0])
     for weights, scale in ((w / w.sum(), -1.0 / 0.3),
                            (np.full(eps.shape[0], 1.0 / eps.shape[0]), -1.0)):
-        got = _pathwise_grad(q, score, eps, weights, scale)
+        d_mu, d_ls, got_second = _pathwise_rows(
+            rows, eps, q.sigma[:, None, None], weights[None],
+            np.array([scale]), True)
         want, second = concatenated_pathwise(q, score, eps, weights, scale)
-        np.testing.assert_allclose(
-            np.concatenate([got.d_mu, got.d_log_sigma]), want,
-            rtol=1e-12, atol=0.0)
-        assert got.second_moment == pytest.approx(second, rel=1e-12, abs=0.0)
+        np.testing.assert_allclose(np.concatenate([d_mu[:, 0], d_ls[:, 0]]),
+                                   want, rtol=1e-12, atol=0.0)
+        assert got_second[0] == pytest.approx(second, rel=1e-12, abs=0.0)
     xs = target.sample(2000, rng)
     got = forward_kl_grad(q, xs)
     want, second = concatenated_forward_kl(q, xs)
@@ -235,6 +240,37 @@ def _fd_gradient(loss_of, mu, lsg, h=1e-5):
             dn[field][k] -= h
             out.append((loss_of(*up) - loss_of(*dn)) / (2 * h))
     return np.array(out)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_srfe_meets_reverse_kl_as_tau_goes_to_0(seed):
+    """The paper's tau -> 0 endpoint on one fixed batch of the fitting
+    estimator.  With m and v the batch mean and variance of r = log p -
+    log q, log F = tau m + tau^2 v / 2 + O(tau^3), so the loss L(tau) tends
+    to L(0) = -m, the reverse-KL loss, with slope -m - v/2, and the gradient
+    to the reverse-KL gradient.  Below tau 1e-5 the slope, and below 1e-8
+    the loss, lose their digits to log(total / n) in _q_side_rows; those
+    ranges wait for its log1p form."""
+    q = DiagonalGaussian(mu=np.array([0.5, 1.0]),
+                         log_sigma=np.array([0.3, 0.2]))
+    eps = np.random.default_rng(seed).standard_normal((5000, 2))
+    loss_0 = reverse_kl_loss(q, BENCH, eps)
+    grad_0 = reverse_kl_grad(q, BENCH, eps)
+    x = q.transform(eps)
+    r = BENCH.log_prob(x) - q.log_prob(x)
+    slope_0 = -r.mean() - r.var() / 2.0
+    for k in range(2, 10):
+        tau = 10.0 ** -k
+        rep, grad = srfe_mc_step(q, BENCH, tau, eps)
+        assert not rep.clamped
+        if k <= 8:
+            assert abs(rep.loss - loss_0) <= tau
+        np.testing.assert_allclose(grad.d_mu, grad_0.d_mu, rtol=0.0,
+                                   atol=3.0 * tau)
+        np.testing.assert_allclose(grad.d_log_sigma, grad_0.d_log_sigma,
+                                   rtol=0.0, atol=3.0 * tau)
+        if k <= 5:
+            assert abs((rep.loss - loss_0) / tau - slope_0) <= 2.0 * tau
 
 
 class TestGaussianClosedForm:
@@ -544,11 +580,13 @@ def test_kernels_match_reference_formulas(n_components, d):
     rng, mix, q, eps = reference_case(n_components, d)
     x = reference_transform(q, eps)
     x[::3, 0] = np.where(rng.random(x[::3].shape[0]) < 0.5, -10.0, 10.0)
+    for got, want in zip(_param_score_rows(x.T - q.mu[:, None],
+                                           q.sigma[:, None]),
+                         reference_param_score(q, x)):
+        np.testing.assert_array_equal(got.T, want)
     for x_in in layouts(x).values():
         np.testing.assert_array_equal(q.log_prob(x_in),
                                       reference_q_log_prob(q, x))
-        for got, want in zip(q.param_score(x_in), reference_param_score(q, x)):
-            np.testing.assert_array_equal(got, want)
         lp, score = q.log_prob_and_score(x_in)
         np.testing.assert_array_equal(lp, reference_q_log_prob(q, x))
         np.testing.assert_array_equal(score, np.stack(
@@ -743,7 +781,6 @@ POINT_CALLS = {
     "DiagonalGaussian.transform": (MODEL.transform, True),
     "DiagonalGaussian.log_prob": (MODEL.log_prob, True),
     "DiagonalGaussian.log_prob_and_score": (MODEL.log_prob_and_score, True),
-    "DiagonalGaussian.param_score": (MODEL.param_score, True),
     "GaussianMixture.log_prob": (BENCH.log_prob, True),
     "GaussianMixture.log_prob_and_score": (BENCH.log_prob_and_score, True),
     "ContaminatedMixture.log_prob": (BOXED.log_prob, True),
