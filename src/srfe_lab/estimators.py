@@ -57,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from srfe_lab.discrete import DiscreteDist, _check_tau_open
+from srfe_lab.discrete import DiscreteDist, _check_tau_open, _logsumexp_terms
 from srfe_lab.gaussians import (DiagonalGaussian, _log_norm, _log_prob_rows,
                                 _param_score_rows, _sum_rows, _transform_rows)
 
@@ -386,10 +386,8 @@ _KINDS = ("cr", "srfe_escort", "srfe_q")
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Normalized exponentials along the last axis, one distribution per row."""
-    z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    _, e, total = _logsumexp_terms(np.asarray(logits, dtype=np.float64))
+    return e / total[..., None]
 
 
 def softmax_scores(logits: np.ndarray) -> np.ndarray:

