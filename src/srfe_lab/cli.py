@@ -115,8 +115,7 @@ def _cmd_experiment(args: argparse.Namespace, cfg: RunConfig) -> int:
     except OSError as exc:  # an output the driver could not write
         raise SystemExit(f"srfe-lab: {exc}")
     for label, reason in result.failures.items():
-        print(f"warning: cell {label} failed to train: {reason}",
-              file=sys.stderr)
+        print(f"warning: cell {label} {reason}", file=sys.stderr)
     print(f"{args.command}: wrote {len(result.rows)} rows to {cfg.out_dir}/")
     return 1 if result.failures else 0
 

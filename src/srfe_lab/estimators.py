@@ -51,7 +51,6 @@ softmax-parameterized model, where everything can also be enumerated exactly.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -64,6 +63,7 @@ from srfe_lab.gaussians import (DiagonalGaussian, _log_norm, _log_prob_rows,
 __all__ = [
     "F_CLAMP_LOW",
     "F_CLAMP_HIGH",
+    "JOB_ERRORS",
     "LossReport",
     "GradReport",
     "SecondMomentReport",
@@ -82,6 +82,11 @@ __all__ = [
 # The overlap estimate f_hat is clamped into [F_CLAMP_LOW, F_CLAMP_HIGH].
 F_CLAMP_LOW = 1e-10
 F_CLAMP_HIGH = 1.0
+
+# The errors of a target call that end the jobs which made it, and not the
+# call that fits them: a fitting step, a stack of srfe_lab.training and a
+# cell of srfe_lab.experiments catch these, and let any other propagate.
+JOB_ERRORS = (RuntimeError, FloatingPointError)
 
 
 @dataclass(frozen=True)
@@ -198,15 +203,6 @@ def _pathwise_rows(score: np.ndarray, eps: np.ndarray, sigma: np.ndarray,
     return d_mu, d_ls, c.mean(axis=1)
 
 
-def _runs(keys):
-    """(start, stop, key) of each run of equal consecutive keys."""
-    start = 0
-    for key, run in itertools.groupby(keys):
-        stop = start + len(list(run))
-        yield start, stop, key
-        start = stop
-
-
 def _q_side_rows(theta: np.ndarray, eps: np.ndarray, r: np.ndarray,
                  score: np.ndarray, taus, moments: bool = False):
     """Losses and exact gradients of J q-side rows from one pass: theta (J,
@@ -240,6 +236,11 @@ def _q_side_rows(theta: np.ndarray, eps: np.ndarray, r: np.ndarray,
     np.exp(r, out=r)
     sums = r.sum(axis=1)
     reports = []
+    # scalar math.log and math.exp (in _clamp_log_f), not numpy's: on an
+    # AVX-512 host with numpy 2.4.6, numpy's float64 log rounds unlike
+    # math.log on 225 of 200 000 uniform draws in (0, 10), and exp unlike
+    # math.exp on 9325 in (-20, 20), so an array loop would move the last
+    # bits of the losses
     for t, r_top, total in zip(tau.tolist(), r_max.tolist(), sums.tolist()):
         if t == 0.0:
             reports.append(LossReport(loss=-(next(kl) / n), f_hat=1.0,
@@ -271,21 +272,24 @@ def _q_side_step(theta: np.ndarray, eps: np.ndarray, targets, taus,
     adjacent.
 
     Makes x and log q for every row (_q_rows), one log_prob_and_score pass
-    per run of equal targets (_target_rows), and the losses and gradients
+    per run of rows whose target is one object, split where targets[j] is
+    not targets[j - 1] (_target_rows), and the losses and gradients
     (_q_side_rows).  Returns the reports, the gradients, the second moments
     (None unless moments) and {row: exception} for each row whose pass
-    raised RuntimeError or FloatingPointError; those rows get harmless
-    values (r = 0, score 0), and any other exception propagates.
+    raised one of JOB_ERRORS; those rows get harmless values (r = 0, score
+    0), and any other exception propagates.
     """
     x, log_q = _q_rows(theta, eps)
     r, score = np.empty(log_q.shape), np.empty(x.shape)
     failed = {}
-    for start, stop, _ in _runs(map(id, targets)):
+    bounds = [0, *(j for j in range(1, len(targets))
+                   if targets[j] is not targets[j - 1]), len(targets)]
+    for start, stop in zip(bounds, bounds[1:]):
         rows = slice(start, stop)
         try:
             _target_rows(targets[start], x[:, rows], log_q[rows], r[rows],
                          score[:, rows])
-        except (RuntimeError, FloatingPointError) as exc:
+        except JOB_ERRORS as exc:
             r[rows] = 0.0
             score[:, rows] = 0.0
             failed.update(dict.fromkeys(range(start, stop), exc))

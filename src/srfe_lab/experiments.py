@@ -26,6 +26,7 @@ from dataclasses import astuple, dataclass, replace
 import numpy as np
 
 from .discrete import _check_tau_open
+from .estimators import JOB_ERRORS
 from .evaluation import N_ENTROPY, EvalMetrics, evaluate, target_entropy
 from .gaussians import ContaminatedMixture, GaussianMixture
 # unused here, but perfbench/bench_trace.py patches experiments.train by name
@@ -127,7 +128,7 @@ class ExperimentResult:
     rows: list[ResultRow]
     aggregate: list[AggregateRow] | None
     histories: dict[str, np.ndarray]
-    failures: dict[str, str]  # cell label -> why it failed
+    failures: dict[str, str]  # cell label -> "failed to <stage>: <why>"
 
 
 _FAILED = EvalMetrics(mode_coverage=-1, ess=math.nan, entropy_error=math.nan,
@@ -145,17 +146,21 @@ class _Cell:
     trial: int = 0
 
 
-def _run_cells(cells: list[_Cell],
-               modes: GaussianMixture) -> ExperimentResult:
-    """Train every cell in lockstep, then evaluate them in cell order.
+def _run_cells(cells: list[_Cell]) -> ExperimentResult:
+    """Train every cell in lockstep, then evaluate them in cell order,
+    with the modes of benchmark_target().
 
     The target entropy is estimated once per (target, seed), on the
     seed + 2 stream, before training (so every cell's target needs
-    sample(n, rng)), and handed to evaluate.  A RuntimeError or
-    FloatingPointError ends only its own cells: one from a cell's training
-    or its evaluate fails that cell, and one from an entropy estimate
-    fails every cell of that (target, seed).  A failed cell becomes a NaN
-    row, and its label maps to the exception text in failures.
+    sample(n, rng)), and handed to evaluate.  train_lockstep splits the
+    cells into shares and hands each share its stacks (see the training
+    module docstring).  One of JOB_ERRORS ends only its own cells: one
+    from a cell's training or its evaluate fails that cell, and one from
+    an entropy estimate fails every cell of that (target, seed).  A failed
+    cell becomes a NaN row, and its label maps in failures to the stage
+    that raised and the exception text: "failed to train: <text>", else
+    "failed to estimate the target entropy: <text>", else "failed to
+    evaluate: <text>".
     """
     # Before training: train_lockstep sets glibc's heap policy, and under
     # it the estimates' 1.6 MB sample arrays come from the heap instead of
@@ -168,25 +173,27 @@ def _run_cells(cells: list[_Cell],
             try:
                 entropies[key] = target_entropy(
                     cell.target, N_ENTROPY, np.random.default_rng(key[1] + 2))
-            except (RuntimeError, FloatingPointError) as exc:
+            except JOB_ERRORS as exc:
                 entropies[key] = exc
     outcomes = train_lockstep([(c.target, c.train_cfg) for c in cells])
+    modes = benchmark_target()
     rows, histories, failures = [], {}, {}
     for cell, outcome in zip(cells, outcomes):
         seed = cell.train_cfg.seed
         entropy = entropies[(id(cell.target), seed)]
-        failure = next((o for o in (outcome, entropy)
-                        if isinstance(o, Exception)), None)
+        failure = next((f"failed to {stage}: {o}" for stage, o in (
+            ("train", outcome), ("estimate the target entropy", entropy))
+            if isinstance(o, Exception)), None)
         if failure is None:
             try:
                 metrics = evaluate(outcome.model, cell.target, modes, seed,
                                    entropy)
-            except (RuntimeError, FloatingPointError) as exc:
-                failure = exc
+            except JOB_ERRORS as exc:
+                failure = f"failed to evaluate: {exc}"
         if failure is not None:
             # keep the sweep going; NaNs flag the failed cell in the CSV
             metrics, loss, clamped, history = _FAILED, math.nan, -1, np.empty(0)
-            failures[cell.label] = str(failure)
+            failures[cell.label] = failure
         else:
             loss, clamped = float(outcome.loss_history[-1]), outcome.clamp_count
             history = np.asarray(outcome.loss_history)
@@ -198,11 +205,11 @@ def _run_cells(cells: list[_Cell],
                             failures=failures)
 
 
-def _execute(cells: list[_Cell], cfg: RunConfig, modes: GaussianMixture,
+def _execute(cells: list[_Cell], cfg: RunConfig,
              csv_name: str) -> ExperimentResult:
     # before training, so an unwritable out_dir fails before any work
     os.makedirs(cfg.out_dir, exist_ok=True)
-    result = _run_cells(cells, modes)
+    result = _run_cells(cells)
     write_rows(os.path.join(cfg.out_dir, csv_name), result.rows)
     if cfg.dump_loss:
         stem = csv_name.rsplit(".", 1)[0]
@@ -268,7 +275,7 @@ def run_exp1(cfg: RunConfig) -> ExperimentResult:
                            _train_cfg(cfg, "srfe", cfg.seed,
                                       schedule=TauSchedule.fixed(tau)),
                            target))
-    return _execute(cells, cfg, target, "exp1.csv")
+    return _execute(cells, cfg, "exp1.csv")
 
 
 def run_exp2(cfg: RunConfig) -> ExperimentResult:
@@ -284,7 +291,7 @@ def run_exp2(cfg: RunConfig) -> ExperimentResult:
               target, trial)
         for tau in taus for trial in range(trials)
     ]
-    result = _execute(cells, cfg, target, "exp2_trials.csv")
+    result = _execute(cells, cfg, "exp2_trials.csv")
 
     aggregate = []
     for tau in taus:
@@ -325,7 +332,7 @@ def run_exp3(cfg: RunConfig) -> ExperimentResult:
               _train_cfg(cfg, "srfe", cfg.seed, schedule=sched), target)
         for sched in exp3_schedules()
     ]
-    return _execute(cells, cfg, target, "exp3.csv")
+    return _execute(cells, cfg, "exp3.csv")
 
 
 def run_exp4(cfg: RunConfig) -> ExperimentResult:
@@ -343,7 +350,7 @@ def run_exp4(cfg: RunConfig) -> ExperimentResult:
                 _train_cfg(cfg, "srfe", cfg.seed,
                            schedule=TauSchedule.fixed(tau), iterations=1500),
                 target))
-    return _execute(cells, cfg, base, "exp4.csv")
+    return _execute(cells, cfg, "exp4.csv")
 
 
 def density_grid(dist, bounds: tuple[float, float, float, float],

@@ -27,26 +27,30 @@ included on a zero gradient, and the rows that failed or finished leave
 together.  A stack's rows are its jobs grouped by target, in job order
 otherwise, so each target's rows are one slice of the buffer.  Each row
 computes exactly what its job computes stepped alone, and Adam works
-elementwise, so stacking changes no number.
+elementwise, so stacking changes no number.  A target call that raises
+one of estimators.JOB_ERRORS ends the jobs that made it, not the fit.
 
 Jobs are split into one share per CPU this process may run on, balanced
-by a fixed cost count (_split): a job costs 1, and its noise stream 1 more
-in a share that does not read it yet.  The calling process fits share 0;
-each other share is fitted the same way in a child made with os.fork,
-which redraws its noise from the same seeds and pickles back over a pipe
-one value: its {job index: outcome} dict, or the exception that ended
-it.  Every job therefore gets the outcome it gets alone (an exception that
-cannot cross the pipe as itself comes back as a RuntimeError naming it).
-With one CPU, one job, no os.fork, or a second Python thread alive (its
-locks would be copied held), there is one share and no fork.  Shares are
-processes, not threads: a stack step is about a hundred short numpy calls,
-so worker threads would mostly pass the interpreter lock between them
-rather than overlap work.  The fork is written out here, not taken from a
-process pool, because a pool's import alone costs start-up time and
-memory that every command would pay: after importing srfe_lab.cli,
-importing concurrent.futures.process took 15 ms and added 1.0 MB of peak
-RSS, and multiprocessing.pool 18-21 ms and 0.8-0.9 MB (three runs each on
-2 vCPUs, Python 3.11.7).
+by a fixed cost count: a job costs 1, and its noise stream 1 more in a
+share that does not read it yet.  The split hands each share its stacks
+(_split, {stream key: [job indices]}), so which jobs step together is
+decided there alone, and a share builds one _Stack per entry without
+keying a job again.  The calling process fits share 0; each other share
+is fitted the same way in a child made with os.fork, which redraws its
+noise from the same seeds and pickles back over a pipe one value: its
+{job index: outcome} dict, or the exception that ended it.  Every job
+therefore gets the outcome it gets alone (an exception that cannot cross
+the pipe as itself comes back as a RuntimeError naming it).  With one CPU,
+one job, no os.fork, or a second Python thread alive (its locks would be
+copied held), there is one share and no fork.  Shares are processes, not
+threads: a stack step is about a hundred short numpy calls, so worker
+threads would mostly pass the interpreter lock between them rather than
+overlap work.  The fork is written out here, not taken from a process pool,
+because a pool's import alone costs start-up time and memory that every
+command would pay: after importing srfe_lab.cli, importing
+concurrent.futures.process took 15 ms and added 1.0 MB of peak RSS, and
+multiprocessing.pool 18-21 ms and 0.8-0.9 MB (three runs each on 2 vCPUs,
+Python 3.11.7).
 
 Before it forks, the process sets glibc's heap policy (_set_heap_policy),
 which the shares inherit, so that the heap is not handed back to the
@@ -70,7 +74,7 @@ from srfe_lab.discrete import _check_tau_open
 # srfe_mc_step and the KL losses and gradients are the one-row case of the
 # stack kernels and unused here, but perfbench/bench_trace.py patches them
 # on training by name
-from srfe_lab.estimators import (_forward_rows, _q_side_step,
+from srfe_lab.estimators import (JOB_ERRORS, _forward_rows, _q_side_step,
                                  forward_kl_grad, forward_kl_loss,
                                  reverse_kl_grad, reverse_kl_loss,
                                  srfe_mc_step)
@@ -216,22 +220,21 @@ def _stream(target, cfg: TrainConfig) -> tuple:
 class _Stack:
     """The jobs of one share that read one noise stream, stepped together.
 
-    jobs maps a job index to its (target, cfg), and rows are the indices
-    of this stack's jobs.  Row j of theta (J, 2, d), mu and log_sigma,
-    belongs to job self.jobs[j]; Adam holds (J, 2, d) moments.  Rows leave
-    the stack when their job fails or finishes.
+    jobs is the (target, cfg) list of the whole fit, and rows are the
+    indices of this stack's jobs, as _split hands them over.  Row j of
+    theta (J, 2, d), mu and log_sigma, belongs to job self.jobs[j]; Adam
+    holds (J, 2, d) moments.  Rows leave the stack when their job fails or
+    finishes.
     """
 
-    def __init__(self, jobs: dict, rows: list):
-        by_target = {}
-        for i in rows:
-            by_target.setdefault(id(jobs[i][0]), []).append(i)
-        self.jobs = [i for group in by_target.values() for i in group]
+    def __init__(self, jobs: list, rows: list):
+        # grouped by target, in order of first job, job order otherwise
+        order = list(dict.fromkeys(id(jobs[i][0]) for i in rows))
+        self.jobs = sorted(rows, key=lambda i: order.index(id(jobs[i][0])))
         self.targets = [jobs[i][0] for i in self.jobs]
         self.cfgs = [jobs[i][1] for i in self.jobs]
-        cfg = self.cfgs[0]
-        self.forward = cfg.objective == "forward_kl"
-        self.rng = np.random.default_rng(cfg.seed)
+        self.forward = self.cfgs[0].objective == "forward_kl"
+        self.rng = np.random.default_rng(self.cfgs[0].seed)
         self.theta = np.zeros((len(self.jobs), 2, self.targets[0].dim))
         self.opt = Adam(self.theta.shape, lr=np.array(
             [c.learning_rate for c in self.cfgs])[:, None, None])
@@ -246,9 +249,9 @@ class _Stack:
         A srfe/reverse-KL stack draws eps and takes one q-side step (one
         transform, one target pass per target, one weight and gradient
         program).  A forward-KL stack draws target.sample, then
-        target.log_prob on those samples, its only calls of its target; a
-        RuntimeError or FloatingPointError from either ends every job of
-        the stack, with no Adam step."""
+        target.log_prob on those samples, its only calls of its target; one
+        of JOB_ERRORS from either ends every job of the stack, with no Adam
+        step."""
         cfg = self.cfgs[0]
         if self.forward:
             try:
@@ -256,7 +259,7 @@ class _Stack:
                                                        self.rng))
                 xs.flags.writeable = False
                 log_p = self.targets[0].log_prob(xs)
-            except (RuntimeError, FloatingPointError) as exc:
+            except JOB_ERRORS as exc:
                 ended = [(i, exc) for i in self.jobs]
                 self._take([])
                 return ended
@@ -346,37 +349,36 @@ def _share_count(n_jobs: int) -> int:
     return max(1, min(n_jobs, _cpu_count()))
 
 
-def _split(jobs, shares: int) -> list[list[int]]:
-    """The job indices of each share, balanced by a fixed cost count.
+def _split(jobs, shares: int) -> list[dict]:
+    """The stacks of each share, {stream key: [job indices]}, balanced by a
+    fixed cost count; this is the one place that decides which jobs step
+    together.
 
     Walking the jobs in order, each goes to the share where its cost leaves
-    the lowest total, ties to the lowest index.  A job costs 1, and its
-    noise stream (see _stream) costs 1 more in a share that does not read
-    it yet: a q-side row adds about as much to a step as a stack's own draw
-    and overhead does, and a forward-KL stack with its one job costs about
-    two q-side rows."""
+    the lowest total, ties to the lowest index, and joins that share's
+    stack of its noise stream (see _stream), so each stack lists its jobs
+    in job order and each share its stacks in the order of their first
+    job.  A job costs 1, and its noise stream 1 more in a share that does
+    not read it yet: a q-side row adds about as much to a step as a stack's
+    own draw and overhead does, and a forward-KL stack with its one job
+    costs about two q-side rows."""
     costs = [0] * shares
-    streams = [set() for _ in range(shares)]
-    split = [[] for _ in range(shares)]
+    split = [{} for _ in range(shares)]
     for i, (target, cfg) in enumerate(jobs):
         key = _stream(target, cfg)
-        s = min(range(shares),
-                key=lambda s: costs[s] + (key not in streams[s]))
-        costs[s] += 1 + (key not in streams[s])
-        streams[s].add(key)
-        split[s].append(i)
+        s = min(range(shares), key=lambda s: costs[s] + (key not in split[s]))
+        costs[s] += 1 + (key not in split[s])
+        split[s].setdefault(key, []).append(i)
     return split
 
 
-def _fit_lockstep(jobs: dict, parent: int | None = None) -> dict:
-    """train_lockstep's loop, in this process: {job index: outcome} for
-    jobs, {job index: (target, cfg)}.  A forked share passes the pid of
-    the process that reads its outcomes, and exits once that process is
+def _fit_lockstep(jobs: list, stacks: dict, parent: int | None = None) -> dict:
+    """train_lockstep's loop, in this process, over stacks, one share of
+    _split over jobs, the whole (target, cfg) list: {job index: outcome}
+    for the jobs of that share.  A forked share passes the pid of the
+    process that reads its outcomes, and exits once that process is
     gone."""
-    streams = {}
-    for i, (target, cfg) in jobs.items():
-        streams.setdefault(_stream(target, cfg), []).append(i)
-    stacks = [_Stack(jobs, rows) for rows in streams.values()]
+    stacks = [_Stack(jobs, rows) for rows in stacks.values()]
     outcomes = {}
     t = 0
     while stacks:
@@ -401,12 +403,12 @@ def _picklable(exc: Exception) -> Exception:
     return exc
 
 
-def _fork_share(jobs: dict, parent: int):
-    """Fit jobs, {job index: (target, cfg)}, in a forked child; its pid and
-    the read end of the pipe that carries back one value: the outcome dict
-    _fit_lockstep returns, or the exception that ended the share.  Each
-    exception sent is first passed through _picklable, so that the parent
-    can always read the payload."""
+def _fork_share(jobs: list, stacks: dict, parent: int):
+    """Fit the stacks of one share of _split over jobs in a forked child;
+    its pid and the read end of the pipe that carries back one value: the
+    outcome dict _fit_lockstep returns, or the exception that ended the
+    share.  Each exception sent is first passed through _picklable, so
+    that the parent can always read the payload."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -420,9 +422,9 @@ def _fork_share(jobs: dict, parent: int):
         try:
             os.close(read_fd)
             try:
+                outcomes = _fit_lockstep(jobs, stacks, parent)
                 payload = {i: _picklable(o) if isinstance(o, Exception)
-                           else o
-                           for i, o in _fit_lockstep(jobs, parent).items()}
+                           else o for i, o in outcomes.items()}
             except Exception as exc:
                 payload = _picklable(exc)
             with os.fdopen(write_fd, "wb") as fh:
@@ -446,20 +448,22 @@ def train_lockstep(jobs) -> list[TrainResult | Exception]:
     Failures end jobs, not the call.  A job whose loss or gradient is
     non-finite at step t ends with RuntimeError("non-finite loss at step
     t") or RuntimeError("non-finite gradient at step t") and leaves the
-    stack with its Adam rows; the other rows step on.  A RuntimeError or
-    FloatingPointError raised by a target pass ends every job of that pass
-    (the jobs of the stack with that target) with that exception, and one
-    raised by a forward-KL stack's target.sample or target.log_prob, both
-    called where the stack draws inside its step, ends every job of that
-    stack before any Adam step; the other stacks step on.  A failed job's
-    exception takes its place in the returned list, also at the job's last
-    step.  Any other exception propagates.
+    stack with its Adam rows; the other rows step on.  One of JOB_ERRORS
+    raised by a target pass ends every job of that pass (the jobs of the
+    stack with that target) with that exception, and one raised by a
+    forward-KL stack's target.sample or target.log_prob, both called where
+    the stack draws inside its step, ends every job of that stack before
+    any Adam step; the other stacks step on.  A failed job's exception
+    takes its place in the returned list, also at the job's last step.
+    Any other exception propagates.
 
-    The jobs are fitted in _share_count shares, split by _split's cost
-    count: share 0 in this process, every other share in a forked child
-    (see the module docstring).  Each share returns one {job index:
-    outcome} dict, or a forked share the one exception that ended it;
-    the dicts are merged and returned in job order.  An exception from a
+    The jobs are fitted in _share_count shares, and _split hands each
+    share its stacks, {stream key: [job indices]}, by its cost count; the
+    whole job list goes with them, so no share keys a job again.  Share 0
+    is fitted in this process, every other share in a forked child (see
+    the module docstring).  Each share returns one {job index: outcome}
+    dict, or a forked share the one exception that ended it; the dicts
+    are merged and returned in job order.  An exception from a
     forked share that does not survive a pickle round trip arrives as
     RuntimeError("<its type name>: <its message>") in its place, in the
     returned list or raised, so a failed job still fails alone and with its
@@ -470,8 +474,7 @@ def train_lockstep(jobs) -> list[TrainResult | Exception]:
     """
     _set_heap_policy()
     jobs = list(jobs)
-    split = [{i: jobs[i] for i in share}
-             for share in _split(jobs, _share_count(len(jobs)))]
+    split = _split(jobs, _share_count(len(jobs)))
     children = []  # (share, pid, pipe read end), until reaped
     try:
         if len(split) > 1:
@@ -482,8 +485,8 @@ def train_lockstep(jobs) -> list[TrainResult | Exception]:
                     stream.flush()
         parent = os.getpid()
         for s in range(1, len(split)):
-            children.append((s, *_fork_share(split[s], parent)))
-        outcomes = _fit_lockstep(split[0])
+            children.append((s, *_fork_share(jobs, split[s], parent)))
+        outcomes = _fit_lockstep(jobs, split[0])
         while children:
             s, pid, fh = children[0]
             with fh:

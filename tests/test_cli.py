@@ -14,6 +14,7 @@ import pytest
 import srfe_lab
 from srfe_lab import experiments
 from srfe_lab.cli import main
+from test_experiments import EntropyRaises, EvaluateRaises, benchmark_like
 
 
 def read_csv(path):
@@ -116,6 +117,27 @@ class TestExperimentCommands:
             f"warning: cell {s.describe()} failed to train: "
             "non-finite loss at step 1"
             for s in experiments.exp3_schedules()]
+
+    @pytest.mark.parametrize("target, stage, reason", [
+        (EntropyRaises, "estimate the target entropy",
+         "sample failed on the entropy batch"),
+        (EvaluateRaises, "evaluate", "log_prob failed on the ESS batch")],
+        ids=["entropy", "evaluate"])
+    def test_failed_cells_name_the_stage_that_failed(
+            self, tmp_path, capsys, monkeypatch, target, stage, reason):
+        monkeypatch.setattr(experiments, "benchmark_target",
+                            lambda: benchmark_like(target))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"iterations": 2, "batch_size": 20,
+                                        "tau_grid": [0.5]}))
+        code = main(["exp1", "--config", str(cfg_path), "--out",
+                     str(tmp_path / "r")])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == f"exp1: wrote 3 rows to {tmp_path / 'r'}/\n"
+        assert err.splitlines() == [
+            f"warning: cell {label} failed to {stage}: {reason}"
+            for label in ("forward_kl", "reverse_kl", "srfe_tau_0.5")]
 
 
     @pytest.mark.parametrize("command", ["exp1", "exp2", "exp3", "exp4"])

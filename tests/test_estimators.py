@@ -12,6 +12,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from srfe_lab import estimators
 from srfe_lab.discrete import DiscreteDist
 from srfe_lab.estimators import (
     _forward_rows,
@@ -711,16 +712,27 @@ class RaisingTarget:
 
 
 @pytest.mark.parametrize("n", [1, 7, 1000])
-def test_q_side_step_matches_one_row_calls_without_warnings(n):
+def test_q_side_step_matches_one_row_calls_without_warnings(n, monkeypatch):
     exc = FloatingPointError("overflow")
     targets = (BENCH, RaisingTarget(exc),
                ContaminatedMixture(base=BENCH, outlier_weight=0.2),
                NoSupport())
-    rows = [(target, q, tau) for target in targets for q in stack_models()
+    # the raising target and BENCH come back after other targets: each run
+    # of rows with one target is its own pass, and fails alone
+    order = (*targets, targets[1], BENCH)
+    rows = [(target, q, tau) for target in order for q in stack_models()
             for tau in (0.01, 0.0, 0.5, 0.99)]
     taus = [tau for _, _, tau in rows]
     eps = np.random.default_rng(12).standard_normal((n, 2))
     eps[:3] *= 6.0
+    passes = []
+    real_target_rows = estimators._target_rows
+
+    def recording_target_rows(target, x, *args):
+        passes.append((target, x.shape[1]))
+        real_target_rows(target, x, *args)
+
+    monkeypatch.setattr(estimators, "_target_rows", recording_target_rows)
     # rows with no support and clamped rows compute their weights too, and
     # must do so quietly
     with warnings.catch_warnings():
@@ -728,6 +740,10 @@ def test_q_side_step_matches_one_row_calls_without_warnings(n):
         reports, grad, second, failed = _q_side_step(
             stack_of([q for _, q, _ in rows]), eps,
             [target for target, _, _ in rows], taus, moments=True)
+        monkeypatch.undo()
+        run = len(rows) // len(order)
+        assert [m for _, m in passes] == [run] * len(order)
+        assert all(got is want for (got, _), want in zip(passes, order))
         assert grad.shape == (len(rows), 2, 2) and second.shape == (len(rows),)
         for j, (target, q, tau) in enumerate(rows):
             if target is targets[1]:

@@ -243,13 +243,38 @@ def test_run_config_grids_become_float_tuples():
     assert all(type(v) is float for v in cfg.outlier_weights)
 
 
+class EvaluateRaises(GaussianMixture):
+    """Fits like the benchmark mixture, then fails on the ESS batch."""
+
+    def log_prob(self, x):
+        if np.shape(x)[0] == evaluation.N_ESS:
+            raise RuntimeError("log_prob failed on the ESS batch")
+        return super().log_prob(x)
+
+
+class EntropyRaises(GaussianMixture):
+    """The benchmark mixture, but its target-entropy draw fails."""
+
+    def sample(self, n, rng):
+        if n == evaluation.N_ENTROPY:
+            raise RuntimeError("sample failed on the entropy batch")
+        return super().sample(n, rng)
+
+
+def benchmark_like(cls):
+    """The benchmark mixture as an instance of cls."""
+    return cls(means=np.array(experiments.TARGET_MEANS),
+               variance=experiments.TARGET_VARIANCE,
+               weights=np.array(experiments.TARGET_WEIGHTS))
+
+
 class TestFailureIsolation:
     def assert_failed_cell(self, target, message):
         cell = _Cell("bad", None, None, None,
                      TrainConfig(objective="reverse_kl", iterations=2,
                                  batch_size=10),
                      target)
-        res = _run_cells([cell], benchmark_target())
+        res = _run_cells([cell])
         (row,), history = res.rows, res.histories["bad"]
         assert res.failures == {"bad": message}
         assert row.method == "reverse_kl"
@@ -272,7 +297,8 @@ class TestFailureIsolation:
             def sample(self, n, rng):
                 return rng.standard_normal((n, 2))
 
-        self.assert_failed_cell(BrokenTarget(), "non-finite loss at step 1")
+        self.assert_failed_cell(BrokenTarget(),
+                                "failed to train: non-finite loss at step 1")
 
     def test_nan_score_target_yields_nan_row(self):
         # the loss is finite, the gradient is not
@@ -288,40 +314,24 @@ class TestFailureIsolation:
             def sample(self, n, rng):  # the entropy estimate draws first
                 return rng.standard_normal((n, 2))
 
-        self.assert_failed_cell(NanScoreTarget(),
-                                "non-finite gradient at step 1")
+        self.assert_failed_cell(
+            NanScoreTarget(), "failed to train: non-finite gradient at step 1")
 
     def test_evaluate_error_yields_nan_row(self):
-        # fits like the benchmark mixture, then fails on the ESS batch
-        class EvaluateRaises(GaussianMixture):
-            def log_prob(self, x):
-                if np.shape(x)[0] == evaluation.N_ESS:
-                    raise RuntimeError("log_prob failed on the ESS batch")
-                return super().log_prob(x)
-
         self.assert_failed_cell(
-            EvaluateRaises(means=np.array(experiments.TARGET_MEANS),
-                           variance=experiments.TARGET_VARIANCE,
-                           weights=np.array(experiments.TARGET_WEIGHTS)),
-            "log_prob failed on the ESS batch")
+            benchmark_like(EvaluateRaises),
+            "failed to evaluate: log_prob failed on the ESS batch")
 
     def test_entropy_error_fails_only_that_targets_cells(self):
-        class EntropyRaises(GaussianMixture):
-            def sample(self, n, rng):
-                if n == evaluation.N_ENTROPY:
-                    raise RuntimeError("sample failed on the entropy batch")
-                return super().sample(n, rng)
-
-        bad = EntropyRaises(means=np.array(experiments.TARGET_MEANS),
-                            variance=experiments.TARGET_VARIANCE,
-                            weights=np.array(experiments.TARGET_WEIGHTS))
+        bad = benchmark_like(EntropyRaises)
         cfg = TrainConfig(objective="reverse_kl", iterations=2, batch_size=10)
         cells = [_Cell(label, None, None, None, cfg, target)
                  for label, target in (("bad_0", bad),
                                        ("good", benchmark_target()),
                                        ("bad_1", bad))]
-        res = _run_cells(cells, benchmark_target())
-        message = "sample failed on the entropy batch"
+        res = _run_cells(cells)
+        message = ("failed to estimate the target entropy: "
+                   "sample failed on the entropy batch")
         assert res.failures == {"bad_0": message, "bad_1": message}
         for row, label in zip(res.rows, ("bad_0", "good", "bad_1")):
             failed = label != "good"
@@ -337,8 +347,7 @@ def test_clamped_steps_counts_every_clamped_step(tmp_path):
     far = DiagonalGaussian(mu=np.full(2, 100.0), log_sigma=np.zeros(2))
     cfg = TrainConfig(objective="srfe", schedule=TauSchedule.fixed(0.5),
                       iterations=4, batch_size=20)
-    res = _run_cells([_Cell("far", 0.5, None, None, cfg, far)],
-                     benchmark_target())
+    res = _run_cells([_Cell("far", 0.5, None, None, cfg, far)])
     (row,), history = res.rows, res.histories["far"]
     assert row.clamped_steps == cfg.iterations == history.size
     path = tmp_path / "t.csv"

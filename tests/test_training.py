@@ -1,6 +1,7 @@
 """Optimizer arithmetic frozen against hand-computed steps, schedule shapes,
 and determinism of the fitting loop, alone, in lockstep stacks (against the
 per-job loop they replace) and in forked shares."""
+import json
 import math
 import os
 import platform
@@ -192,6 +193,13 @@ def assert_same_outcomes(alone, shared):
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def share_jobs(jobs, shares):
+    """The job indices of each share of _split, whose stacks they form, in
+    job order."""
+    return [sorted(i for rows in share.values() for i in rows)
+            for share in training._split(jobs, shares)]
 
 
 class TestAdam:
@@ -467,7 +475,7 @@ class TestTrain:
                 (failing, cfg(objective="forward_kl")),
                 (BENCH, cfg(objective="forward_kl", iterations=5)),
                 (failing, cfg(objective="forward_kl", iterations=8))]
-        assert training._split(jobs, 2) == [[0, 2], [1, 3]]
+        assert share_jobs(jobs, 2) == [[0, 2], [1, 3]]
         outcomes = train_lockstep(jobs)
         assert len(forks) == cpus - 1
         for k in (1, 3):
@@ -529,15 +537,18 @@ class TestTrain:
         assert_same_outcomes(alone, shared)
         assert_no_child_left()
 
-    @pytest.mark.parametrize("cpus", [2, 3])
-    def test_exp1_shaped_shares_match_one_share(self, monkeypatch, forks,
-                                                cpus):
-        # a forward-KL stack beside one q-side stream, split by cost
+    def exp1_jobs(self):
+        """A forward-KL stack beside one q-side stream, as exp1 has."""
         cfg = self.small_cfg
         jobs = [(BENCH, cfg(objective="forward_kl")),
                 (BENCH, cfg(objective="reverse_kl"))]
-        jobs += [(BENCH, cfg(schedule=TauSchedule.fixed(tau)))
-                 for tau in (0.1, 0.3, 0.5, 0.7, 0.9)]
+        return jobs + [(BENCH, cfg(schedule=TauSchedule.fixed(tau)))
+                       for tau in (0.1, 0.3, 0.5, 0.7, 0.9)]
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_exp1_shaped_shares_match_one_share(self, monkeypatch, forks,
+                                                cpus):
+        jobs = self.exp1_jobs()
         monkeypatch.setattr(training, "_cpu_count", lambda: 1)
         alone = train_lockstep(jobs)
         monkeypatch.setattr(training, "_cpu_count", lambda: cpus)
@@ -547,11 +558,39 @@ class TestTrain:
         assert_same_outcomes(alone, shared)
         assert_no_child_left()
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_each_share_steps_its_split_stacks(self, monkeypatch, forks,
+                                               tmp_path, cpus):
+        # a forked share's stacks are built in the child, so every process
+        # appends the rows each _Stack receives to one file
+        log = tmp_path / "stacks.jsonl"
+        real_init = training._Stack.__init__
+
+        def recording_init(stack, jobs, rows):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(json.dumps([os.getpid(), list(rows)]) + "\n")
+            real_init(stack, jobs, rows)
+
+        monkeypatch.setattr(training._Stack, "__init__", recording_init)
+        monkeypatch.setattr(training, "_cpu_count", lambda: cpus)
+        jobs = self.exp1_jobs()
+        outcomes = train_lockstep(jobs)
+        assert all(isinstance(o, TrainResult) for o in outcomes)
+        assert len(forks) == cpus - 1
+        stacks = {}
+        for line in log.read_text(encoding="utf-8").splitlines():
+            pid, rows = json.loads(line)
+            stacks.setdefault(pid, []).append(rows)
+        split = training._split(jobs, cpus)
+        assert stacks == {pid: list(share.values())
+                          for pid, share in zip([os.getpid(), *forks], split)}
+        assert_no_child_left()
+
     def test_other_exception_in_forked_share_propagates(self, forks):
         cfg = self.small_cfg
         # job 1 is share 1, fitted in the child
         jobs = [(BENCH, cfg()), (RejectingTarget(), cfg()), (BENCH, cfg())]
-        assert training._split(jobs, 2) == [[0, 2], [1]]
+        assert share_jobs(jobs, 2) == [[0, 2], [1]]
         with pytest.raises(ValueError) as error:
             train_lockstep(jobs)
         assert type(error.value) is ValueError
@@ -568,7 +607,7 @@ class TestTrain:
             return [(FailingTarget(3, TwoArgumentError("target", 3)),
                      cfg(seed=k)) for k in range(4)]
 
-        assert training._split(jobs(), 2) == [[0, 2], [1, 3]]
+        assert share_jobs(jobs(), 2) == [[0, 2], [1, 3]]
         monkeypatch.setattr(training, "_cpu_count", lambda: 1)
         alone = train_lockstep(jobs())
         monkeypatch.setattr(training, "_cpu_count", lambda: 2)
@@ -709,7 +748,7 @@ class TestShares:
     def test_exp1_puts_forward_kl_with_two_q_side_jobs(self, monkeypatch,
                                                         tmp_path):
         jobs = sweep_jobs(experiments.run_exp1, monkeypatch, tmp_path)
-        split = training._split(jobs, 2)
+        split = share_jobs(jobs, 2)
         # forward KL, srfe 0.3 and 0.7 / reverse KL, srfe 0.1, 0.5 and 0.9
         assert split == [[0, 3, 5], [1, 2, 4, 6]]
         assert [jobs[i][1].objective for i in split[0]] == [
@@ -719,12 +758,12 @@ class TestShares:
     def test_one_stream_sweeps_alternate(self, monkeypatch, tmp_path, run):
         jobs = sweep_jobs(getattr(experiments, run), monkeypatch, tmp_path)
         n = len(jobs)
-        assert training._split(jobs, 2) == [list(range(0, n, 2)),
-                                            list(range(1, n, 2))]
+        assert share_jobs(jobs, 2) == [list(range(0, n, 2)),
+                                       list(range(1, n, 2))]
 
     def test_exp2_shares_are_even(self, monkeypatch, tmp_path):
         jobs = sweep_jobs(experiments.run_exp2, monkeypatch, tmp_path)
-        assert [len(share) for share in training._split(jobs, 2)] == [14, 13]
+        assert [len(share) for share in share_jobs(jobs, 2)] == [14, 13]
 
     @pytest.mark.parametrize("shares", [1, 2, 3, 7])
     def test_every_job_in_one_share_in_order(self, shares):
@@ -732,8 +771,16 @@ class TestShares:
         jobs = [(BENCH, cfg), (BENCH, TrainConfig(objective="forward_kl")),
                 (BENCH, TrainConfig(seed=4))] * 3
         split = training._split(jobs, shares)
-        assert sorted(i for share in split for i in share) == list(range(9))
-        assert all(share == sorted(share) and share for share in split)
+        assert sorted(i for share in split for rows in share.values()
+                      for i in rows) == list(range(9))
+        for share in split:
+            # stacks in the order of their first job, each in job order and
+            # of one noise stream
+            assert share and [rows[0] for rows in share.values()] == \
+                sorted(rows[0] for rows in share.values())
+            for key, rows in share.items():
+                assert rows == sorted(rows)
+                assert {training._stream(*jobs[i]) for i in rows} == {key}
 
 
 def cannot_open(error):
