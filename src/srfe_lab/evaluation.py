@@ -6,8 +6,10 @@ analytic entropy and a Monte Carlo estimate of the target's, and held-out
 mean log likelihood.  Stochastic metrics draw from fixed offset seeds so a
 full evaluation is reproducible from one base seed.  The target-entropy
 estimate does not depend on the model, so a caller draws it once per target
-and seed (target_entropy) and hands the value to every evaluate of that
-target and seed.
+and seed (target_entropy) and supplies it to evaluate.  The sweeps of
+srfe_lab.experiments evaluate a cell in the process that fitted it, before
+the estimate is made, so they pass NaN there and take the entropy error
+with entropy_error in the calling process once every estimate is in.
 """
 
 from __future__ import annotations
@@ -93,8 +95,11 @@ def evaluate(q: DiagonalGaussian, target, modes: GaussianMixture,
              seed: int, target_entropy: float) -> EvalMetrics:
     """All four metrics; sub-metrics use seeds seed + 1, + 2, + 3.
 
-    target_entropy is the estimate on the seed + 2 stream,
-    target_entropy(target, N_ENTROPY, np.random.default_rng(seed + 2)).
+    The caller supplies target_entropy, the estimate on the seed + 2
+    stream, target_entropy(target, N_ENTROPY, np.random.default_rng(seed +
+    2)).  experiments._run_cells supplies NaN, because a share evaluates
+    its cells before its estimates, and replaces the NaN entropy_error
+    with entropy_error(q, estimate) in the calling process.
     """
     return EvalMetrics(
         mode_coverage=mode_coverage(q, modes),

@@ -6,15 +6,17 @@ schedules (exp3), and contamination robustness (exp4).  Each driver
 trains the diagonal-Gaussian model for every cell, evaluates it, writes
 one CSV, and hands the rows back for programmatic use.
 
-Cells are independent given their seeds.  A sweep trains all its cells
-with one training.train_lockstep call, which steps every cell once per
-iteration in cell order, lets cells that read equal noise share one draw,
-and spreads the cells over the allowed CPUs; the training module docstring
-states which cells share and how the work is forked.  Every cell sees the
-noise it would see alone, so the CSVs are byte-identical across runs with
-the same seed, whatever the number of CPUs.  The output directory is made
-first, then the target entropies are estimated, the cells trained, and the
-trained cells evaluated in cell order, in the calling process.
+Cells are independent given their seeds.  A sweep fits all its cells in
+lockstep, as one training.train_lockstep call would: every cell steps once
+per iteration in cell order, cells that read equal noise share one draw,
+and the cells are spread over the allowed CPUs; the training module
+docstring states which cells share and how the work is forked.  Every cell
+sees the noise it would see alone, so the CSVs are byte-identical across
+runs with the same seed, whatever the number of CPUs.  The output
+directory is made first.  Then each share fits its cells, evaluates them
+and estimates its part of the target entropies, in the process that fits
+it (see _run_cells), and the calling process assembles the rows and writes
+the CSVs.
 """
 from __future__ import annotations
 
@@ -27,11 +29,14 @@ import numpy as np
 
 from .discrete import _check_tau_open
 from .estimators import JOB_ERRORS
-from .evaluation import N_ENTROPY, EvalMetrics, evaluate, target_entropy
+from .evaluation import (N_ENTROPY, EvalMetrics, entropy_error, evaluate,
+                         target_entropy)
 from .gaussians import ContaminatedMixture, GaussianMixture
-# unused here, but perfbench/bench_trace.py patches experiments.train by name
-from .training import (TauSchedule, TrainConfig, _is_number,
-                       _require_count, train, train_lockstep)
+# train is unused here, but perfbench/bench_trace.py patches experiments.train
+# by name
+from .training import (TauSchedule, TrainConfig, _fit_lockstep, _is_number,
+                       _map_shares, _require_count, _share_count, _split,
+                       train)
 
 TARGET_MEANS = ((-3.0, 0.0), (3.0, 0.0), (0.0, 4.0))
 TARGET_VARIANCE = 0.5
@@ -133,6 +138,7 @@ class ExperimentResult:
 
 _FAILED = EvalMetrics(mode_coverage=-1, ess=math.nan, entropy_error=math.nan,
                       test_log_lik=math.nan)
+_ENTROPY = "estimate the target entropy"  # the stage of an entropy estimate
 
 
 @dataclass(frozen=True)
@@ -146,55 +152,77 @@ class _Cell:
     trial: int = 0
 
 
-def _run_cells(cells: list[_Cell]) -> ExperimentResult:
-    """Train every cell in lockstep, then evaluate them in cell order,
-    with the modes of benchmark_target().
+def _attempt(fn, *args):
+    """fn(*args), or the one of JOB_ERRORS it raised."""
+    try:
+        return fn(*args)
+    except JOB_ERRORS as exc:
+        return exc
 
-    The target entropy is estimated once per (target, seed), on the
-    seed + 2 stream, before training (so every cell's target needs
-    sample(n, rng)), and handed to evaluate.  train_lockstep splits the
-    cells into shares and hands each share its stacks (see the training
-    module docstring).  One of JOB_ERRORS ends only its own cells: one
-    from a cell's training or its evaluate fails that cell, and one from
-    an entropy estimate fails every cell of that (target, seed).  A failed
-    cell becomes a NaN row, and its label maps in failures to the stage
-    that raised and the exception text: "failed to train: <text>", else
-    "failed to estimate the target entropy: <text>", else "failed to
-    evaluate: <text>".
+
+def _run_cells(cells: list[_Cell]) -> ExperimentResult:
+    """Train and evaluate every cell, with the modes of benchmark_target(),
+    and estimate the target entropy once per (target, seed), on the seed + 2
+    stream (so every cell's target needs sample(n, rng)).
+
+    The cells are split into the shares of training._split, and
+    training._map_shares runs each share's whole pipeline in one process:
+    it fits the share's stacks in lockstep (training._fit_lockstep),
+    evaluates the share's trained cells, and then estimates the entropies
+    of the distinct (target, seed) keys keys[s::P] of share s of P.  The
+    calling process merges what the shares return and sets each trained
+    cell's entropy_error from its key's estimate.  One of JOB_ERRORS ends
+    only its own cells: one from a cell's training or its evaluate fails
+    that cell, and one from an entropy estimate fails every cell of that
+    (target, seed).  A failed cell becomes a NaN row, and its label maps in
+    failures to the stage that raised and the exception text: "failed to
+    train: <text>", else "failed to estimate the target entropy: <text>",
+    else "failed to evaluate: <text>".
     """
-    # Before training: train_lockstep sets glibc's heap policy, and under
-    # it the estimates' 1.6 MB sample arrays come from the heap instead of
-    # being mapped and unmapped.  With the policy set before them, exp1 at
-    # 150 iterations peaked 1.1-1.2 MB higher: 40.8-41.0 against 39.7-39.8.
-    entropies: dict[tuple[int, int], float] = {}
-    for cell in cells:
-        key = (id(cell.target), cell.train_cfg.seed)
-        if key not in entropies:
-            try:
-                entropies[key] = target_entropy(
-                    cell.target, N_ENTROPY, np.random.default_rng(key[1] + 2))
-            except JOB_ERRORS as exc:
-                entropies[key] = exc
-    outcomes = train_lockstep([(c.target, c.train_cfg) for c in cells])
+    # The estimates run last in a share, under the heap policy _map_shares
+    # sets, so their draws come from the heap the fit has grown instead of
+    # being mapped and unmapped.  That is why the samplers hold only
+    # BLOCK_ROWS rows of temporaries beyond the draws: with (n, d) ones,
+    # exp1 and exp4 at 150 iterations peaked 0.85 and 0.13 MB above the
+    # estimates-first order (40.73 / 40.84 MB against 39.88 / 40.71), and
+    # now peak at 39.20 / 39.36 MB (medians of 5 runs).
+    jobs = [(c.target, c.train_cfg) for c in cells]
+    split = _split(jobs, _share_count(len(jobs)))
+    targets = {(id(c.target), c.train_cfg.seed): c.target for c in cells}
+    keys = list(targets)
     modes = benchmark_target()
+
+    def share(s: int, parent: int | None) -> dict:
+        done = {}
+        for i, outcome in _fit_lockstep(jobs, split[s], parent).items():
+            done["train", i] = outcome
+            if not isinstance(outcome, Exception):
+                done["evaluate", i] = _attempt(
+                    evaluate, outcome.model, cells[i].target, modes,
+                    cells[i].train_cfg.seed, math.nan)
+        for key in keys[s::len(split)]:
+            done[_ENTROPY, key] = _attempt(target_entropy, targets[key],
+                                           N_ENTROPY,
+                                           np.random.default_rng(key[1] + 2))
+        return done
+
+    done = _map_shares(share, len(split))
     rows, histories, failures = [], {}, {}
-    for cell, outcome in zip(cells, outcomes):
+    for i, cell in enumerate(cells):
         seed = cell.train_cfg.seed
-        entropy = entropies[(id(cell.target), seed)]
-        failure = next((f"failed to {stage}: {o}" for stage, o in (
-            ("train", outcome), ("estimate the target entropy", entropy))
-            if isinstance(o, Exception)), None)
-        if failure is None:
-            try:
-                metrics = evaluate(outcome.model, cell.target, modes, seed,
-                                   entropy)
-            except JOB_ERRORS as exc:
-                failure = f"failed to evaluate: {exc}"
+        key = (id(cell.target), seed)
+        stages = (("train", i), (_ENTROPY, key), ("evaluate", i))
+        failure = next((f"failed to {stage}: {done[stage, k]}"
+                        for stage, k in stages
+                        if isinstance(done[stage, k], Exception)), None)
         if failure is not None:
             # keep the sweep going; NaNs flag the failed cell in the CSV
             metrics, loss, clamped, history = _FAILED, math.nan, -1, np.empty(0)
             failures[cell.label] = failure
         else:
+            outcome = done["train", i]
+            metrics = replace(done["evaluate", i], entropy_error=entropy_error(
+                outcome.model, done[_ENTROPY, key]))
             loss, clamped = float(outcome.loss_history[-1]), outcome.clamp_count
             history = np.asarray(outcome.loss_history)
         rows.append(ResultRow(cell.train_cfg.objective, cell.tau,

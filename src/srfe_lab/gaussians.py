@@ -53,8 +53,8 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 BOX_LOW = -10.0
 BOX_HIGH = 10.0
 # Rows a large Monte Carlo pass (verify's tail check, a target-entropy
-# estimate) holds at a time: its working set stays a few hundred kB per
-# block, whatever its draw count.
+# estimate, the mixture samplers) holds at a time: its working set stays a
+# few hundred kB per block, whatever its draw count.
 BLOCK_ROWS = 8192
 
 
@@ -271,11 +271,14 @@ class GaussianMixture:
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         comps = rng.choice(self.n_components, size=n, p=self.weights)
-        # the draws are built in the noise array: IEEE multiply and add
-        # commute, so this is means[comps] + sqrt(variance) * noise exactly
+        # the draws are built in the noise array, the means added BLOCK_ROWS
+        # rows at a time: IEEE multiply and add commute, so this is
+        # means[comps] + sqrt(variance) * noise exactly
         noise = rng.standard_normal((n, self.dim))
         noise *= np.sqrt(self.variance)
-        noise += np.take(self.means, comps, axis=0)
+        for start in range(0, n, BLOCK_ROWS):
+            block = slice(start, start + BLOCK_ROWS)
+            noise[block] += self.means[comps[block]]
         return noise
 
 
@@ -357,10 +360,15 @@ class ContaminatedMixture:
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         # Fixed draw order keeps results reproducible for a given generator.
+        # The box uniforms are drawn BLOCK_ROWS rows at a time, which reads
+        # the stream one (n, d) draw reads.
         from_box = rng.random(n) < self.outlier_weight
         base_draws = self.base.sample(n, rng)
-        box_draws = rng.uniform(BOX_LOW, BOX_HIGH, size=(n, self.dim))
-        np.copyto(base_draws, box_draws, where=from_box[:, None])
+        for start in range(0, n, BLOCK_ROWS):
+            block = slice(start, start + BLOCK_ROWS)
+            box_draws = rng.uniform(BOX_LOW, BOX_HIGH,
+                                    size=base_draws[block].shape)
+            np.copyto(base_draws[block], box_draws, where=from_box[block, None])
         return base_draws
 
 

@@ -35,12 +35,16 @@ by a fixed cost count: a job costs 1, and its noise stream 1 more in a
 share that does not read it yet.  The split hands each share its stacks
 (_split, {stream key: [job indices]}), so which jobs step together is
 decided there alone, and a share builds one _Stack per entry without
-keying a job again.  The calling process fits share 0; each other share
-is fitted the same way in a child made with os.fork, which redraws its
-noise from the same seeds and pickles back over a pipe one value: its
-{job index: outcome} dict, or the exception that ended it.  Every job
-therefore gets the outcome it gets alone (an exception that cannot cross
-the pipe as itself comes back as a RuntimeError naming it).  With one CPU,
+keying a job again.  _map_shares(fn, n) runs the shares: the calling
+process runs fn(0, None), and each other share s runs fn(s, parent) in a
+child made with os.fork, which pickles back over a pipe one value: the
+dict fn returns, or the exception that ended it; the dicts are merged.
+train_lockstep's fn fits one share's stacks (_fit_lockstep), and a child
+redraws its noise from the same seeds, so every job gets the outcome it
+gets alone (an exception that cannot cross the pipe as itself comes back
+as a RuntimeError naming it).  srfe_lab.experiments maps a longer fn
+over the same shares, which also evaluates the share's fitted cells and
+makes its part of the target-entropy estimates.  With one CPU,
 one job, no os.fork, or a second Python thread alive (its locks would be
 copied held), there is one share and no fork.  Shares are processes, not
 threads: a stack step is about a hundred short numpy calls, so worker
@@ -52,7 +56,7 @@ concurrent.futures.process took 15 ms and added 1.0 MB of peak RSS, and
 multiprocessing.pool 18-21 ms and 0.8-0.9 MB (three runs each on 2 vCPUs,
 Python 3.11.7).
 
-Before it forks, the process sets glibc's heap policy (_set_heap_policy),
+Before it forks, _map_shares sets glibc's heap policy (_set_heap_policy),
 which the shares inherit, so that the heap is not handed back to the
 kernel and faulted in again between stack steps.
 """
@@ -403,12 +407,12 @@ def _picklable(exc: Exception) -> Exception:
     return exc
 
 
-def _fork_share(jobs: list, stacks: dict, parent: int):
-    """Fit the stacks of one share of _split over jobs in a forked child;
-    its pid and the read end of the pipe that carries back one value: the
-    outcome dict _fit_lockstep returns, or the exception that ended the
-    share.  Each exception sent is first passed through _picklable, so
-    that the parent can always read the payload."""
+def _fork_share(fn, s: int, parent: int):
+    """Run fn(s, parent) in a forked child; its pid and the read end of the
+    pipe that carries back one value: the dict fn returns, or the exception
+    that ended it.  Each exception sent, in the dict's values or raised, is
+    first passed through _picklable, so that the parent can always read
+    the payload."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -422,9 +426,8 @@ def _fork_share(jobs: list, stacks: dict, parent: int):
         try:
             os.close(read_fd)
             try:
-                outcomes = _fit_lockstep(jobs, stacks, parent)
-                payload = {i: _picklable(o) if isinstance(o, Exception)
-                           else o for i, o in outcomes.items()}
+                payload = {k: _picklable(v) if isinstance(v, Exception)
+                           else v for k, v in fn(s, parent).items()}
             except Exception as exc:
                 payload = _picklable(exc)
             with os.fdopen(write_fd, "wb") as fh:
@@ -434,6 +437,61 @@ def _fork_share(jobs: list, stacks: dict, parent: int):
             os._exit(code)
     os.close(write_fd)
     return pid, os.fdopen(read_fd, "rb")
+
+
+def _map_shares(fn, n: int) -> dict:
+    """The dicts fn(0, None), ..., fn(n - 1, parent), merged into one.
+
+    fn(0, None) runs in this process and every other share s in a child
+    forked for it (see the module docstring), which gets the pid of this
+    process as parent and should stop once that process is gone, as
+    _fit_lockstep does.  An exception raised by fn is raised here, a
+    forked share's after this process has run its own.  An exception of a
+    forked share, raised or in its dict, that does not survive a pickle
+    round trip arrives as RuntimeError("<its type name>: <its message>").
+    A child that exits without its value is a ChildProcessError, and on
+    any error every child still running is killed and reaped.
+
+    On entry, before any fork, this sets glibc's heap policy for the whole
+    process (see _set_heap_policy); it stays set after the call.
+    """
+    _set_heap_policy()
+    children = []  # (share, pid, pipe read end), until reaped
+    try:
+        if n > 1:
+            # a child that prints, a warning say, would also write out its
+            # copy of what is still buffered
+            for stream in (sys.stdout, sys.stderr):
+                if stream is not None:
+                    stream.flush()
+        parent = os.getpid()
+        for s in range(1, n):
+            children.append((s, *_fork_share(fn, s, parent)))
+        merged = fn(0, None)
+        while children:
+            s, pid, fh = children[0]
+            with fh:
+                data = fh.read()
+            _, status = os.waitpid(pid, 0)
+            children.pop(0)
+            code = os.waitstatus_to_exitcode(status)
+            if code != 0:
+                raise ChildProcessError(
+                    f"training share {s} exited with status {code}")
+            value = pickle.loads(data)
+            if isinstance(value, Exception):
+                raise value
+            merged.update(value)
+    finally:
+        if children:  # the run failed midway
+            # imported here: at module level it would add about a
+            # millisecond to every command's start-up
+            import signal
+            for _, pid, fh in children:
+                fh.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return merged
 
 
 def train_lockstep(jobs) -> list[TrainResult | Exception]:
@@ -459,57 +517,20 @@ def train_lockstep(jobs) -> list[TrainResult | Exception]:
 
     The jobs are fitted in _share_count shares, and _split hands each
     share its stacks, {stream key: [job indices]}, by its cost count; the
-    whole job list goes with them, so no share keys a job again.  Share 0
-    is fitted in this process, every other share in a forked child (see
-    the module docstring).  Each share returns one {job index: outcome}
-    dict, or a forked share the one exception that ended it; the dicts
-    are merged and returned in job order.  An exception from a
-    forked share that does not survive a pickle round trip arrives as
-    RuntimeError("<its type name>: <its message>") in its place, in the
-    returned list or raised, so a failed job still fails alone and with its
-    message whatever the CPU count.
-
-    On entry, before any fork, this sets glibc's heap policy for the whole
-    process (see _set_heap_policy); it stays set after the call.
+    whole job list goes with them, so no share keys a job again.
+    _map_shares fits share 0 in this process and every other share in a
+    forked child, and merges their {job index: outcome} dicts, which are
+    returned in job order.  An exception from a forked share that does not
+    survive a pickle round trip arrives as RuntimeError("<its type name>:
+    <its message>") in its place, in the returned list or raised, so a
+    failed job still fails alone and with its message whatever the CPU
+    count.  The call sets glibc's heap policy (see _set_heap_policy); it
+    stays set after the call.
     """
-    _set_heap_policy()
     jobs = list(jobs)
     split = _split(jobs, _share_count(len(jobs)))
-    children = []  # (share, pid, pipe read end), until reaped
-    try:
-        if len(split) > 1:
-            # a child that prints, a warning say, would also write out its
-            # copy of what is still buffered
-            for stream in (sys.stdout, sys.stderr):
-                if stream is not None:
-                    stream.flush()
-        parent = os.getpid()
-        for s in range(1, len(split)):
-            children.append((s, *_fork_share(jobs, split[s], parent)))
-        outcomes = _fit_lockstep(jobs, split[0])
-        while children:
-            s, pid, fh = children[0]
-            with fh:
-                data = fh.read()
-            _, status = os.waitpid(pid, 0)
-            children.pop(0)
-            code = os.waitstatus_to_exitcode(status)
-            if code != 0:
-                raise ChildProcessError(
-                    f"training share {s} exited with status {code}")
-            value = pickle.loads(data)
-            if isinstance(value, Exception):
-                raise value
-            outcomes.update(value)
-    finally:
-        if children:  # the run failed midway
-            # imported here: at module level it would add about a
-            # millisecond to every command's start-up
-            import signal
-            for _, pid, fh in children:
-                fh.close()
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+    outcomes = _map_shares(
+        lambda s, parent: _fit_lockstep(jobs, split[s], parent), len(split))
     return [outcomes[i] for i in range(len(jobs))]
 
 

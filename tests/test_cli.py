@@ -144,13 +144,13 @@ class TestExperimentCommands:
     def test_unwritable_out_fails_before_training(self, tmp_path, capsys,
                                                    monkeypatch, command):
         trained = []
-        real_runner = experiments.train_lockstep
+        real_run = experiments._run_cells
 
-        def recording_runner(jobs):
-            trained.append(jobs)
-            return real_runner(jobs)
+        def recording_run(cells):
+            trained.append(cells)
+            return real_run(cells)
 
-        monkeypatch.setattr(experiments, "train_lockstep", recording_runner)
+        monkeypatch.setattr(experiments, "_run_cells", recording_run)
         blocker = tmp_path / "file"
         blocker.write_text("")
         cfg_path = tmp_path / "cfg.json"

@@ -1,6 +1,7 @@
 """Experiment drivers on miniature configurations: deterministic CSVs,
 correct cell layout, failure isolation, and the density-grid dump."""
 import csv
+import json
 import math
 import os
 import platform
@@ -30,6 +31,7 @@ from srfe_lab.experiments import (
 from srfe_lab.gaussians import (ContaminatedMixture, DiagonalGaussian,
                                 GaussianMixture)
 from srfe_lab.training import TauSchedule, TrainConfig
+from test_training import assert_no_child_left
 
 TINY = dict(iterations=3, batch_size=50)
 
@@ -111,15 +113,16 @@ class TestExp2:
 
     def test_failed_trial_is_nan_in_every_aggregate_metric(self, tmp_path,
                                                            monkeypatch):
-        real_runner = experiments.train_lockstep
+        real_fit = experiments._fit_lockstep
 
-        def failing_second_cell(jobs):
-            outcomes = real_runner(jobs)
-            outcomes[1] = RuntimeError("non-finite loss at step 1")
+        def failing_second_cell(jobs, stacks, parent=None):
+            # in whichever share fits cell 1, forked or not
+            outcomes = real_fit(jobs, stacks, parent)
+            if 1 in outcomes:
+                outcomes[1] = RuntimeError("non-finite loss at step 1")
             return outcomes
 
-        monkeypatch.setattr(experiments, "train_lockstep",
-                            failing_second_cell)
+        monkeypatch.setattr(experiments, "_fit_lockstep", failing_second_cell)
         cfg = RunConfig(tau_grid=(0.4, 0.6), trials=3, out_dir=str(tmp_path),
                         **TINY)
         res = run_exp2(cfg)
@@ -174,20 +177,22 @@ class TestExp4:
     def test_target_entropy_drawn_once_per_target_and_seed(
             self, tmp_path, monkeypatch):
         calls, trained = [], []
-        real_runner = experiments.train_lockstep
+        real_fit = experiments._fit_lockstep
 
         def counting(target, n, rng):
             calls.append(target)
             return evaluation.target_entropy(target, n, rng)
 
-        def recording_runner(jobs):
-            outcomes = real_runner(jobs)
-            trained.extend((target, cfg, result)
-                           for (target, cfg), result in zip(jobs, outcomes))
+        def recording_fit(jobs, stacks, parent=None):
+            outcomes = real_fit(jobs, stacks, parent)
+            trained.extend((*jobs[i], outcomes[i]) for i in sorted(outcomes))
             return outcomes
 
+        # one share: a forked share's calls would not reach these recorders
+        # (test_each_share_runs_its_cells_and_keys counts across processes)
+        monkeypatch.setattr(training, "_cpu_count", lambda: 1)
         monkeypatch.setattr(experiments, "target_entropy", counting)
-        monkeypatch.setattr(experiments, "train_lockstep", recording_runner)
+        monkeypatch.setattr(experiments, "_fit_lockstep", recording_fit)
         res = run_exp4(RunConfig(tau_grid=(0.3, 0.7),
                                  outlier_weights=(0.0, 0.2), iterations=1,
                                  batch_size=20, out_dir=str(tmp_path)))
@@ -268,6 +273,51 @@ def benchmark_like(cls):
                weights=np.array(experiments.TARGET_WEIGHTS))
 
 
+def failing_at(stage, error):
+    """The benchmark mixture, except that at stage ("train", "entropy" or
+    "evaluate") its call raises error."""
+    class Failing(GaussianMixture):
+        def log_prob_and_score(self, x):
+            if stage == "train":
+                raise error
+            return super().log_prob_and_score(x)
+
+        def sample(self, n, rng):
+            if stage == "entropy" and n == evaluation.N_ENTROPY:
+                raise error
+            return super().sample(n, rng)
+
+        def log_prob(self, x):
+            if stage == "evaluate" and np.shape(x)[0] == evaluation.N_ESS:
+                raise error
+            return super().log_prob(x)
+
+    return benchmark_like(Failing)
+
+
+class TwoArgumentError(RuntimeError):
+    """A RuntimeError whose constructor does not take its own args back, so
+    pickle cannot rebuild it."""
+
+    def __init__(self, what, stage):
+        super().__init__(f"{what} gave up at {stage}")
+
+
+def recording_forks(monkeypatch):
+    """The pids of the children os.fork makes from now on."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
 class TestFailureIsolation:
     def assert_failed_cell(self, target, message):
         cell = _Cell("bad", None, None, None,
@@ -339,6 +389,125 @@ class TestFailureIsolation:
             assert math.isnan(row.metrics.ess) == failed
             assert math.isnan(row.final_loss) == failed
             assert (res.histories[label].size == 0) == failed
+
+
+    @pytest.mark.parametrize("unpicklable", [False, True])
+    def test_failures_in_a_forked_share_end_only_their_cells(
+            self, monkeypatch, unpicklable):
+        stages = {"entropy": "estimate the target entropy",
+                  "train": "train", "evaluate": "evaluate"}
+        errors = {stage: TwoArgumentError("target", stage) if unpicklable
+                  else RuntimeError(f"target gave up at {stage}")
+                  for stage in stages}
+        good = benchmark_target()
+        bad = {stage: failing_at(stage, errors[stage]) for stage in stages}
+        cfg = TrainConfig(objective="reverse_kl", iterations=2, batch_size=10)
+        # one noise stream, so the shares alternate and the odd cells are
+        # share 1's; of the keys good, entropy, train and evaluate, share 1
+        # estimates the second and the fourth
+        cells = [_Cell(f"{name}_{k}", None, None, None, cfg, target)
+                 for k, (name, target) in enumerate(
+                     (("good", good), ("entropy", bad["entropy"]),
+                      ("good", good), ("train", bad["train"]),
+                      ("good", good), ("evaluate", bad["evaluate"])))]
+        assert [sorted(i for rows in share.values() for i in rows)
+                for share in training._split(
+                    [(c.target, c.train_cfg) for c in cells], 2)] == [
+            [0, 2, 4], [1, 3, 5]]
+        monkeypatch.setattr(training, "_cpu_count", lambda: 1)
+        alone = _run_cells(cells)
+        forks = recording_forks(monkeypatch)
+        monkeypatch.setattr(training, "_cpu_count", lambda: 2)
+        shared = _run_cells(cells)
+        assert len(forks) == 1
+        assert_no_child_left()
+        for res in (alone, shared):
+            assert res.failures == {
+                f"{stage}_{k}": f"failed to {stages[stage]}: " + (
+                    f"TwoArgumentError: {errors[stage]}"
+                    if unpicklable and res is shared else str(errors[stage]))
+                for k, stage in ((1, "entropy"), (3, "train"),
+                                 (5, "evaluate"))}
+        for k, (a, b) in enumerate(zip(alone.rows, shared.rows)):
+            if k % 2:
+                for row in (a, b):
+                    assert row.metrics is experiments._FAILED
+                    assert math.isnan(row.final_loss)
+                    assert row.clamped_steps == -1
+                assert shared.histories[cells[k].label].size == 0
+            else:
+                assert a == b and math.isfinite(b.metrics.entropy_error)
+                np.testing.assert_array_equal(
+                    alone.histories[cells[k].label],
+                    shared.histories[cells[k].label])
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_each_share_runs_its_cells_and_keys(monkeypatch, tmp_path, cpus):
+    # a forked share fits, evaluates and estimates in the child, so every
+    # process appends what it does to one file
+    log = tmp_path / "work.jsonl"
+
+    def record(*entry):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps([os.getpid(), *entry]) + "\n")
+
+    real_fit = experiments._fit_lockstep
+    real_evaluate = experiments.evaluate
+    real_entropy = experiments.target_entropy
+
+    def recording_fit(jobs, stacks, parent=None):
+        outcomes = real_fit(jobs, stacks, parent)
+        for i, outcome in outcomes.items():
+            record("fit", i, outcome.model.mu.tobytes().hex())
+        return outcomes
+
+    def recording_evaluate(q, *args):
+        record("evaluate", q.mu.tobytes().hex())
+        return real_evaluate(q, *args)
+
+    def recording_entropy(target, n, rng):
+        record("entropy", id(target))
+        return real_entropy(target, n, rng)
+
+    monkeypatch.setattr(experiments, "_fit_lockstep", recording_fit)
+    monkeypatch.setattr(experiments, "evaluate", recording_evaluate)
+    monkeypatch.setattr(experiments, "target_entropy", recording_entropy)
+    forks = recording_forks(monkeypatch)
+    monkeypatch.setattr(training, "_cpu_count", lambda: cpus)
+    base = benchmark_target()
+    # three keys of one seed, one noise stream: the shares alternate
+    targets = [base] + [ContaminatedMixture(base=base, outlier_weight=w)
+                        for w in (0.1, 0.2)]
+    cells = [_Cell(f"{k}_{tau}", tau, None, None,
+                   TrainConfig(schedule=TauSchedule.fixed(tau), iterations=2,
+                               batch_size=20), target)
+             for k, target in enumerate(targets) for tau in (0.2, 0.5, 0.8)]
+    res = _run_cells(cells)
+    assert res.failures == {}
+    assert len(forks) == cpus - 1
+    assert_no_child_left()
+    pids = [os.getpid(), *forks]
+    fitted, evaluated, estimated = {}, [], {pid: [] for pid in pids}
+    for line in log.read_text(encoding="utf-8").splitlines():
+        pid, what, *entry = json.loads(line)
+        if what == "fit":
+            fitted[entry[1]] = (pid, entry[0])
+        elif what == "evaluate":
+            evaluated.append((pid, entry[0]))
+        else:
+            estimated[pid].append(entry[0])
+    split = training._split([(c.target, c.train_cfg) for c in cells], cpus)
+    assert sorted(i for pid, i in fitted.values()) == list(range(len(cells)))
+    for pid, share in zip(pids, split):
+        assert sorted(i for p, i in fitted.values() if p == pid) == sorted(
+            i for rows in share.values() for i in rows)
+    # every cell once, in the process that fitted it
+    assert sorted(evaluated) == sorted(
+        (pid, mu) for mu, (pid, i) in fitted.items())
+    # each key once, share s of P taking keys[s::P]
+    keys = [id(target) for target in targets]
+    assert estimated == {pid: keys[s::cpus] for s, pid in enumerate(pids)}
 
 
 def test_clamped_steps_counts_every_clamped_step(tmp_path):

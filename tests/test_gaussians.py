@@ -10,6 +10,7 @@ import pytest
 from scipy import integrate
 
 from srfe_lab.gaussians import (
+    BLOCK_ROWS,
     ContaminatedMixture,
     DiagonalGaussian,
     GaussianMixture,
@@ -396,7 +397,8 @@ def test_kernels_match_broadcast_formulas(n_components, d):
 
 def out_of_place_samples(mix, n, rng, outlier_weight=None):
     """The draws of GaussianMixture.sample, or ContaminatedMixture.sample
-    with its base mix, each formula taking a new array per operation."""
+    with its base mix, in one shot over all n rows, each formula taking a
+    new array per operation."""
     if outlier_weight is not None:
         from_box = rng.random(n) < outlier_weight
         base_draws = out_of_place_samples(mix, n, rng)
@@ -407,9 +409,11 @@ def out_of_place_samples(mix, n, rng, outlier_weight=None):
     return mix.means[comps] + np.sqrt(mix.variance) * noise
 
 
-@pytest.mark.parametrize("n", [1, 7, 5000])
+@pytest.mark.parametrize("n", [0, 1, 7, 5000, BLOCK_ROWS - 1, BLOCK_ROWS,
+                               BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_samples_match_the_out_of_place_formulas(n, d):
+    # the samplers work BLOCK_ROWS rows at a time
     rng = np.random.default_rng(10 * n + d)
     mix = GaussianMixture(means=rng.normal(scale=3.0, size=(3, d)),
                           variance=0.7, weights=WEIGHTS)
@@ -422,7 +426,7 @@ def test_samples_match_the_out_of_place_formulas(n, d):
         assert got.shape == want.shape == (n, d)
         assert got.tobytes() == want.tobytes()
         # and the generator is left where the formulas leave it
-        assert got_rng.random() == want_rng.random()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 class TestEqualCovarianceValue:

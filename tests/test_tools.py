@@ -1,14 +1,25 @@
 """The code-line counter of tools/count_code_lines.py, which measures the
 size of src/srfe_lab: docstrings, comments and blank lines are not code,
-and every line of a statement is."""
+and every line of a statement is.  And the claim rule of
+tools/bench_pairs.py's summary, on hand-made runs."""
 import importlib.util
 from pathlib import Path
 
-_TOOL = Path(__file__).resolve().parent.parent / "tools" / "count_code_lines.py"
-_SPEC = importlib.util.spec_from_file_location("count_code_lines", _TOOL)
-count_code_lines = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(count_code_lines)
-code_lines = count_code_lines.code_lines
+_TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, _TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+code_lines = load_tool("count_code_lines").code_lines
+summary = load_tool("bench_pairs").summary
+
+# ten parent runs, 1.0 to 1.9: median 1.45, IQR 0.45
+PARENT = [1.0 + 0.1 * k for k in range(10)]
 
 
 def test_docstrings_are_not_counted():
@@ -69,3 +80,41 @@ call = max(1,
            2)
 '''
     assert code_lines(source) == 5
+
+
+def test_claim_holds_when_lower_in_nine_tenths_by_more_than_the_iqr():
+    change = [p - 1.0 for p in PARENT]
+    result = summary(PARENT, change)
+    assert result["change_lower_in_pairs"] == 10
+    assert result["parent_iqr"] == 0.45
+    assert result["claim_holds"] is True
+    # nine of ten pairs is enough
+    change[3] = PARENT[3] + 1.0
+    assert summary(PARENT, change)["claim_holds"] is True
+
+
+def test_claim_fails_with_too_few_wins():
+    change = [p - 1.0 for p in PARENT]
+    change[3], change[7] = PARENT[3] + 1.0, PARENT[7] + 1.0
+    result = summary(PARENT, change)
+    assert result["change_lower_in_pairs"] == 8
+    assert result["parent_median"] - result["change_median"] > 0.45
+    assert result["claim_holds"] is False
+
+
+def test_claim_fails_with_a_gap_within_the_iqr():
+    result = summary(PARENT, [p - 0.4 for p in PARENT])
+    assert result["change_lower_in_pairs"] == 10
+    assert result["claim_holds"] is False
+
+
+def test_a_tie_counts_for_neither_side():
+    change = [p - 1.0 for p in PARENT]
+    change[3] = PARENT[3]
+    result = summary(PARENT, change)
+    assert result["change_lower_in_pairs"] == 9
+    assert result["claim_holds"] is True
+    change[7] = PARENT[7]
+    result = summary(PARENT, change)
+    assert result["change_lower_in_pairs"] == 8
+    assert result["claim_holds"] is False

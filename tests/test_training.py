@@ -730,15 +730,14 @@ class TestTrain:
 
 def sweep_jobs(run, monkeypatch, tmp_path):
     """The (target, TrainConfig) jobs a sweep at its default config hands
-    train_lockstep."""
+    _split."""
     class Handed(Exception):
         pass
 
-    def hand_over(jobs):
+    def hand_over(jobs, shares):
         raise Handed(list(jobs))
 
-    monkeypatch.setattr(experiments, "target_entropy", lambda *args: 0.0)
-    monkeypatch.setattr(experiments, "train_lockstep", hand_over)
+    monkeypatch.setattr(experiments, "_split", hand_over)
     with pytest.raises(Handed) as handed:
         run(experiments.RunConfig(out_dir=str(tmp_path)))
     return handed.value.args[0]

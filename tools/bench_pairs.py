@@ -18,8 +18,9 @@ environment perfbench/run.py gives them (one worker, one BLAS thread).
 Prints one line per pair, then one JSON object: for setup_s, wall_s and
 peak_rss_mb, each side's runs, median and quartiles
 (statistics.quantiles(n=4, method="inclusive")), the parent's IQR, the
-change of the median in percent, and the number of pairs in which this
-tree read lower.  It also reports whether every child exited 0 and wrote
+change of the median in percent, the number of pairs in which this tree
+read lower, and whether that is a gain that may be claimed (see
+summary).  It also reports whether every child exited 0 and wrote
 the same output files, byte for byte.  This tree's uncommitted files are
 measured as they are.  Standard library only; perfbench/ is read, not
 changed.
@@ -84,23 +85,29 @@ def run_child(tree: Path, workload: str, seed: int, iterations: int,
 
 
 def quartiles(runs: list[float]) -> list[float]:
-    return [round(q, 4)
-            for q in statistics.quantiles(runs, n=4, method="inclusive")]
+    return statistics.quantiles(runs, n=4, method="inclusive")
 
 
 def summary(parent: list[float], change: list[float]) -> dict:
+    """One metric's runs, pair k being (parent[k], change[k]).  claim_holds
+    says whether a lower reading may be claimed: this tree read lower in
+    at least nine tenths of the pairs (a tie counts for neither side), and
+    its median is below the parent's by more than the parent's IQR."""
     p_q, c_q = quartiles(parent), quartiles(change)
+    wins = sum(c < p for p, c in zip(parent, change))
     return {
         "parent_runs": [round(v, 4) for v in parent],
         "change_runs": [round(v, 4) for v in change],
-        "parent_median": p_q[1],
-        "change_median": c_q[1],
-        "parent_quartiles": p_q,
-        "change_quartiles": c_q,
+        "parent_median": round(p_q[1], 4),
+        "change_median": round(c_q[1], 4),
+        "parent_quartiles": [round(q, 4) for q in p_q],
+        "change_quartiles": [round(q, 4) for q in c_q],
         "parent_iqr": round(p_q[2] - p_q[0], 4),
         "change_pct": round(100.0 * (c_q[1] / p_q[1] - 1.0), 1),
-        "change_lower_in_pairs": sum(c < p for p, c in zip(parent, change)),
+        "change_lower_in_pairs": wins,
         "pairs": len(parent),
+        "claim_holds": (10 * wins >= 9 * len(parent)
+                        and p_q[1] - c_q[1] > p_q[2] - p_q[0]),
     }
 
 
