@@ -5,9 +5,7 @@ the reparameterization, average exp(tau * log ratio) with a running-max shift,
 clamp the overlap estimate into [F_CLAMP_LOW, F_CLAMP_HIGH] = [1e-10, 1], and
 take -log of it over tau(1-tau).  Gradients are exact derivatives of that
 loss in (mu, log_sigma); when the clamp is active the loss is locally
-constant and the gradient is zero.  Forward and reverse KL losses use the
-same sample-in, numbers-out style so the training loop can treat all three
-uniformly.
+constant and the gradient is zero.
 
 Targets are duck-typed, with four members.  dim is the dimension d of
 their points.  On a batch x of shape (n, d), log_prob(x) gives the (n,) log
@@ -22,28 +20,25 @@ are (mu, log_sigma), fitted on one shared batch of n points.  _q_side_step
 is the one q-side step, for the stacks of srfe_lab.training and for a
 single fit alike: _q_rows makes x = mu + sigma eps and log q for every row,
 _target_rows makes one target pass per run of rows with one target, and
-_q_side_rows turns them into losses and pathwise gradients.  That last is
-one array program for every row: reverse KL is the literal tau = 0 row,
-whose weights exp(0 r) = 1 make it uniform with scale -1 (its loss is
--mean(r)), and a clamped row computes its weights and gradient like any
-other before the gradient is set to zero.  _forward_rows does the same for
-forward KL on target samples and their log densities, which it takes from
-its caller: it calls no target, so a forward-KL stack of srfe_lab.training
-makes both its target calls where it draws.  The five fitting entry
-points (srfe_mc_step and the forward- and reverse-KL losses and
-gradients) are the kernels' one-row case; they take their batch, eps or
-xs, of shape (n, d) with n >= 1 and raise a ValueError naming that shape
-otherwise, and they raise the exception of a failed target pass.
+_q_side_rows turns them into losses and pathwise gradients, in one array
+program for every row, reverse-KL (tau = 0) and clamped rows included.
+_forward_rows does the same for forward KL on target samples and their
+log densities, which it takes from its caller: it calls no target, so a
+forward-KL stack of srfe_lab.training makes both its target calls where it
+draws.  The five fitting entry points (srfe_mc_step and the forward- and
+reverse-KL losses and gradients) are the kernels' one-row case; they take
+their batch, eps or xs, of shape (n, d) with n >= 1 and raise a ValueError
+naming that shape otherwise, and they raise the exception of a failed
+target pass.
 
 Buffers follow the rule of srfe_lab.gaussians: a call owns what it
 allocates, fills it in place, and never writes an argument, so a read-only
 noise batch shared between fits is safe.  Every per-point stack buffer is
-a C-ordered (d, J, n) array (or (J, n) for one value per point) allocated
-with np.empty and filled through out=, so each of its (J, n) rows is one
-contiguous length-n row: its row sums run over contiguous memory and pair
-their terms as a single fit's length-n sums do, which keeps every row
-bit-identical to the fit stepped alone.  The gradient kernels read the
-score and eps as the length-n rows of their transposes.
+a C-ordered (d, J, n) or (J, n) array filled through out=, so each of its
+rows is one contiguous length-n row whose sum pairs its terms as a single
+fit's does: every row stays bit-identical to the fit stepped alone.  The
+gradient takes one coordinate at a time on (J, n) temporaries, after
+_q_side_step has dropped x and log q.
 
 The second-moment tools at the bottom work on a finite support with a
 softmax-parameterized model, where everything can also be enumerated exactly.
@@ -182,21 +177,24 @@ def _pathwise_rows(score: np.ndarray, eps: np.ndarray, sigma: np.ndarray,
     gradient.  The squared norm adds s_0^2, b_0^2, s_1^2, b_1^2, ... left
     to right (b_k = dr/dlogsigma_k).
     """
-    b = np.empty(score.shape)
-    np.multiply(eps.T[:, None, :], sigma, out=b)
-    b *= score
-    b += 1.0
-    wb = np.empty(score.shape)
-    d_mu = np.multiply(score, w, out=wb).sum(axis=2)
+    d, L, n = score.shape
+    d_mu, d_ls = np.empty((d, L)), np.empty((d, L))
+    b, wb = np.empty((L, n)), np.empty((L, n))
+    sq = np.zeros((L, n)) if moments else None
+    for k, (s, e, sg) in enumerate(zip(score, eps.T, sigma)):
+        np.multiply(e, sg, out=b)
+        b *= s
+        b += 1.0
+        np.multiply(s, w, out=wb).sum(axis=1, out=d_mu[k])
+        np.multiply(b, w, out=wb).sum(axis=1, out=d_ls[k])
+        if moments:
+            sq += np.square(s, out=wb)
+            sq += np.square(b, out=b)
     d_mu *= scale
-    d_ls = np.multiply(b, w, out=wb).sum(axis=2)
     d_ls *= scale
     if not moments:
         return d_mu, d_ls, None
-    np.square(score, out=wb)
-    np.square(b, out=b)
-    sq = _sum_rows([row for pair in zip(wb, b) for row in pair], out=wb[0])
-    c = np.multiply(w, w.shape[1])
+    c = np.multiply(w, n)
     c *= scale[:, None]
     np.multiply(c, c, out=c)
     c *= sq
@@ -293,6 +291,7 @@ def _q_side_step(theta: np.ndarray, eps: np.ndarray, targets, taus,
             r[rows] = 0.0
             score[:, rows] = 0.0
             failed.update(dict.fromkeys(range(start, stop), exc))
+    del x, log_q
     return (*_q_side_rows(theta, eps, r, score, taus, moments), failed)
 
 

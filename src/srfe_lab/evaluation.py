@@ -6,10 +6,8 @@ analytic entropy and a Monte Carlo estimate of the target's, and held-out
 mean log likelihood.  Stochastic metrics draw from fixed offset seeds so a
 full evaluation is reproducible from one base seed.  The target-entropy
 estimate does not depend on the model, so a caller draws it once per target
-and seed (target_entropy) and supplies it to evaluate.  The sweeps of
-srfe_lab.experiments evaluate a cell in the process that fitted it, before
-the estimate is made, so they pass NaN there and take the entropy error
-with entropy_error in the calling process once every estimate is in.
+and seed (target_entropy) and supplies it to evaluate.  A non-finite
+estimate, ESS or held-out log likelihood raises FloatingPointError.
 """
 
 from __future__ import annotations
@@ -41,6 +39,12 @@ class EvalMetrics:
     test_log_lik: float
 
 
+def _finite(name: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise FloatingPointError(f"non-finite {name}: {value}")
+    return value
+
+
 def mode_coverage(q: DiagonalGaussian, modes: GaussianMixture) -> int:
     """Number of mixture means where q is above MODE_REL_THRESHOLD of its
     maximum over the means.  Compared in the log domain."""
@@ -67,16 +71,16 @@ def ess(q: DiagonalGaussian, target, n: int, rng: np.random.Generator) -> float:
 def target_entropy(target, n: int, rng: np.random.Generator) -> float:
     """Monte Carlo entropy of target: -mean log p over n target draws.
 
-    The n draws come from one sample call; their log densities are taken
-    BLOCK_ROWS rows at a time into one array.  A row's log density does not
-    depend on the other rows, so the mean is the one-pass mean exactly.
+    The log densities of each block of BLOCK_ROWS draws are written over the
+    block's first coordinate (a read-only sample is copied first).  A row's
+    log density does not depend on the other rows, so the mean is the
+    one-pass mean exactly.
     """
-    xs = target.sample(n, rng)
-    log_p = np.empty(n)
+    xs = np.require(target.sample(n, rng), np.float64, "W")
     for start in range(0, n, BLOCK_ROWS):
-        stop = start + BLOCK_ROWS
-        log_p[start:stop] = target.log_prob(xs[start:stop])
-    return -float(np.mean(log_p))
+        block = xs[start:start + BLOCK_ROWS]
+        block[:, 0] = target.log_prob(block)
+    return _finite("target entropy estimate", -float(np.mean(xs[:, 0])))
 
 
 def entropy_error(q: DiagonalGaussian, target_entropy: float) -> float:
@@ -103,8 +107,9 @@ def evaluate(q: DiagonalGaussian, target, modes: GaussianMixture,
     """
     return EvalMetrics(
         mode_coverage=mode_coverage(q, modes),
-        ess=ess(q, target, N_ESS, np.random.default_rng(seed + 1)),
+        ess=_finite("ess", ess(q, target, N_ESS,
+                               np.random.default_rng(seed + 1))),
         entropy_error=entropy_error(q, target_entropy),
-        test_log_lik=test_log_lik(q, target, N_TEST,
-                                  np.random.default_rng(seed + 3)),
+        test_log_lik=_finite("test_log_lik", test_log_lik(
+            q, target, N_TEST, np.random.default_rng(seed + 3))),
     )

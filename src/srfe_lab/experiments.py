@@ -181,11 +181,9 @@ def _run_cells(cells: list[_Cell]) -> ExperimentResult:
     """
     # The estimates run last in a share, under the heap policy _map_shares
     # sets, so their draws come from the heap the fit has grown instead of
-    # being mapped and unmapped.  That is why the samplers hold only
-    # BLOCK_ROWS rows of temporaries beyond the draws: with (n, d) ones,
-    # exp1 and exp4 at 150 iterations peaked 0.85 and 0.13 MB above the
-    # estimates-first order (40.73 / 40.84 MB against 39.88 / 40.71), and
-    # now peak at 39.20 / 39.36 MB (medians of 5 runs).
+    # being mapped and unmapped.  That is why an estimate holds only its
+    # draws and BLOCK_ROWS rows of temporaries: it sets the heap's peak
+    # with the stack steps (README, "Memory").
     jobs = [(c.target, c.train_cfg) for c in cells]
     split = _split(jobs, _share_count(len(jobs)))
     targets = {(id(c.target), c.train_cfg.seed): c.target for c in cells}

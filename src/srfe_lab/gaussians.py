@@ -270,7 +270,10 @@ class GaussianMixture:
         return (float(lp[0]), score.T[0]) if single else (lp, score.T)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        comps = rng.choice(self.n_components, size=n, p=self.weights)
+        K = self.n_components
+        # the narrowest index type, not int64
+        comps = rng.choice(K, size=n, p=self.weights).astype(
+            np.min_scalar_type(K - 1))
         # the draws are built in the noise array, the means added BLOCK_ROWS
         # rows at a time: IEEE multiply and add commute, so this is
         # means[comps] + sqrt(variance) * noise exactly

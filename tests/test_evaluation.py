@@ -106,7 +106,13 @@ class TestEntropyError:
 class TestTargetEntropy:
     TARGETS = {"mixture": BENCH,
                "w=0": ContaminatedMixture(base=BENCH, outlier_weight=0.0),
-               "w=0.2": ContaminatedMixture(base=BENCH, outlier_weight=0.2)}
+               "w=0.2": ContaminatedMixture(base=BENCH, outlier_weight=0.2),
+               # the log densities go into the first coordinate's column,
+               # which is the whole array at d = 1 and a strided view at 3
+               "d=1": GaussianMixture(means=MEANS[:, :1], variance=0.5,
+                                      weights=BENCH.weights),
+               "d=3": GaussianMixture(means=np.hstack((MEANS, MEANS[:, :1])),
+                                      variance=0.5, weights=BENCH.weights)}
 
     @pytest.mark.parametrize("n", [1, BLOCK_ROWS - 1, BLOCK_ROWS + 1,
                                    N_ENTROPY])
@@ -118,13 +124,40 @@ class TestTargetEntropy:
         assert target_entropy(target, n, np.random.default_rng(5)) == one_pass
 
     def test_holds_the_sample_and_one_block(self, traced_peak_mb):
-        # the draws (1.6 MB) and their log densities (0.8 MB) take most of
-        # it; one pass over all 10^5 draws held about 8.4 MiB, and samplers
-        # that built their draws from (n, d) temporaries 3.9 MiB
+        # the draws (1.53 MiB) and one block's log-density pass (about 0.56
+        # MiB) take it all, 2.09 MiB; a separate (n,) array of log
+        # densities (0.76 MiB) held 2.85 MiB, one pass over all 10^5 draws
+        # about 8.4 MiB, and samplers that built their draws from (n, d)
+        # temporaries 3.9 MiB
         target = self.TARGETS["w=0.2"]
         rng = np.random.default_rng(2)
         assert traced_peak_mb(lambda: target_entropy(
-            target, N_ENTROPY, rng)) <= 3.0
+            target, N_ENTROPY, rng)) <= 2.2
+
+    def test_a_read_only_sample_is_copied(self):
+        class ReadOnlyDraws(GaussianMixture):
+            def sample(self, n, rng):
+                xs = super().sample(n, rng)
+                xs.flags.writeable = False
+                return xs
+
+        target = ReadOnlyDraws(means=MEANS, variance=0.5,
+                               weights=BENCH.weights)
+        n = BLOCK_ROWS + 1
+        assert target_entropy(target, n, np.random.default_rng(5)) == \
+            target_entropy(BENCH, n, np.random.default_rng(5))
+
+    def test_a_draw_off_the_support_is_an_error(self):
+        # a draw where log p is -inf would make the estimate +inf
+        class OffSupport(GaussianMixture):
+            def log_prob(self, x):
+                lp = super().log_prob(x)
+                lp[0] = -np.inf
+                return lp
+
+        target = OffSupport(means=MEANS, variance=0.5, weights=BENCH.weights)
+        with pytest.raises(FloatingPointError, match="inf"):
+            target_entropy(target, 100, np.random.default_rng(5))
 
 
 class TestTestLogLik:
@@ -153,6 +186,26 @@ class TestEvaluate:
         assert 0 < a.ess <= N_ESS
         assert np.isfinite(a.entropy_error)
         assert np.isfinite(a.test_log_lik)
+
+    @pytest.mark.parametrize("metric", ["ess", "test_log_lik"])
+    def test_a_non_finite_metric_is_an_error(self, metric):
+        # a NaN log density on the ESS batch, or a held-out draw at infinity
+        class Broken(GaussianMixture):
+            def log_prob(self, x):
+                lp = super().log_prob(x)
+                if metric == "ess":
+                    lp[0] = np.nan
+                return lp
+
+            def sample(self, n, rng):
+                xs = super().sample(n, rng)
+                if metric == "test_log_lik":
+                    xs[0] = np.inf
+                return xs
+
+        target = Broken(means=MEANS, variance=0.5, weights=BENCH.weights)
+        with pytest.raises(FloatingPointError, match=metric):
+            evaluate(broad_model(), target, BENCH, 7, math.nan)
 
     def test_seed_offsets_decouple_metrics(self):
         a = evaluate(broad_model(), BENCH, BENCH, 7, bench_entropy(7))

@@ -266,6 +266,17 @@ class EntropyRaises(GaussianMixture):
         return super().sample(n, rng)
 
 
+class NanOnEssBatch(GaussianMixture):
+    """Fits like the benchmark mixture; one log density of the ESS batch is
+    NaN."""
+
+    def log_prob(self, x):
+        lp = super().log_prob(x)
+        if np.shape(x)[0] == evaluation.N_ESS:
+            lp[0] = np.nan
+        return lp
+
+
 def benchmark_like(cls):
     """The benchmark mixture as an instance of cls."""
     return cls(means=np.array(experiments.TARGET_MEANS),
@@ -371,6 +382,33 @@ class TestFailureIsolation:
         self.assert_failed_cell(
             benchmark_like(EvaluateRaises),
             "failed to evaluate: log_prob failed on the ESS batch")
+
+    def test_non_finite_entropy_estimate_yields_nan_row(self):
+        # draws moved +100 in x, where log p is -inf: the estimate is +inf
+        class OffSupportDraws:
+            dim = 2
+            base = benchmark_target()
+
+            def log_prob(self, x):
+                return self.log_prob_and_score(x)[0]
+
+            def log_prob_and_score(self, x):
+                lp, score = self.base.log_prob_and_score(x)
+                lp[np.asarray(x)[:, 0] > 50.0] = -np.inf
+                return lp, score
+
+            def sample(self, n, rng):
+                xs = self.base.sample(n, rng)
+                xs[:, 0] += 100.0
+                return xs
+
+        self.assert_failed_cell(
+            OffSupportDraws(), "failed to estimate the target entropy: "
+            "non-finite target entropy estimate: inf")
+
+    def test_non_finite_ess_yields_nan_row(self):
+        self.assert_failed_cell(benchmark_like(NanOnEssBatch),
+                                "failed to evaluate: non-finite ess: nan")
 
     def test_entropy_error_fails_only_that_targets_cells(self):
         bad = benchmark_like(EntropyRaises)

@@ -429,6 +429,17 @@ def test_samples_match_the_out_of_place_formulas(n, d):
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
+def test_samples_of_300_components_match_the_formula():
+    # past 256 components the sampler keeps its indices as uint16
+    rng = np.random.default_rng(300)
+    mix = GaussianMixture(means=rng.normal(scale=3.0, size=(300, 2)),
+                          variance=0.7, weights=rng.dirichlet(np.ones(300)))
+    n = BLOCK_ROWS + 1
+    got = mix.sample(n, np.random.default_rng(1))
+    want = out_of_place_samples(mix, n, np.random.default_rng(1))
+    assert got.tobytes() == want.tobytes()
+
+
 class TestEqualCovarianceValue:
     def test_unit_shift(self):
         assert srfe_equal_covariance([0.0], [1.0], 0.5) == 1.0

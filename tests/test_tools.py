@@ -1,7 +1,7 @@
 """The code-line counter of tools/count_code_lines.py, which measures the
 size of src/srfe_lab: docstrings, comments and blank lines are not code,
-and every line of a statement is.  And the claim rule of
-tools/bench_pairs.py's summary, on hand-made runs."""
+and every line of a statement is.  The claim rule of tools/bench_pairs.py's
+summary, on hand-made runs.  And a smoke run of tools/working_set.py."""
 import importlib.util
 from pathlib import Path
 
@@ -118,3 +118,17 @@ def test_a_tie_counts_for_neither_side():
     result = summary(PARENT, change)
     assert result["change_lower_in_pairs"] == 8
     assert result["claim_holds"] is False
+
+
+def test_working_set_reports_a_peak_per_stage():
+    peaks = load_tool("working_set").measure()
+    assert list(peaks) == [
+        "step.exp1.sample", "step.exp1.normal", "step.exp4.normal",
+        "target_entropy.mixture", "target_entropy.w=0",
+        "target_entropy.w=0.1", "target_entropy.w=0.2",
+        "target_entropy.w=0.3", "evaluate"]
+    # every stage holds at least its own draws: 5000 x 2, 10^5 x 2 and
+    # 10^4 x 2 doubles
+    assert all(peaks[name] > 0.07 for name in peaks)
+    assert all(peaks[name] > 1.5 for name in peaks
+               if name.startswith("target_entropy."))

@@ -760,6 +760,22 @@ class TestShares:
         assert share_jobs(jobs, 2) == [list(range(0, n, 2)),
                                        list(range(1, n, 2))]
 
+    def test_exp4_share_0_steps_in_a_small_working_set(
+            self, monkeypatch, tmp_path, traced_peak_mb):
+        jobs = sweep_jobs(experiments.run_exp4, monkeypatch, tmp_path)
+        (rows,) = training._split(jobs, 2)[0].values()
+        assert len(rows) == 6 and len({id(jobs[i][0]) for i in rows}) == 4
+        assert {jobs[i][1].batch_size for i in rows} == {5000}
+        training._Stack(jobs, rows).step(1)  # first calls' caches untraced
+        stack = training._Stack(jobs, rows)
+        # the step holds eps, x and the score (d, J, n) and log q and r (J,
+        # n), 1.45 MiB in all; x and log q are dropped before the gradient,
+        # whose (J, n) temporaries fit under the largest target pass (two
+        # rows, the K x 10^4 component terms and their pulls, 0.77 MiB).
+        # The gradient's two (d, J, n) buffers beside a live x and log q
+        # held 2.37 MiB.
+        assert traced_peak_mb(lambda: stack.step(1)) <= 2.25
+
     def test_exp2_shares_are_even(self, monkeypatch, tmp_path):
         jobs = sweep_jobs(experiments.run_exp2, monkeypatch, tmp_path)
         assert [len(share) for share in share_jobs(jobs, 2)] == [14, 13]
