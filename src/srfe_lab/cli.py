@@ -110,9 +110,9 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _cmd_experiment(args: argparse.Namespace, cfg: RunConfig) -> int:
-    try:
+    try:  # OSError: an unwritable output; MemoryError: an impossible size
         result = _EXPERIMENTS[args.command](cfg)
-    except OSError as exc:  # an output the driver could not write
+    except (OSError, MemoryError) as exc:
         raise SystemExit(f"srfe-lab: {exc}")
     for label, reason in result.failures.items():
         print(f"warning: cell {label} {reason}", file=sys.stderr)
@@ -160,7 +160,7 @@ def _cmd_density_grid(args: argparse.Namespace) -> int:
             write_csv(sys.stdout, header, grid)
         else:
             _write_file(args.out, header, grid)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         raise SystemExit(f"srfe-lab: {exc}")
     return 0
 

@@ -46,8 +46,6 @@ __all__ = [
     "cr_expansion_prediction",
     "monotone_map",
     "mixed_partial_probe",
-    "srfe_mixed_partial_analytic",
-    "kl_mixed_partial_analytic",
 ]
 
 # Probability vectors must sum to 1 within this before being accepted.
@@ -473,28 +471,3 @@ def mixed_partial_probe(u: float, v: float, tau: float,
         raise ValueError(f"unknown divergence {divergence!r}")
     return float(g[0] - g[1] - g[2] + g[3]) / (4.0 * h * h)
 
-
-def srfe_mixed_partial_analytic(u: float, v: float, tau: float) -> float:
-    """Closed-form mixed partial of the free-energy probe G above.
-
-    With w = 1-u-v and S = u^tau + v^tau + w^tau,
-        G = const - log(S) / (tau (1 - tau)),
-    so the mixed partial follows from differentiating log S twice.
-    """
-    _check_tau_open(tau)
-    w = 1.0 - u - v
-    if min(u, v, w) <= 0:
-        raise ValueError("(u, v) must lie in the open simplex")
-    s = u ** tau + v ** tau + w ** tau
-    du = tau * (u ** (tau - 1.0) - w ** (tau - 1.0))
-    dv = tau * (v ** (tau - 1.0) - w ** (tau - 1.0))
-    duv = tau * (tau - 1.0) * w ** (tau - 2.0)
-    return -(duv / s - du * dv / (s * s)) / (tau * (1.0 - tau))
-
-
-def kl_mixed_partial_analytic(u: float, v: float) -> float:
-    """Mixed partial of the KL probe: 1 / (1-u-v), a function of w alone."""
-    w = 1.0 - u - v
-    if min(u, v, w) <= 0:
-        raise ValueError("(u, v) must lie in the open simplex")
-    return 1.0 / w

@@ -254,8 +254,8 @@ class _Stack:
         transform, one target pass per target, one weight and gradient
         program).  A forward-KL stack draws target.sample, then
         target.log_prob on those samples, its only calls of its target; one
-        of JOB_ERRORS from either ends every job of the stack, with no Adam
-        step."""
+        of JOB_ERRORS from either fails every row, which then steps on a
+        zero gradient and leaves, as any failed row does."""
         cfg = self.cfgs[0]
         if self.forward:
             try:
@@ -264,12 +264,11 @@ class _Stack:
                 xs.flags.writeable = False
                 log_p = self.targets[0].log_prob(xs)
             except JOB_ERRORS as exc:
-                ended = [(i, exc) for i in self.jobs]
-                self._take([])
-                return ended
-            losses, grad, _ = _forward_rows(self.theta, xs, log_p)
-            losses, clamped, failed = (losses.tolist(),
-                                       [False] * len(self.jobs), {})
+                losses, grad = [], np.zeros_like(self.theta)
+                failed = dict.fromkeys(range(len(self.jobs)), exc)
+            else:
+                losses, grad, _ = _forward_rows(self.theta, xs, log_p)
+                clamped, failed = [False] * len(self.jobs), {}
         else:
             eps = self.rng.standard_normal((cfg.batch_size,
                                             self.theta.shape[2]))
@@ -510,8 +509,8 @@ def train_lockstep(jobs) -> list[TrainResult | Exception]:
     raised by a target pass ends every job of that pass (the jobs of the
     stack with that target) with that exception, and one raised by a
     forward-KL stack's target.sample or target.log_prob, both called where
-    the stack draws inside its step, ends every job of that stack before
-    any Adam step; the other stacks step on.  A failed job's exception
+    the stack draws inside its step, ends every job of that stack at that
+    step; the other stacks step on.  A failed job's exception
     takes its place in the returned list, also at the job's last step.
     Any other exception propagates.
 

@@ -52,3 +52,23 @@ def escort_weights(p, q, tau):
 
 def variational(r, p, q, tau):
     return kl(r, q) / tau + kl(r, p) / (1.0 - tau)
+
+
+def srfe_mixed_partial_analytic(u, v, tau):
+    """d2 G / du dv of G(u, v) = srfe((u, v, w), uniform, tau), w = 1-u-v.
+
+    With S = u^tau + v^tau + w^tau, G = const - log(S) / (tau (1 - tau)),
+    so the mixed partial follows from differentiating log S twice.
+    """
+    w = 1.0 - u - v
+    s = u ** tau + v ** tau + w ** tau
+    du = tau * (u ** (tau - 1.0) - w ** (tau - 1.0))
+    dv = tau * (v ** (tau - 1.0) - w ** (tau - 1.0))
+    duv = tau * (tau - 1.0) * w ** (tau - 2.0)
+    return -(duv / s - du * dv / (s * s)) / (tau * (1.0 - tau))
+
+
+def kl_mixed_partial_analytic(u, v):
+    """d2 / du dv of KL((u, v, w) || uniform), w = 1-u-v: 1 / w, a function
+    of w alone, as for every f-divergence."""
+    return 1.0 / (1.0 - u - v)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import srfe_lab
-from srfe_lab import experiments
+from srfe_lab import cli, experiments, training
 from srfe_lab.cli import main
 from test_experiments import EntropyRaises, EvaluateRaises, benchmark_like
 
@@ -163,6 +163,32 @@ class TestExperimentCommands:
         assert trained == []
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("forked", [False, True],
+                             ids=["calling-share", "forked-share"])
+    def test_out_of_memory_is_a_clean_error(self, tmp_path, capsys,
+                                            monkeypatch, forked):
+        # what numpy raises for a size such as {"iterations": 10**11},
+        # in the calling process's share or sent back by a forked one
+        real_fit = experiments._fit_lockstep
+
+        def fit(jobs, stacks, parent=None):
+            if (parent is not None) == forked:
+                raise MemoryError("Unable to allocate 745. GiB")
+            return real_fit(jobs, stacks, parent)
+
+        monkeypatch.setattr(training, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(experiments, "_fit_lockstep", fit)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"iterations": 1, "batch_size": 20}))
+        out = tmp_path / "r"
+        with pytest.raises(SystemExit) as exc:
+            main(["exp1", "--config", str(cfg_path), "--out", str(out)])
+        assert str(exc.value) == "srfe-lab: Unable to allocate 745. GiB"
+        assert capsys.readouterr().out == ""
+        assert list(out.iterdir()) == []
+        with pytest.raises(ChildProcessError):  # every share was reaped
+            os.waitpid(-1, os.WNOHANG)
+
 
 class TestDensityGrid:
     def test_stdout_dump(self, capsys):
@@ -225,6 +251,17 @@ class TestDensityGrid:
             main(argv)
         assert str(exc.value).startswith("srfe-lab: ")
         assert message.format(tmp=tmp_path) in str(exc.value)
+        assert capsys.readouterr().out == ""
+
+    def test_out_of_memory_is_a_clean_error(self, capsys, monkeypatch):
+        def density_grid(dist, bounds, res):
+            raise MemoryError("Unable to allocate 11.9 GiB")
+
+        monkeypatch.setattr(cli, "density_grid", density_grid)
+        with pytest.raises(SystemExit) as exc:
+            main(["density-grid", "--target", "mixture", "--bounds=0,1,0,1",
+                  "--res", "40000"])
+        assert str(exc.value) == "srfe-lab: Unable to allocate 11.9 GiB"
         assert capsys.readouterr().out == ""
 
     def test_bad_bounds_exit(self):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import kl_mixed_partial_analytic, srfe_mixed_partial_analytic
 from srfe_lab.discrete import (
     AbsoluteContinuityError,
     DiscreteDist,
@@ -22,12 +23,10 @@ from srfe_lab.discrete import (
     expansion_prediction,
     kl_discrete,
     kl_upper_bound_gap,
-    kl_mixed_partial_analytic,
     mixed_partial_probe,
     monotone_map,
     pythagorean_residual,
     srfe_discrete,
-    srfe_mixed_partial_analytic,
     surprisal_stats,
     tail_bound,
     variational_minimize,

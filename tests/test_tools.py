@@ -1,7 +1,8 @@
 """The code-line counter of tools/count_code_lines.py, which measures the
 size of src/srfe_lab: docstrings, comments and blank lines are not code,
 and every line of a statement is.  The claim rule of tools/bench_pairs.py's
-summary, on hand-made runs.  And a smoke run of tools/working_set.py."""
+summary, on hand-made runs.  A smoke run of tools/working_set.py, and the
+density-grid runs of tools/compare_outputs.py's matrix."""
 import importlib.util
 from pathlib import Path
 
@@ -132,3 +133,19 @@ def test_working_set_reports_a_peak_per_stage():
     assert all(peaks[name] > 0.07 for name in peaks)
     assert all(peaks[name] > 1.5 for name in peaks
                if name.startswith("target_entropy."))
+
+
+def test_output_comparison_runs_density_grid(monkeypatch):
+    monkeypatch.syspath_prepend(str(_TOOLS))  # for its bench_pairs import
+    runs = dict(load_tool("compare_outputs").runs(default=False))
+    grids = {name: args for name, args in runs.items()
+             if args[0] == "density-grid"}
+    assert grids == {
+        "density_grid_mixture_w0.2": [
+            "density-grid", "--target", "mixture", "--outlier-weight", "0.2",
+            "--bounds=-12,12,-12,12", "--res", "61",
+            "--out", "density_grid_mixture_w0.2/grid.csv"],
+        "density_grid_model": [
+            "density-grid", "--target", "model", "--mu=0.5,-1.5",
+            "--log-sigma=0.3,-0.4", "--bounds=-4,4,-5,3", "--res", "61",
+            "--out", "density_grid_model/grid.csv"]}

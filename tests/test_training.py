@@ -464,12 +464,16 @@ class TestTrain:
             assert_same_outcome(outcomes[k], per_job_outcome(*jobs[k]))
 
     @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("failing_type", [FailingSampler, FailingTarget],
+                             ids=["sample", "log_prob"])
     def test_sampler_error_ends_every_job_of_its_stack(self, monkeypatch,
-                                                       forks, cpus):
+                                                       forks, failing_type,
+                                                       cpus):
         monkeypatch.setattr(training, "_cpu_count", lambda: cpus)
         cfg = self.small_cfg
-        exc = RuntimeError("sampler gave up")
-        failing = FailingSampler(3, exc)
+        exc = RuntimeError("target gave up")
+        # the third target.sample, or the third target.log_prob, raises
+        failing = failing_type(3, exc)
         # jobs 1 and 3 read one stream; on two CPUs they are share 1's
         jobs = [(BENCH, cfg(iterations=6)),
                 (failing, cfg(objective="forward_kl")),
@@ -480,7 +484,7 @@ class TestTrain:
         assert len(forks) == cpus - 1
         for k in (1, 3):
             assert type(outcomes[k]) is RuntimeError
-            assert str(outcomes[k]) == "sampler gave up"
+            assert str(outcomes[k]) == "target gave up"
         if cpus == 1:
             assert outcomes[1] is outcomes[3] is exc and failing.calls == 3
         for k in (0, 2):

@@ -11,6 +11,9 @@ each in its own temporary directory, on a fixed matrix:
   - verify --json, seeds 0-59;
   - verify --inject-failure --json, seed 0 (the negative control, which
     exits 1);
+  - density-grid --out, on the w = 0.2 contaminated mixture over a grid
+    that crosses the outlier box's faces, and on a model with non-zero
+    --mu and --log-sigma;
   - with --default, also exp1-exp4 at the default config with
     --dump-loss, seed 0 (the whole comparison then took about 90-120 s on
     2 CPUs).
@@ -54,6 +57,16 @@ def runs(default: bool) -> list[tuple[str, list[str]]]:
     name = "verify_inject_failure_seed0"
     out.append((name, ["verify", "--inject-failure", "--seed", "0", "--json",
                        f"{name}/report.json"]))
+    # the equals forms keep argparse from reading a leading minus sign as
+    # an option prefix
+    for name, target in (
+            ("density_grid_mixture_w0.2",
+             ["mixture", "--outlier-weight", "0.2", "--bounds=-12,12,-12,12"]),
+            ("density_grid_model",
+             ["model", "--mu=0.5,-1.5", "--log-sigma=0.3,-0.4",
+              "--bounds=-4,4,-5,3"])):
+        out.append((name, ["density-grid", "--target", *target, "--res", "61",
+                           "--out", f"{name}/grid.csv"]))
     if default:
         for exp in EXPERIMENTS:
             name = f"{exp}_default_seed0"
