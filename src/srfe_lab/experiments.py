@@ -6,17 +6,17 @@ schedules (exp3), and contamination robustness (exp4).  Each driver
 trains the diagonal-Gaussian model for every cell, evaluates it, writes
 one CSV, and hands the rows back for programmatic use.
 
-Cells are independent given their seeds.  A sweep fits all its cells in
-lockstep, as one training.train_lockstep call would: every cell steps once
-per iteration in cell order, cells that read equal noise share one draw,
-and the cells are spread over the allowed CPUs; the training module
-docstring states which cells share and how the work is forked.  Every cell
-sees the noise it would see alone, so the CSVs are byte-identical across
-runs with the same seed, whatever the number of CPUs.  The output
-directory is made first.  Then each share fits its cells, evaluates them
-and estimates its part of the target entropies, in the process that fits
-it (see _run_cells), and the calling process assembles the rows and writes
-the CSVs.
+Cells are independent given their seeds.  A sweep fits all its cells
+through training._map_shares, the one way into the fitting shares: every
+cell steps once per iteration in cell order, cells that read equal noise
+share one draw, and the cells are spread over the allowed CPUs; the
+training module docstring states which cells share and how the work is
+forked.  Every cell sees the noise it would see alone, so the CSVs are
+byte-identical across runs with the same seed, whatever the number of
+CPUs.  The output directory is made first.  Then each share fits its
+cells, evaluates them and estimates its part of the target entropies, in
+the process that fits it (see _run_cells), and the calling process
+assembles the rows and writes the CSVs.
 """
 from __future__ import annotations
 
@@ -34,9 +34,8 @@ from .evaluation import (N_ENTROPY, EvalMetrics, entropy_error, evaluate,
 from .gaussians import ContaminatedMixture, GaussianMixture
 # train is unused here, but perfbench/bench_trace.py patches experiments.train
 # by name
-from .training import (TauSchedule, TrainConfig, _fit_lockstep, _is_number,
-                       _map_shares, _require_count, _share_count, _split,
-                       train)
+from .training import (TauSchedule, TrainConfig, _is_number, _map_shares,
+                       _require_count, train)
 
 TARGET_MEANS = ((-3.0, 0.0), (3.0, 0.0), (0.0, 4.0))
 TARGET_VARIANCE = 0.5
@@ -165,13 +164,12 @@ def _run_cells(cells: list[_Cell]) -> ExperimentResult:
     and estimate the target entropy once per (target, seed), on the seed + 2
     stream (so every cell's target needs sample(n, rng)).
 
-    The cells are split into the shares of training._split, and
-    training._map_shares runs each share's whole pipeline in one process:
-    it fits the share's stacks in lockstep (training._fit_lockstep),
-    evaluates the share's trained cells, and then estimates the entropies
-    of the distinct (target, seed) keys keys[s::P] of share s of P.  The
-    calling process merges what the shares return and sets each trained
-    cell's entropy_error from its key's estimate.  One of JOB_ERRORS ends
+    training._map_shares fits the cells in its shares, and each share s of
+    n then runs the rest of its pipeline in the process that fitted it: it
+    evaluates the share's trained cells and estimates the entropies of the
+    distinct (target, seed) keys keys[s::n].  The calling process merges
+    what the shares return and sets each trained cell's entropy_error from
+    its key's estimate.  One of JOB_ERRORS ends
     only its own cells: one from a cell's training or its evaluate fails
     that cell, and one from an entropy estimate fails every cell of that
     (target, seed).  A failed cell becomes a NaN row, and its label maps in
@@ -184,27 +182,25 @@ def _run_cells(cells: list[_Cell]) -> ExperimentResult:
     # being mapped and unmapped.  That is why an estimate holds only its
     # draws and BLOCK_ROWS rows of temporaries: it sets the heap's peak
     # with the stack steps (README, "Memory").
-    jobs = [(c.target, c.train_cfg) for c in cells]
-    split = _split(jobs, _share_count(len(jobs)))
     targets = {(id(c.target), c.train_cfg.seed): c.target for c in cells}
     keys = list(targets)
     modes = benchmark_target()
 
-    def share(s: int, parent: int | None) -> dict:
+    def share(s: int, n: int, fitted: dict) -> dict:
         done = {}
-        for i, outcome in _fit_lockstep(jobs, split[s], parent).items():
+        for i, outcome in fitted.items():
             done["train", i] = outcome
             if not isinstance(outcome, Exception):
                 done["evaluate", i] = _attempt(
                     evaluate, outcome.model, cells[i].target, modes,
                     cells[i].train_cfg.seed, math.nan)
-        for key in keys[s::len(split)]:
+        for key in keys[s::n]:
             done[_ENTROPY, key] = _attempt(target_entropy, targets[key],
                                            N_ENTROPY,
                                            np.random.default_rng(key[1] + 2))
         return done
 
-    done = _map_shares(share, len(split))
+    done = _map_shares([(c.target, c.train_cfg) for c in cells], share)
     rows, histories, failures = [], {}, {}
     for i, cell in enumerate(cells):
         seed = cell.train_cfg.seed

@@ -7,11 +7,12 @@ Initialization is mu = 0, log_sigma = 0; every run is reproducible from its
 seed because noise batches are drawn from one seeded generator in a fixed
 per-iteration order.
 
-train_lockstep fits many jobs together, one iteration of every job at a
+_map_shares fits many jobs together, one iteration of every job at a
 time.  Jobs that would draw equal noise read one draw per iteration:
 srfe and reverse-KL jobs with the same seed, batch size and dimension
 (standard normal eps), and forward-KL jobs with the same seed, batch size
-and target (target samples).  train is the one-job case.
+and target (target samples).  train is the one-job case, and
+srfe_lab.experiments fits every sweep through _map_shares too.
 
 The jobs that read one noise stream form a stack (_Stack), and each
 iteration of a stack is one call, _Stack.step: it draws the stream's next
@@ -35,21 +36,21 @@ by a fixed cost count: a job costs 1, and its noise stream 1 more in a
 share that does not read it yet.  The split hands each share its stacks
 (_split, {stream key: [job indices]}), so which jobs step together is
 decided there alone, and a share builds one _Stack per entry without
-keying a job again.  _map_shares(fn, n) runs the shares: the calling
-process runs fn(0, None), and each other share s runs fn(s, parent) in a
-child made with os.fork, which pickles back over a pipe one value: the
-dict fn returns, or the exception that ended it; the dicts are merged.
-train_lockstep's fn fits one share's stacks (_fit_lockstep), and a child
-redraws its noise from the same seeds, so every job gets the outcome it
-gets alone (an exception that cannot cross the pipe as itself comes back
-as a RuntimeError naming it).  srfe_lab.experiments maps a longer fn
-over the same shares, which also evaluates the share's fitted cells and
-makes its part of the target-entropy estimates.  With one CPU,
-one job, no os.fork, or a second Python thread alive (its locks would be
-copied held), there is one share and no fork.  Shares are processes, not
-threads: a stack step is about a hundred short numpy calls, so worker
-threads would mostly pass the interpreter lock between them rather than
-overlap work.  The fork is written out here, not taken from a process pool,
+keying a job again.  _map_shares(jobs, fn) is the one way into the
+shares: share s of n fits its stacks (_fit_lockstep) and hands its
+{job index: outcome} dict to fn(s, n, fitted).  The calling process runs
+share 0, and each other share runs in a child made with os.fork, which
+pickles back over a pipe one value: the dict fn returns, or the exception
+that ended it; the dicts are merged.  A child redraws its noise from the
+same seeds, so every job gets the outcome it gets alone (an exception
+that cannot cross the pipe as itself comes back as a RuntimeError naming
+it).  train's fn returns the fitted dict as it is; srfe_lab.experiments'
+fn also evaluates the share's fitted cells and makes its part of the
+target-entropy estimates.  With one CPU, one job, no os.fork, or a second
+Python thread alive (its locks would be copied held), there is one share
+and no fork.  Shares are processes, not threads: a stack step is about a
+hundred short numpy calls, so worker threads would mostly pass the
+interpreter lock between them rather than overlap work.  The fork is written out here, not taken from a process pool,
 because a pool's import alone costs start-up time and memory that every
 command would pay: after importing srfe_lab.cli, importing
 concurrent.futures.process took 15 ms and added 1.0 MB of peak RSS, and
@@ -85,7 +86,7 @@ from srfe_lab.estimators import (JOB_ERRORS, _forward_rows, _q_side_step,
 from srfe_lab.gaussians import DiagonalGaussian
 
 __all__ = ["Adam", "TauSchedule", "TrainConfig", "TrainResult", "train",
-           "train_lockstep", "OBJECTIVES"]
+           "OBJECTIVES"]
 
 OBJECTIVES = ("srfe", "forward_kl", "reverse_kl")
 
@@ -376,11 +377,12 @@ def _split(jobs, shares: int) -> list[dict]:
 
 
 def _fit_lockstep(jobs: list, stacks: dict, parent: int | None = None) -> dict:
-    """train_lockstep's loop, in this process, over stacks, one share of
-    _split over jobs, the whole (target, cfg) list: {job index: outcome}
-    for the jobs of that share.  A forked share passes the pid of the
-    process that reads its outcomes, and exits once that process is
-    gone."""
+    """One share's fit, in this process: every stack of stacks, the
+    share's entry of _split over jobs (the whole (target, cfg) list),
+    steps once per iteration in turn until none has rows left.  Returns
+    {job index: outcome} for the share's jobs.  A forked share passes the
+    pid of the process that reads its outcomes, and exits once that
+    process is gone."""
     stacks = [_Stack(jobs, rows) for rows in stacks.values()]
     outcomes = {}
     t = 0
@@ -438,13 +440,19 @@ def _fork_share(fn, s: int, parent: int):
     return pid, os.fdopen(read_fd, "rb")
 
 
-def _map_shares(fn, n: int) -> dict:
-    """The dicts fn(0, None), ..., fn(n - 1, parent), merged into one.
+def _map_shares(jobs, fn) -> dict:
+    """Fit the (target, TrainConfig) jobs in the shares of _split, and
+    return the dicts fn(s, n, fitted) of the n shares, merged into one.
 
-    fn(0, None) runs in this process and every other share s in a child
-    forked for it (see the module docstring), which gets the pid of this
-    process as parent and should stop once that process is gone, as
-    _fit_lockstep does.  An exception raised by fn is raised here, a
+    fitted is {job index: outcome} for share s's jobs, each outcome the
+    TrainResult the job gets fitted alone, or the exception that ended it.
+    Failures end jobs, not the call: a job whose loss or gradient is
+    non-finite at step t ends with RuntimeError("non-finite loss at step
+    t") or RuntimeError("non-finite gradient at step t"), and one of
+    JOB_ERRORS raised by a target call ends every job that call served.
+    Share 0 runs in this process and every other share in a child forked
+    for it (see the module docstring), which stops once this process is
+    gone.  Any other exception, from the fit or from fn, is raised here, a
     forked share's after this process has run its own.  An exception of a
     forked share, raised or in its dict, that does not survive a pickle
     round trip arrives as RuntimeError("<its type name>: <its message>").
@@ -455,6 +463,13 @@ def _map_shares(fn, n: int) -> dict:
     process (see _set_heap_policy); it stays set after the call.
     """
     _set_heap_policy()
+    jobs = list(jobs)
+    split = _split(jobs, _share_count(len(jobs)))
+    n = len(split)
+
+    def share(s: int, parent: int | None) -> dict:
+        return fn(s, n, _fit_lockstep(jobs, split[s], parent))
+
     children = []  # (share, pid, pipe read end), until reaped
     try:
         if n > 1:
@@ -465,8 +480,8 @@ def _map_shares(fn, n: int) -> dict:
                     stream.flush()
         parent = os.getpid()
         for s in range(1, n):
-            children.append((s, *_fork_share(fn, s, parent)))
-        merged = fn(0, None)
+            children.append((s, *_fork_share(share, s, parent)))
+        merged = share(0, None)
         while children:
             s, pid, fh = children[0]
             with fh:
@@ -493,46 +508,6 @@ def _map_shares(fn, n: int) -> dict:
     return merged
 
 
-def train_lockstep(jobs) -> list[TrainResult | Exception]:
-    """Fit every (target, TrainConfig) job, all advancing one iteration at a
-    time in job order.  Each job gets exactly the result train gives it.
-
-    Jobs whose noise streams have the same key (see _stream) form one stack
-    with one generator seeded with their seed, which draws one read-only
-    batch per iteration while any of them is still fitting; a job with
-    fewer iterations stops early and has read a prefix of the stream.
-
-    Failures end jobs, not the call.  A job whose loss or gradient is
-    non-finite at step t ends with RuntimeError("non-finite loss at step
-    t") or RuntimeError("non-finite gradient at step t") and leaves the
-    stack with its Adam rows; the other rows step on.  One of JOB_ERRORS
-    raised by a target pass ends every job of that pass (the jobs of the
-    stack with that target) with that exception, and one raised by a
-    forward-KL stack's target.sample or target.log_prob, both called where
-    the stack draws inside its step, ends every job of that stack at that
-    step; the other stacks step on.  A failed job's exception
-    takes its place in the returned list, also at the job's last step.
-    Any other exception propagates.
-
-    The jobs are fitted in _share_count shares, and _split hands each
-    share its stacks, {stream key: [job indices]}, by its cost count; the
-    whole job list goes with them, so no share keys a job again.
-    _map_shares fits share 0 in this process and every other share in a
-    forked child, and merges their {job index: outcome} dicts, which are
-    returned in job order.  An exception from a forked share that does not
-    survive a pickle round trip arrives as RuntimeError("<its type name>:
-    <its message>") in its place, in the returned list or raised, so a
-    failed job still fails alone and with its message whatever the CPU
-    count.  The call sets glibc's heap policy (see _set_heap_policy); it
-    stays set after the call.
-    """
-    jobs = list(jobs)
-    split = _split(jobs, _share_count(len(jobs)))
-    outcomes = _map_shares(
-        lambda s, parent: _fit_lockstep(jobs, split[s], parent), len(split))
-    return [outcomes[i] for i in range(len(jobs))]
-
-
 def train(target, cfg: TrainConfig) -> TrainResult:
     """Fit a mean-field Gaussian to target under cfg.  Deterministic per seed.
 
@@ -545,10 +520,10 @@ def train(target, cfg: TrainConfig) -> TrainResult:
 
     Raises RuntimeError naming the step index if a loss or a gradient is
     non-finite (the clamp makes the free-energy loss finite by construction,
-    so this can only trip on a degenerate target).  This is train_lockstep
-    on one job.
+    so this can only trip on a degenerate target).  This is _map_shares on
+    one job, which forks nothing.
     """
-    (outcome,) = train_lockstep([(target, cfg)])
+    outcome = _map_shares([(target, cfg)], lambda s, n, fitted: fitted)[0]
     if isinstance(outcome, Exception):
         raise outcome
     return outcome

@@ -169,7 +169,7 @@ class TestExperimentCommands:
                                             monkeypatch, forked):
         # what numpy raises for a size such as {"iterations": 10**11},
         # in the calling process's share or sent back by a forked one
-        real_fit = experiments._fit_lockstep
+        real_fit = training._fit_lockstep
 
         def fit(jobs, stacks, parent=None):
             if (parent is not None) == forked:
@@ -177,7 +177,7 @@ class TestExperimentCommands:
             return real_fit(jobs, stacks, parent)
 
         monkeypatch.setattr(training, "_cpu_count", lambda: 2)
-        monkeypatch.setattr(experiments, "_fit_lockstep", fit)
+        monkeypatch.setattr(training, "_fit_lockstep", fit)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"iterations": 1, "batch_size": 20}))
         out = tmp_path / "r"

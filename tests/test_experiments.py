@@ -113,7 +113,7 @@ class TestExp2:
 
     def test_failed_trial_is_nan_in_every_aggregate_metric(self, tmp_path,
                                                            monkeypatch):
-        real_fit = experiments._fit_lockstep
+        real_fit = training._fit_lockstep
 
         def failing_second_cell(jobs, stacks, parent=None):
             # in whichever share fits cell 1, forked or not
@@ -122,7 +122,7 @@ class TestExp2:
                 outcomes[1] = RuntimeError("non-finite loss at step 1")
             return outcomes
 
-        monkeypatch.setattr(experiments, "_fit_lockstep", failing_second_cell)
+        monkeypatch.setattr(training, "_fit_lockstep", failing_second_cell)
         cfg = RunConfig(tau_grid=(0.4, 0.6), trials=3, out_dir=str(tmp_path),
                         **TINY)
         res = run_exp2(cfg)
@@ -177,7 +177,7 @@ class TestExp4:
     def test_target_entropy_drawn_once_per_target_and_seed(
             self, tmp_path, monkeypatch):
         calls, trained = [], []
-        real_fit = experiments._fit_lockstep
+        real_fit = training._fit_lockstep
 
         def counting(target, n, rng):
             calls.append(target)
@@ -192,7 +192,7 @@ class TestExp4:
         # (test_each_share_runs_its_cells_and_keys counts across processes)
         monkeypatch.setattr(training, "_cpu_count", lambda: 1)
         monkeypatch.setattr(experiments, "target_entropy", counting)
-        monkeypatch.setattr(experiments, "_fit_lockstep", recording_fit)
+        monkeypatch.setattr(training, "_fit_lockstep", recording_fit)
         res = run_exp4(RunConfig(tau_grid=(0.3, 0.7),
                                  outlier_weights=(0.0, 0.2), iterations=1,
                                  batch_size=20, out_dir=str(tmp_path)))
@@ -490,7 +490,7 @@ def test_each_share_runs_its_cells_and_keys(monkeypatch, tmp_path, cpus):
         with open(log, "a", encoding="utf-8") as fh:
             fh.write(json.dumps([os.getpid(), *entry]) + "\n")
 
-    real_fit = experiments._fit_lockstep
+    real_fit = training._fit_lockstep
     real_evaluate = experiments.evaluate
     real_entropy = experiments.target_entropy
 
@@ -508,7 +508,7 @@ def test_each_share_runs_its_cells_and_keys(monkeypatch, tmp_path, cpus):
         record("entropy", id(target))
         return real_entropy(target, n, rng)
 
-    monkeypatch.setattr(experiments, "_fit_lockstep", recording_fit)
+    monkeypatch.setattr(training, "_fit_lockstep", recording_fit)
     monkeypatch.setattr(experiments, "evaluate", recording_evaluate)
     monkeypatch.setattr(experiments, "target_entropy", recording_entropy)
     forks = recording_forks(monkeypatch)

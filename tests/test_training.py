@@ -23,7 +23,7 @@ from srfe_lab.estimators import (forward_kl_grad, forward_kl_loss,
 from srfe_lab.gaussians import (ContaminatedMixture, DiagonalGaussian,
                                 GaussianMixture)
 from srfe_lab.training import (Adam, TauSchedule, TrainConfig, TrainResult,
-                               train, train_lockstep)
+                               train)
 
 BENCH = GaussianMixture(means=np.array([[-3.0, 0.0], [3.0, 0.0], [0.0, 4.0]]),
                         variance=0.5, weights=np.array([0.3, 0.3, 0.4]))
@@ -193,6 +193,12 @@ def assert_same_outcomes(alone, shared):
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def fit_jobs(jobs):
+    """Every job's outcome, in job order, fitted through _map_shares."""
+    done = training._map_shares(jobs, lambda s, n, f: f)
+    return [done[i] for i in range(len(jobs))]
 
 
 def share_jobs(jobs, shares):
@@ -395,7 +401,7 @@ class TestTrain:
 
     def test_lockstep_matches_solo_train(self):
         jobs = self.lockstep_jobs()
-        outcomes = train_lockstep(jobs)
+        outcomes = fit_jobs(jobs)
         assert len(outcomes) == len(jobs)
         for (target, job_cfg), outcome in zip(jobs, outcomes):
             if isinstance(target, NanScoreTarget):
@@ -419,7 +425,7 @@ class TestTrain:
         # row among them, and rows that clamp
         monkeypatch.setattr(training, "_cpu_count", lambda: 1)
         jobs = self.lockstep_jobs()
-        outcomes = train_lockstep(jobs)
+        outcomes = fit_jobs(jobs)
         assert any(o.clamp_count for o in outcomes if isinstance(o, TrainResult))
         for (target, job_cfg), outcome in zip(jobs, outcomes):
             assert_same_outcome(outcome, per_job_outcome(target, job_cfg))
@@ -443,7 +449,7 @@ class TestTrain:
             (failing_samples, cfg(objective="forward_kl")),
             (BENCH, cfg(objective="forward_kl", iterations=5)),
         ]
-        outcomes = train_lockstep(jobs)
+        outcomes = fit_jobs(jobs)
         # the pass of step 3 raised once, for both of its jobs
         assert outcomes[1] is outcomes[3] is exc
         assert outcomes[5] is outcomes[6] is exc
@@ -457,7 +463,7 @@ class TestTrain:
         jobs = [(BENCH, cfg(objective="reverse_kl")),
                 (NanScoreTarget(), cfg(objective="reverse_kl")),
                 (BENCH, cfg(iterations=9))]
-        outcomes = train_lockstep(jobs)
+        outcomes = fit_jobs(jobs)
         assert type(outcomes[1]) is RuntimeError
         assert str(outcomes[1]) == "non-finite gradient at step 1"
         for k in (0, 2):
@@ -480,7 +486,7 @@ class TestTrain:
                 (BENCH, cfg(objective="forward_kl", iterations=5)),
                 (failing, cfg(objective="forward_kl", iterations=8))]
         assert share_jobs(jobs, 2) == [[0, 2], [1, 3]]
-        outcomes = train_lockstep(jobs)
+        outcomes = fit_jobs(jobs)
         assert len(forks) == cpus - 1
         for k in (1, 3):
             assert type(outcomes[k]) is RuntimeError
@@ -502,7 +508,7 @@ class TestTrain:
                 (FailingTarget(4, exc), cfg(iterations=4)),
                 (NanScoreTarget(), cfg(objective="reverse_kl", iterations=1)),
                 (BENCH, cfg(objective="reverse_kl", iterations=4))]
-        outcomes = train_lockstep(jobs)
+        outcomes = fit_jobs(jobs)
         assert outcomes[1] is exc
         assert type(outcomes[2]) is RuntimeError
         assert str(outcomes[2]) == "non-finite gradient at step 1"
@@ -523,7 +529,7 @@ class TestTrain:
                     (BENCH, cfg(objective="reverse_kl", iterations=7)),
                     (NanScoreTarget(), cfg(objective="reverse_kl", seed=6))]
 
-        outcomes = train_lockstep(jobs())
+        outcomes = fit_jobs(jobs())
         for got, job in zip(outcomes, jobs()):
             assert_same_outcome(got, per_job_outcome(*job))
         assert all(isinstance(o, TrainResult) for o in outcomes[::2])
@@ -533,10 +539,10 @@ class TestTrain:
     def test_shares_match_one_share(self, monkeypatch, forks, cpus):
         jobs = self.lockstep_jobs()
         monkeypatch.setattr(training, "_cpu_count", lambda: 1)
-        alone = train_lockstep(jobs)
+        alone = fit_jobs(jobs)
         assert forks == []
         monkeypatch.setattr(training, "_cpu_count", lambda: cpus)
-        shared = train_lockstep(jobs)
+        shared = fit_jobs(jobs)
         assert len(forks) == cpus - 1
         assert_same_outcomes(alone, shared)
         assert_no_child_left()
@@ -554,9 +560,9 @@ class TestTrain:
                                                 cpus):
         jobs = self.exp1_jobs()
         monkeypatch.setattr(training, "_cpu_count", lambda: 1)
-        alone = train_lockstep(jobs)
+        alone = fit_jobs(jobs)
         monkeypatch.setattr(training, "_cpu_count", lambda: cpus)
-        shared = train_lockstep(jobs)
+        shared = fit_jobs(jobs)
         assert len(forks) == cpus - 1
         assert all(isinstance(o, TrainResult) for o in alone)
         assert_same_outcomes(alone, shared)
@@ -578,7 +584,7 @@ class TestTrain:
         monkeypatch.setattr(training._Stack, "__init__", recording_init)
         monkeypatch.setattr(training, "_cpu_count", lambda: cpus)
         jobs = self.exp1_jobs()
-        outcomes = train_lockstep(jobs)
+        outcomes = fit_jobs(jobs)
         assert all(isinstance(o, TrainResult) for o in outcomes)
         assert len(forks) == cpus - 1
         stacks = {}
@@ -596,7 +602,7 @@ class TestTrain:
         jobs = [(BENCH, cfg()), (RejectingTarget(), cfg()), (BENCH, cfg())]
         assert share_jobs(jobs, 2) == [[0, 2], [1]]
         with pytest.raises(ValueError) as error:
-            train_lockstep(jobs)
+            fit_jobs(jobs)
         assert type(error.value) is ValueError
         assert str(error.value) == "target rejects the batch"
         assert len(forks) == 1
@@ -613,9 +619,9 @@ class TestTrain:
 
         assert share_jobs(jobs(), 2) == [[0, 2], [1, 3]]
         monkeypatch.setattr(training, "_cpu_count", lambda: 1)
-        alone = train_lockstep(jobs())
+        alone = fit_jobs(jobs())
         monkeypatch.setattr(training, "_cpu_count", lambda: 2)
-        shared = train_lockstep(jobs())
+        shared = fit_jobs(jobs())
         assert len(forks) == 1
         assert all(type(o) is TwoArgumentError for o in alone)
         assert all(str(o) == "target gave up at pass 3" for o in alone)
@@ -635,7 +641,7 @@ class TestTrain:
 
         jobs = [(BENCH, cfg()), (Rejecting(), cfg()), (BENCH, cfg())]
         with pytest.raises(RuntimeError) as error:
-            train_lockstep(jobs)
+            fit_jobs(jobs)
         assert type(error.value) is RuntimeError
         assert str(error.value) == \
             "TwoArgumentValueError: target rejects pass 1"
@@ -647,7 +653,7 @@ class TestTrain:
         jobs = [(BENCH, cfg()), (ExitingTarget(), cfg())]
         with pytest.raises(ChildProcessError,
                            match="^training share 1 exited with status 3$"):
-            train_lockstep(jobs)
+            fit_jobs(jobs)
         assert len(forks) == 1
         assert_no_child_left()
 
@@ -665,7 +671,7 @@ class TestTrain:
         other = threading.Thread(target=release.wait)
         other.start()
         try:
-            outcomes = train_lockstep([(BENCH, self.small_cfg(iterations=4))
+            outcomes = fit_jobs([(BENCH, self.small_cfg(iterations=4))
                                        for _ in range(3)])
         finally:
             release.set()
@@ -693,7 +699,8 @@ class TestTrain:
             "os.fork = fork\n"
             "training._cpu_count = lambda: 2\n"
             "cfg = training.TrainConfig(iterations=10**6, batch_size=100)\n"
-            "training.train_lockstep([(benchmark_target(), cfg)] * 2)\n")
+            "training._map_shares([(benchmark_target(), cfg)] * 2,\n"
+            "                     lambda s, n, f: f)\n")
         src = str(Path(training.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -734,14 +741,14 @@ class TestTrain:
 
 def sweep_jobs(run, monkeypatch, tmp_path):
     """The (target, TrainConfig) jobs a sweep at its default config hands
-    _split."""
+    _map_shares."""
     class Handed(Exception):
         pass
 
-    def hand_over(jobs, shares):
+    def hand_over(jobs, fn):
         raise Handed(list(jobs))
 
-    monkeypatch.setattr(experiments, "_split", hand_over)
+    monkeypatch.setattr(experiments, "_map_shares", hand_over)
     with pytest.raises(Handed) as handed:
         run(experiments.RunConfig(out_dir=str(tmp_path)))
     return handed.value.args[0]
@@ -832,7 +839,8 @@ def test_one_share_steps_without_page_faults(fresh_python):
         "    iterations=100, schedule=training.TauSchedule.fixed(tau)))\n"
         "    for tau in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99)]\n"
         "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-        "outcomes = training.train_lockstep(jobs)\n"
+        "done = training._map_shares(jobs, lambda s, n, f: f)\n"
+        "outcomes = [done[i] for i in range(len(jobs))]\n"
         "after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
         "assert all(isinstance(o, training.TrainResult) for o in outcomes)\n"
         "print(after - before)\n")
