@@ -155,6 +155,11 @@ def _cmd_density_grid(args: argparse.Namespace) -> int:
             dist = DiagonalGaussian(
                 np.array(_parse_floats(args.mu, 2, "--mu")),
                 np.array(_parse_floats(args.log_sigma, 2, "--log-sigma")))
+            # checked here, not in DiagonalGaussian, which every stack step
+            # builds: a zero scale gives 0/0 at x = mu
+            if np.any(dist.sigma == 0):
+                raise ValueError(f"--log-sigma {args.log_sigma} gives a zero "
+                                 "scale: exp(log_sigma) underflows to 0")
         grid = density_grid(dist, bounds, args.res)
         if args.out == "-":
             write_csv(sys.stdout, header, grid)

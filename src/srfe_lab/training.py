@@ -24,35 +24,36 @@ every row is one C-ordered (d, J, n) buffer, with one target pass per
 distinct target over that target's rows.  A forward-KL stack calls its
 target only where it draws: target.sample, then target.log_prob on those
 samples.  Adam then takes one step for the whole stack, failed rows
-included on a zero gradient, and the rows that failed or finished leave
-together.  A stack's rows are its jobs grouped by target, in job order
-otherwise, so each target's rows are one slice of the buffer.  Each row
-computes exactly what its job computes stepped alone, and Adam works
-elementwise, so stacking changes no number.  A target call that raises
-one of estimators.JOB_ERRORS ends the jobs that made it, not the fit.
+included on a zero gradient, a row that step leaves non-finite fails too,
+and the rows that failed or finished leave together.  A stack's rows are
+its jobs grouped by target, in job order otherwise, so each target's rows
+are one slice of the buffer.  Each row computes exactly what its job
+computes stepped alone, and Adam works elementwise, so stacking changes no
+number.  A target call that raises one of estimators.JOB_ERRORS ends the
+jobs that made it, not the fit.
 
-Jobs are split into one share per CPU this process may run on, balanced
-by a fixed cost count: a job costs 1, and its noise stream 1 more in a
-share that does not read it yet.  The split hands each share its stacks
-(_split, {stream key: [job indices]}), so which jobs step together is
-decided there alone, and a share builds one _Stack per entry without
-keying a job again.  _map_shares(jobs, fn) is the one way into the
-shares: share s of n fits its stacks (_fit_lockstep) and hands its
-{job index: outcome} dict to fn(s, n, fitted).  The calling process runs
-share 0, and each other share runs in a child made with os.fork, which
-pickles back over a pipe one value: the dict fn returns, or the exception
-that ended it; the dicts are merged.  A child redraws its noise from the
-same seeds, so every job gets the outcome it gets alone (an exception
-that cannot cross the pipe as itself comes back as a RuntimeError naming
-it).  train's fn returns the fitted dict as it is; srfe_lab.experiments'
-fn also evaluates the share's fitted cells and makes its part of the
-target-entropy estimates.  With one CPU, one job, no os.fork, or a second
-Python thread alive (its locks would be copied held), there is one share
-and no fork.  Shares are processes, not threads: a stack step is about a
-hundred short numpy calls, so worker threads would mostly pass the
-interpreter lock between them rather than overlap work.  The fork is written out here, not taken from a process pool,
-because a pool's import alone costs start-up time and memory that every
-command would pay: after importing srfe_lab.cli, importing
+Jobs are split into one share per CPU this process may run on, balanced by
+a fixed cost count: a job costs 1, and its noise stream 1 more in a share
+that does not read it yet.  The split hands each share its stacks (_split,
+{stream key: [job indices]}), so which jobs step together is decided there
+alone, and a share builds one _Stack per entry without keying a job again.
+_map_shares(jobs, fn) is the one way into the shares: share s of n fits
+its stacks (_fit_lockstep) and hands its {job index: outcome} dict to
+fn(s, n, fitted).  The calling process runs share 0, and each other share
+runs in a child made with os.fork, which pickles back over a pipe one
+value: the dict fn returns, or the exception that ended it; the dicts are
+merged.  A child redraws its noise from the same seeds, so every job gets
+the outcome it gets alone (an exception that cannot cross the pipe as
+itself comes back as a RuntimeError naming it).  train's fn returns the
+fitted dict as it is; srfe_lab.experiments' fn also evaluates the share's
+fitted cells and makes its part of the target-entropy estimates.  With one
+CPU, one job, no os.fork, or a second Python thread alive (its locks would
+be copied held), there is one share and no fork.  Shares are processes,
+not threads: a stack step is about a hundred short numpy calls, so worker
+threads would mostly pass the interpreter lock between them rather than
+overlap work.  The fork is written out here, not taken from a process
+pool, because a pool's import alone costs start-up time and memory that
+every command would pay: after importing srfe_lab.cli, importing
 concurrent.futures.process took 15 ms and added 1.0 MB of peak RSS, and
 multiprocessing.pool 18-21 ms and 0.8-0.9 MB (three runs each on 2 vCPUs,
 Python 3.11.7).
@@ -294,6 +295,10 @@ class _Stack:
         # a failed row steps on a zero gradient and then leaves
         grad[list(failed)] = 0.0
         self.theta = self.opt.step(self.theta, grad)
+        # a learning rate can pass the config check and still overflow
+        for j in np.flatnonzero(~np.isfinite(self.theta).all(axis=(1, 2))):
+            failed.setdefault(int(j), RuntimeError(
+                f"non-finite parameters at step {t}"))
         ended = [(self.jobs[j], exc) for j, exc in failed.items()]
         ended += [(self.jobs[j], TrainResult(
             model=DiagonalGaussian(*self.theta[j]),
@@ -376,7 +381,7 @@ def _split(jobs, shares: int) -> list[dict]:
     return split
 
 
-def _fit_lockstep(jobs: list, stacks: dict, parent: int | None = None) -> dict:
+def _fit_lockstep(jobs: list, stacks: dict, parent: int | None) -> dict:
     """One share's fit, in this process: every stack of stacks, the
     share's entry of _split over jobs (the whole (target, cfg) list),
     steps once per iteration in turn until none has rows left.  Returns
@@ -440,16 +445,16 @@ def _fork_share(fn, s: int, parent: int):
     return pid, os.fdopen(read_fd, "rb")
 
 
-def _map_shares(jobs, fn) -> dict:
+def _map_shares(jobs: list, fn) -> dict:
     """Fit the (target, TrainConfig) jobs in the shares of _split, and
     return the dicts fn(s, n, fitted) of the n shares, merged into one.
 
     fitted is {job index: outcome} for share s's jobs, each outcome the
     TrainResult the job gets fitted alone, or the exception that ended it.
-    Failures end jobs, not the call: a job whose loss or gradient is
-    non-finite at step t ends with RuntimeError("non-finite loss at step
-    t") or RuntimeError("non-finite gradient at step t"), and one of
-    JOB_ERRORS raised by a target call ends every job that call served.
+    Failures end jobs, not the call: a job whose loss, gradient or
+    parameters are non-finite at step t ends with RuntimeError("non-finite
+    loss at step t"), "... gradient ..." or "... parameters ...", and one
+    of JOB_ERRORS raised by a target call ends every job that call served.
     Share 0 runs in this process and every other share in a child forked
     for it (see the module docstring), which stops once this process is
     gone.  Any other exception, from the fit or from fn, is raised here, a
@@ -463,7 +468,6 @@ def _map_shares(jobs, fn) -> dict:
     process (see _set_heap_policy); it stays set after the call.
     """
     _set_heap_policy()
-    jobs = list(jobs)
     split = _split(jobs, _share_count(len(jobs)))
     n = len(split)
 
@@ -518,10 +522,11 @@ def train(target, cfg: TrainConfig) -> TrainResult:
     srfe loss clamps its overlap estimate into [F_CLAMP_LOW, F_CLAMP_HIGH]
     of srfe_lab.estimators.
 
-    Raises RuntimeError naming the step index if a loss or a gradient is
-    non-finite (the clamp makes the free-energy loss finite by construction,
-    so this can only trip on a degenerate target).  This is _map_shares on
-    one job, which forks nothing.
+    Raises RuntimeError naming the step index if a loss, a gradient or the
+    parameters are non-finite (the clamp makes the free-energy loss finite
+    by construction, so this can only trip on a degenerate target or on a
+    learning rate whose step overflows).  This is _map_shares on one job,
+    which forks nothing.
     """
     outcome = _map_shares([(target, cfg)], lambda s, n, fitted: fitted)[0]
     if isinstance(outcome, Exception):

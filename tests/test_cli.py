@@ -118,6 +118,31 @@ class TestExperimentCommands:
             "non-finite loss at step 1"
             for s in experiments.exp3_schedules()]
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_learning_rate_fails_every_cell(self, tmp_path,
+                                                        capsys):
+        # the config check accepts any finite positive rate; this one
+        # overflows every cell's first Adam step
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"learning_rate": 1e308,
+                                        "iterations": 1}))
+        code = main(["exp1", "--config", str(cfg_path), "--out",
+                     str(tmp_path / "r")])
+        assert code == 1
+        table = read_csv(tmp_path / "r" / "exp1.csv")
+        assert len(table) == 8
+        for row in table[1:]:
+            metrics = dict(zip(table[0], row))
+            assert metrics["mode_coverage"] == metrics["clamped_steps"] == "-1"
+            assert {metrics[k] for k in ("ess", "entropy_error",
+                                         "test_log_lik", "final_loss")} == {
+                "nan"}
+        labels = ["forward_kl", "reverse_kl",
+                  *(f"srfe_tau_{tau:g}" for tau in experiments.EXP1_TAUS)]
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: cell {label} failed to train: "
+            "non-finite parameters at step 1" for label in labels]
+
     @pytest.mark.parametrize("target, stage, reason", [
         (EntropyRaises, "estimate the target entropy",
          "sample failed on the entropy batch"),
@@ -237,12 +262,16 @@ class TestDensityGrid:
         (["--target", "model", "--mu", "nan,0"], "mu must be finite"),
         (["--target", "model", "--log-sigma", "0,inf"],
          "log_sigma must be finite"),
+        (["--target", "model", "--log-sigma=-800,0"],
+         "--log-sigma -800,0 gives a zero scale: exp(log_sigma) underflows "
+         "to 0"),
         (["--target", "model", "--out", "{tmp}/missing/grid.csv"],
          "{tmp}/missing/grid.csv"),
         (["--target", "mixture", "--bounds=0,inf,0,1"],
          "bounds must be finite, got (0.0, inf, 0.0, 1.0)"),
     ], ids=["weight-1.5", "weight-negative", "weight-nan", "mu-nan",
-            "log-sigma-inf", "unwritable-out", "bounds-inf"])
+            "log-sigma-inf", "log-sigma-underflow", "unwritable-out",
+            "bounds-inf"])
     def test_bad_input_is_a_clean_error(self, tmp_path, capsys, extra,
                                         message):
         argv = ["density-grid", "--bounds=0,1,0,1", "--res", "2",

@@ -2,7 +2,8 @@
 size of src/srfe_lab: docstrings, comments and blank lines are not code,
 and every line of a statement is.  The claim rule of tools/bench_pairs.py's
 summary, on hand-made runs.  A smoke run of tools/working_set.py, and the
-density-grid runs of tools/compare_outputs.py's matrix."""
+density-grid runs and the run whose cells all fail of
+tools/compare_outputs.py's matrix."""
 import importlib.util
 from pathlib import Path
 
@@ -149,3 +150,23 @@ def test_output_comparison_runs_density_grid(monkeypatch):
             "density-grid", "--target", "model", "--mu=0.5,-1.5",
             "--log-sigma=0.3,-0.4", "--bounds=-4,4,-5,3", "--res", "61",
             "--out", "density_grid_model/grid.csv"]}
+
+
+def test_output_comparison_runs_a_sweep_whose_cells_all_fail(monkeypatch,
+                                                             tmp_path):
+    monkeypatch.syspath_prepend(str(_TOOLS))  # for its bench_pairs import
+    tool = load_tool("compare_outputs")
+    runs = dict(tool.runs(default=False))
+    args = runs["exp4_overflow_seed0"]
+    assert args == ["exp4", "--config", "overflow.json", "--seed", "0",
+                    "--out", "exp4_overflow_seed0", "--dump-loss"]
+    assert tool.CONFIGS["overflow.json"] == {
+        "iterations": 3, "batch_size": 50, "learning_rate": 1e308}
+    tool.run_matrix(tool.ROOT, tmp_path / "work",
+                    [("exp4_overflow_seed0", args)])
+    run = tmp_path / "work" / "exp4_overflow_seed0"
+    assert (run / "stdout.txt").read_text().startswith("exit 1\n")
+    rows = (run / "exp4.csv").read_text().splitlines()[1:]
+    assert len(rows) == 12
+    assert all(row.split(",")[4:10] == ["-1", "nan", "nan", "nan", "nan",
+                                        "-1"] for row in rows)

@@ -134,6 +134,8 @@ def per_job_fit(target, cfg):
             raise RuntimeError(f"non-finite gradient at step {t}")
         losses[t - 1] = loss
         theta = opt.step(theta, d_theta)
+        if not np.all(np.isfinite(theta)):
+            raise RuntimeError(f"non-finite parameters at step {t}")
     return TrainResult(model=DiagonalGaussian(*theta), loss_history=losses,
                        clamp_count=clamps)
 
@@ -468,6 +470,29 @@ class TestTrain:
         assert str(outcomes[1]) == "non-finite gradient at step 1"
         for k in (0, 2):
             assert_same_outcome(outcomes[k], per_job_outcome(*jobs[k]))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_overflowing_step_ends_its_row(self, monkeypatch, forks, cpus):
+        monkeypatch.setattr(training, "_cpu_count", lambda: cpus)
+        cfg = self.small_cfg
+        # a rate the config check accepts whose first Adam step overflows,
+        # mid-run and at the job's last step, beside rows that step on
+        jobs = [(BENCH, cfg(iterations=6)),
+                (BENCH, cfg(learning_rate=1e308)),
+                (BENCH, cfg(objective="forward_kl", learning_rate=1e308,
+                            iterations=1)),
+                (BENCH, cfg(objective="reverse_kl", iterations=5)),
+                (BENCH, cfg(objective="reverse_kl", learning_rate=1e308,
+                            iterations=1))]
+        outcomes = fit_jobs(jobs)
+        assert len(forks) == cpus - 1
+        for k in (1, 2, 4):
+            assert type(outcomes[k]) is RuntimeError
+            assert str(outcomes[k]) == "non-finite parameters at step 1"
+        for got, job in zip(outcomes, jobs):
+            assert_same_outcome(got, per_job_outcome(*job))
+        assert_no_child_left()
 
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("failing_type", [FailingSampler, FailingTarget],

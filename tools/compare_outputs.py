@@ -8,6 +8,9 @@ each in its own temporary directory, on a fixed matrix:
 
   - exp1-exp4 with the config {"iterations": 150} and --dump-loss, seeds
     0-2;
+  - exp4 with the config {"iterations": 3, "batch_size": 50,
+    "learning_rate": 1e308} and --dump-loss, seed 0, whose first Adam steps
+    overflow, so every cell fails and the run exits 1 with 12 NaN rows;
   - verify --json, seeds 0-59;
   - verify --inject-failure --json, seed 0 (the negative control, which
     exits 1);
@@ -39,7 +42,10 @@ from pathlib import Path
 from bench_pairs import ROOT, extract
 
 EXPERIMENTS = ("exp1", "exp2", "exp3", "exp4")
-REDUCED = {"iterations": 150}
+# the config file of each sweep run, by name
+CONFIGS = {"reduced.json": {"iterations": 150},
+           "overflow.json": {"iterations": 3, "batch_size": 50,
+                             "learning_rate": 1e308}}
 
 
 def runs(default: bool) -> list[tuple[str, list[str]]]:
@@ -50,6 +56,9 @@ def runs(default: bool) -> list[tuple[str, list[str]]]:
             name = f"{exp}_iterations150_seed{seed}"
             out.append((name, [exp, "--config", "reduced.json", "--seed",
                                str(seed), "--out", name, "--dump-loss"]))
+    name = "exp4_overflow_seed0"
+    out.append((name, ["exp4", "--config", "overflow.json", "--seed", "0",
+                       "--out", name, "--dump-loss"]))
     for seed in range(60):
         name = f"verify_seed{seed}"
         out.append((name, ["verify", "--seed", str(seed), "--json",
@@ -78,7 +87,8 @@ def runs(default: bool) -> list[tuple[str, list[str]]]:
 def run_matrix(tree: Path, work: Path, matrix) -> None:
     """Every run of matrix with the srfe_lab of tree/src, under work."""
     work.mkdir()
-    (work / "reduced.json").write_text(json.dumps(REDUCED))
+    for file, config in CONFIGS.items():
+        (work / file).write_text(json.dumps(config))
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     for name, args in matrix:
         (work / name).mkdir()
