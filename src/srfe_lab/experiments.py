@@ -23,7 +23,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -45,15 +45,6 @@ EXP1_TAUS = (0.1, 0.3, 0.5, 0.7, 0.9)
 EXP2_TAUS = tuple(round(0.1 * k, 1) for k in range(1, 10))
 EXP4_TAUS = (0.01, 0.5, 0.99)
 EXP4_WEIGHTS = (0.0, 0.1, 0.2, 0.3)
-
-CSV_HEADER = ("method", "tau", "schedule", "outlier_weight", "mode_coverage",
-              "ess", "entropy_error", "test_log_lik", "final_loss",
-              "clamped_steps", "trial", "seed")
-AGGREGATE_HEADER = ("tau", "mode_coverage_mean", "mode_coverage_std",
-                    "ess_mean", "ess_std", "entropy_error_mean",
-                    "entropy_error_std", "test_log_lik_mean",
-                    "test_log_lik_std")
-
 
 def benchmark_target() -> GaussianMixture:
     """The shared three-mode target all four experiments fit."""
@@ -135,8 +126,14 @@ class ExperimentResult:
     failures: dict[str, str]  # cell label -> "failed to <stage>: <why>"
 
 
-_FAILED = EvalMetrics(mode_coverage=-1, ess=math.nan, entropy_error=math.nan,
-                      test_log_lik=math.nan)
+# The field orders of ResultRow and EvalMetrics are the one statement of the
+# CSV columns: a cell CSV has ResultRow's fields, its metrics spelled out.
+_METRICS = tuple(f.name for f in fields(EvalMetrics))
+CSV_HEADER = tuple(name for f in fields(ResultRow) for name in
+                   (_METRICS if f.name == "metrics" else (f.name,)))
+AGGREGATE_HEADER = ("tau", *(f"{name}_{stat}" for name in _METRICS
+                             for stat in ("mean", "std")))
+_FAILED = replace(EvalMetrics(*[math.nan] * len(_METRICS)), mode_coverage=-1)
 _ENTROPY = "estimate the target entropy"  # the stage of an entropy estimate
 
 
@@ -264,8 +261,8 @@ def _write_file(path: str, header, rows) -> None:
 
 def write_rows(path: str, rows: list[ResultRow]) -> None:
     _write_file(path, CSV_HEADER, (
-        (r.method, r.tau, r.schedule, r.outlier_weight, *astuple(r.metrics),
-         r.final_loss, r.clamped_steps, r.trial, r.seed)
+        [getattr(r.metrics if name in _METRICS else r, name)
+         for name in CSV_HEADER]
         for r in rows))
 
 
@@ -315,16 +312,16 @@ def run_exp2(cfg: RunConfig) -> ExperimentResult:
     ]
     result = _execute(cells, cfg, "exp2_trials.csv")
 
-    aggregate = []
-    for tau in taus:
-        group = [r.metrics for r in result.rows if r.tau == float(tau)]
-        stacked = np.array([astuple(m) for m in group], dtype=np.float64)
-        # a failed trial is NaN in every metric, its sentinel coverage too
-        stacked[[m is _FAILED for m in group]] = math.nan
-        aggregate.append(AggregateRow(
-            tau=float(tau),
-            mean=EvalMetrics(*map(float, stacked.mean(axis=0))),
-            std=EvalMetrics(*map(float, stacked.std(axis=0)))))
+    block = np.array([astuple(r.metrics) for r in result.rows],
+                     dtype=np.float64)
+    # a failed trial is NaN in every metric, its sentinel coverage too
+    block[[r.metrics is _FAILED for r in result.rows]] = math.nan
+    # the rows are tau-major: a (tau, trial, metric) block
+    block = block.reshape(len(taus), trials, -1)
+    aggregate = [AggregateRow(float(tau), EvalMetrics(*map(float, mean)),
+                              EvalMetrics(*map(float, std)))
+                 for tau, mean, std in zip(taus, block.mean(axis=1),
+                                           block.std(axis=1))]
     _write_file(os.path.join(cfg.out_dir, "exp2_aggregate.csv"),
                 AGGREGATE_HEADER, (
                     (a.tau, *(v for pair in zip(astuple(a.mean),
