@@ -155,8 +155,11 @@ def _cmd_density_grid(args: argparse.Namespace) -> int:
             dist = DiagonalGaussian(
                 np.array(_parse_floats(args.mu, 2, "--mu")),
                 np.array(_parse_floats(args.log_sigma, 2, "--log-sigma")))
-            # checked here, not in DiagonalGaussian, which every stack step
-            # builds: a zero scale gives 0/0 at x = mu
+            # a zero scale gives 0/0 at x = mu.  Checked here, not in
+            # DiagonalGaussian: a fit whose last Adam step takes log_sigma
+            # below about -745 would then raise ValueError from
+            # training._Stack.step and end the whole sweep, where its cell
+            # alone fails, in evaluate, with non-finite ess
             if np.any(dist.sigma == 0):
                 raise ValueError(f"--log-sigma {args.log_sigma} gives a zero "
                                  "scale: exp(log_sigma) underflows to 0")

@@ -58,8 +58,9 @@ class RunConfig:
     """Experiment settings; None fields fall back to per-experiment defaults.
 
     Every value is checked here, so a bad one raises ValueError before any
-    cell runs.  Grid entries become floats and must differ to the 6
-    significant digits that name their cells and loss files.
+    cell runs.  A grid is not empty, and its entries become floats and
+    must differ to the 6 significant digits that name their cells and loss
+    files.
     """
     seed: int = 0
     iterations: int | None = None
@@ -80,10 +81,10 @@ class RunConfig:
             values = getattr(self, name)
             if values is None:
                 continue
-            if not (isinstance(values, (list, tuple))
+            if not (isinstance(values, (list, tuple)) and values
                     and all(map(_is_number, values))):
-                raise ValueError(
-                    f"{name} must be a list of numbers, got {values!r}")
+                raise ValueError(f"{name} must be a non-empty list of "
+                                 f"numbers, got {values!r}")
             if len({format(v, "g") for v in values}) < len(values):
                 raise ValueError(
                     f"{name} has repeated entries: {list(values)}")

@@ -462,7 +462,8 @@ def _map_shares(jobs: list, fn) -> dict:
     forked share, raised or in its dict, that does not survive a pickle
     round trip arrives as RuntimeError("<its type name>: <its message>").
     A child that exits without its value is a ChildProcessError, and on
-    any error every child still running is killed and reaped.
+    any error every child still running is killed and reaped.  A share
+    fits and runs fn with numpy's overflow, invalid and divide warnings off.
 
     On entry, before any fork, this sets glibc's heap policy for the whole
     process (see _set_heap_policy); it stays set after the call.
@@ -472,7 +473,10 @@ def _map_shares(jobs: list, fn) -> dict:
     n = len(split)
 
     def share(s: int, parent: int | None) -> dict:
-        return fn(s, n, _fit_lockstep(jobs, split[s], parent))
+        # a fit that blows up fails its jobs with a named reason, so numpy's
+        # warnings on the way there would only repeat it
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return fn(s, n, _fit_lockstep(jobs, split[s], parent))
 
     children = []  # (share, pid, pipe read end), until reaped
     try:

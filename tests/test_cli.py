@@ -118,7 +118,6 @@ class TestExperimentCommands:
             "non-finite loss at step 1"
             for s in experiments.exp3_schedules()]
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_learning_rate_fails_every_cell(self, tmp_path,
                                                         capsys):
         # the config check accepts any finite positive rate; this one
@@ -142,6 +141,27 @@ class TestExperimentCommands:
         assert capsys.readouterr().err.splitlines() == [
             f"warning: cell {label} failed to train: "
             "non-finite parameters at step 1" for label in labels]
+
+    @pytest.mark.parametrize("config", [
+        {"learning_rate": 1e308, "iterations": 1},
+        {"iterations": 5, "batch_size": 50, "learning_rate": 1e200}],
+        ids=["all_fail_to_train", "one_fails_to_evaluate"])
+    def test_failing_fits_print_only_their_cell_lines(self, tmp_path,
+                                                      config):
+        # a fresh process, so a forked share's stderr is read too: numpy's
+        # overflow warnings would repeat each cell's reason with a file
+        # and line
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        proc = subprocess.run(
+            [sys.executable, "-m", "srfe_lab.cli", "exp1", "--config",
+             str(cfg_path), "--out", str(tmp_path / "r")],
+            env=_child_env(), capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert lines
+        assert [line for line in lines
+                if not line.startswith("warning: cell ")] == []
 
     @pytest.mark.parametrize("target, stage, reason", [
         (EntropyRaises, "estimate the target entropy",
@@ -376,6 +396,10 @@ def test_runtime_imports_no_scipy():
      "outlier_weights has repeated entries: [0.1, 0.1]"),
     ("exp2", {"trials": 0}, "trials must be an integer >= 1, got 0"),
     ("exp1", [1, 2], "must hold a JSON object, got list"),
+    ("exp2", {"tau_grid": []},
+     "tau_grid must be a non-empty list of numbers, got []"),
+    ("exp4", {"outlier_weights": []},
+     "outlier_weights must be a non-empty list of numbers, got []"),
 ])
 def test_bad_config_is_a_clean_error(tmp_path, command, config, message):
     cfg_path = tmp_path / "cfg.json"

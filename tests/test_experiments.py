@@ -101,15 +101,31 @@ class TestExp2:
         assert [a.tau for a in res.aggregate] == [0.2, 0.5]
         agg = read_csv(tmp_path / "exp2_aggregate.csv")
         assert len(agg) == 3
-        assert agg[0][0] == "tau"
-        assert os.path.exists(tmp_path / "exp2_trials.csv")
+        # the columns are derived from the row types; a reordered field
+        # must not move one unnoticed
+        assert agg[0] == [
+            "tau", "mode_coverage_mean", "mode_coverage_std", "ess_mean",
+            "ess_std", "entropy_error_mean", "entropy_error_std",
+            "test_log_lik_mean", "test_log_lik_std"]
+        assert read_csv(tmp_path / "exp2_trials.csv")[0] == list(CSV_HEADER)
+        assert CSV_HEADER == (
+            "method", "tau", "schedule", "outlier_weight", "mode_coverage",
+            "ess", "entropy_error", "test_log_lik", "final_loss",
+            "clamped_steps", "trial", "seed")
 
-    def test_aggregate_matches_rows(self, tmp_path):
-        cfg = RunConfig(tau_grid=(0.4,), trials=3, out_dir=str(tmp_path), **TINY)
+    # nine trials pass the 8-term block of numpy's pairwise summation
+    @pytest.mark.parametrize("trials", [3, 9])
+    def test_aggregate_matches_rows(self, tmp_path, trials):
+        cfg = RunConfig(tau_grid=(0.4, 0.6), trials=trials,
+                        out_dir=str(tmp_path), **TINY)
         res = run_exp2(cfg)
-        esses = [r.metrics.ess for r in res.rows]
-        assert res.aggregate[0].mean.ess == pytest.approx(np.mean(esses))
-        assert res.aggregate[0].std.ess == pytest.approx(np.std(esses))
+        assert [a.tau for a in res.aggregate] == [0.4, 0.6]
+        for agg in res.aggregate:
+            rows = np.array([astuple(r.metrics) for r in res.rows
+                             if r.tau == agg.tau], dtype=np.float64)
+            assert rows.shape == (trials, 4)
+            assert astuple(agg.mean) == tuple(np.mean(rows, axis=0))
+            assert astuple(agg.std) == tuple(np.std(rows, axis=0))
 
     def test_failed_trial_is_nan_in_every_aggregate_metric(self, tmp_path,
                                                            monkeypatch):
@@ -234,7 +250,7 @@ class TestExp4:
     dict(learning_rate=float("nan")), dict(tau_grid=0.5),
     dict(tau_grid=(0.5, 0.50000001)), dict(outlier_weights=(1.0,)),
     dict(trials=0), dict(out_dir=""), dict(out_dir=None),
-    dict(dump_loss="no"),
+    dict(dump_loss="no"), dict(tau_grid=()), dict(outlier_weights=[]),
 ])
 def test_run_config_rejects_bad_values(bad):
     with pytest.raises(ValueError):

@@ -2,8 +2,8 @@
 size of src/srfe_lab: docstrings, comments and blank lines are not code,
 and every line of a statement is.  The claim rule of tools/bench_pairs.py's
 summary, on hand-made runs.  A smoke run of tools/working_set.py, and the
-density-grid runs and the run whose cells all fail of
-tools/compare_outputs.py's matrix."""
+density-grid runs, the run whose cells all fail and the nine-trial exp2
+run of tools/compare_outputs.py's matrix."""
 import importlib.util
 from pathlib import Path
 
@@ -170,3 +170,15 @@ def test_output_comparison_runs_a_sweep_whose_cells_all_fail(monkeypatch,
     assert len(rows) == 12
     assert all(row.split(",")[4:10] == ["-1", "nan", "nan", "nan", "nan",
                                         "-1"] for row in rows)
+
+
+def test_output_comparison_aggregates_more_than_eight_trials(monkeypatch):
+    monkeypatch.syspath_prepend(str(_TOOLS))  # for its bench_pairs import
+    tool = load_tool("compare_outputs")
+    runs = dict(tool.runs(default=False))
+    assert runs["exp2_trials9_seed0"] == [
+        "exp2", "--config", "trials9.json", "--seed", "0",
+        "--out", "exp2_trials9_seed0", "--dump-loss"]
+    # nine trials: more than the 8-term block of pairwise summation
+    assert tool.CONFIGS["trials9.json"] == {
+        "iterations": 20, "trials": 9, "tau_grid": [0.3, 0.7]}

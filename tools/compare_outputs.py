@@ -11,6 +11,9 @@ each in its own temporary directory, on a fixed matrix:
   - exp4 with the config {"iterations": 3, "batch_size": 50,
     "learning_rate": 1e308} and --dump-loss, seed 0, whose first Adam steps
     overflow, so every cell fails and the run exits 1 with 12 NaN rows;
+  - exp2 with the config {"iterations": 20, "trials": 9, "tau_grid": [0.3,
+    0.7]} and --dump-loss, seed 0, whose aggregate averages more trials
+    than the 8-term block of numpy's pairwise summation;
   - verify --json, seeds 0-59;
   - verify --inject-failure --json, seed 0 (the negative control, which
     exits 1);
@@ -45,7 +48,9 @@ EXPERIMENTS = ("exp1", "exp2", "exp3", "exp4")
 # the config file of each sweep run, by name
 CONFIGS = {"reduced.json": {"iterations": 150},
            "overflow.json": {"iterations": 3, "batch_size": 50,
-                             "learning_rate": 1e308}}
+                             "learning_rate": 1e308},
+           "trials9.json": {"iterations": 20, "trials": 9,
+                            "tau_grid": [0.3, 0.7]}}
 
 
 def runs(default: bool) -> list[tuple[str, list[str]]]:
@@ -58,6 +63,9 @@ def runs(default: bool) -> list[tuple[str, list[str]]]:
                                str(seed), "--out", name, "--dump-loss"]))
     name = "exp4_overflow_seed0"
     out.append((name, ["exp4", "--config", "overflow.json", "--seed", "0",
+                       "--out", name, "--dump-loss"]))
+    name = "exp2_trials9_seed0"
+    out.append((name, ["exp2", "--config", "trials9.json", "--seed", "0",
                        "--out", name, "--dump-loss"]))
     for seed in range(60):
         name = f"verify_seed{seed}"
