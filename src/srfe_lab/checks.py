@@ -37,7 +37,7 @@ from .discrete import (
     surprisal_stats,
     tail_bound,
 )
-from .estimators import exact_second_moment, softmax
+from .estimators import _KINDS, exact_second_moment, softmax
 from .gaussians import BLOCK_ROWS, srfe_equal_covariance
 
 TAU_GRID_3 = (0.2, 0.5, 0.8)
@@ -395,7 +395,7 @@ def check_second_moment_bounds(p: DiscreteDist,
     worst_ratio = 0.0
     for tau in TAU_GRID_9:
         moments = {kind: exact_second_moment(kind, p, logits, tau)
-                   for kind in ("cr", "srfe_escort", "srfe_q")}
+                   for kind in _KINDS}
         for rep in moments.values():
             worst_excess = max(worst_excess,
                                rep.empirical - rep.bound * (1.0 + 1e-12))

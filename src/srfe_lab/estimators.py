@@ -401,13 +401,16 @@ def softmax_scores(logits: np.ndarray) -> np.ndarray:
 
 def _moment_pieces(kind: str, p: DiscreteDist, logits: np.ndarray,
                    tau: float):
-    """What both second-moment tools share: kind and tau validation, the
-    model q, u = p/q, F, the escort r, the squared score norms, and the
-    analytic bound of kind.
+    """The per-outcome table of kind that both second-moment tools read,
+    after kind and tau validation: the law X is drawn from, the weights a,
+    the divisor c, the squared score norms and the analytic bound.
 
-    With C = max_j ||score_j||^2 and S = sum_j q_j u_j^(2 tau), the bounds
-    are (C/tau^2) S for "cr", C/tau^2 for "srfe_escort", and (C/tau^2) S / F^2
-    for "srfe_q".
+    Every kind has g(j) = -(1/tau) sqrt(a_j / c) score_j, so E||g||^2 =
+    (1/tau^2) sum_j law_j a_j ||score_j||^2 / c.  The escort kind draws
+    from the escort r with a = 1 and c = 1; "cr" and "srfe_q" draw from q
+    with a = u^(2 tau), u = p/q, and c = 1 for "cr", F^2 for "srfe_q".
+    With C = max_j ||score_j||^2, the bound is (C/tau^2) sum_j q_j a_j / c
+    for the q kinds and C/tau^2 for the escort kind.
     """
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
@@ -415,17 +418,17 @@ def _moment_pieces(kind: str, p: DiscreteDist, logits: np.ndarray,
     q = softmax(logits)
     if p.size != q.size:
         raise ValueError("support size mismatch")
-    u = p.probs / q
     bridge = p.probs ** tau * q ** (1.0 - tau)
     f = float(bridge.sum())
     scores = softmax_scores(logits)
     norms2 = (scores * scores).sum(axis=1)
-    bound = 1.0 / (tau * tau) * float(norms2.max())
-    if kind != "srfe_escort":
-        bound *= float((q * u ** (2.0 * tau)).sum())
-    if kind == "srfe_q":
-        bound /= f * f
-    return q, u, f, bridge / f, norms2, bound
+    if kind == "srfe_escort":
+        law, a, c, s = bridge / f, np.ones(q.size), 1.0, 1.0
+    else:
+        law, a = q, (p.probs / q) ** (2.0 * tau)
+        c, s = (f * f if kind == "srfe_q" else 1.0), float((q * a).sum())
+    bound = 1.0 / (tau * tau) * float(norms2.max()) * s / c
+    return law, a, c, norms2, bound
 
 
 def exact_second_moment(kind: str, p: DiscreteDist, logits: np.ndarray,
@@ -438,30 +441,17 @@ def exact_second_moment(kind: str, p: DiscreteDist, logits: np.ndarray,
 
     Bounds use C = max_j ||score_j||^2 (see _moment_pieces).
     """
-    q, u, f, r, norms2, bound = _moment_pieces(kind, p, logits, tau)
-    inv_t2 = 1.0 / (tau * tau)
-    if kind == "srfe_escort":
-        emp = inv_t2 * float((r * norms2).sum())
-    else:
-        emp = inv_t2 * float((q * u ** (2.0 * tau) * norms2).sum())
-        if kind == "srfe_q":
-            emp /= f * f
-    return SecondMomentReport(empirical=emp, bound=bound)
+    law, a, c, norms2, bound = _moment_pieces(kind, p, logits, tau)
+    total = float(((law * a) * norms2).sum())
+    return SecondMomentReport(empirical=1.0 / (tau * tau) * total / c,
+                              bound=bound)
 
 
 def estimator_second_moment(kind: str, p: DiscreteDist, logits: np.ndarray,
                             tau: float, n: int,
                             rng: np.random.Generator) -> SecondMomentReport:
     """Sampled mean ||g||^2 over n one-sample draws, with the analytic bound."""
-    q, u, f, r, norms2, bound = _moment_pieces(kind, p, logits, tau)
-    inv_t2 = 1.0 / (tau * tau)
-    if kind == "srfe_escort":
-        idx = rng.choice(p.size, size=n, p=r / r.sum())
-        sq = inv_t2 * norms2[idx]
-    else:
-        idx = rng.choice(p.size, size=n, p=q)
-        amp = u[idx] ** (2.0 * tau)
-        if kind == "srfe_q":
-            amp = amp / (f * f)
-        sq = inv_t2 * amp * norms2[idx]
+    law, a, c, norms2, bound = _moment_pieces(kind, p, logits, tau)
+    idx = rng.choice(law.size, size=n, p=law / law.sum())
+    sq = 1.0 / (tau * tau) * a[idx] * norms2[idx] / c
     return SecondMomentReport(empirical=float(sq.mean()), bound=bound)
