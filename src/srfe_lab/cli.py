@@ -15,6 +15,7 @@ import sys
 import numpy as np
 
 from .checks import run_all
+from .discrete import _require_count
 from .experiments import (
     RunConfig,
     _write_file,
@@ -27,7 +28,6 @@ from .experiments import (
     write_csv,
 )
 from .gaussians import ContaminatedMixture, DiagonalGaussian
-from .training import _require_count
 
 _EXPERIMENTS = {"exp1": run_exp1, "exp2": run_exp2, "exp3": run_exp3,
                 "exp4": run_exp4}

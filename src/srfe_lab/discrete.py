@@ -19,6 +19,7 @@ mixed_partial_probe take a single pair only.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,6 +191,16 @@ def _check_tau_open(tau):
     t = np.asarray(tau)
     if not np.all((0.0 < t) & (t < 1.0)):
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _require_count(name: str, value, low: int) -> None:
+    if not (isinstance(value, numbers.Integral) and _is_number(value)
+            and value >= low):
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _log_terms(p: DiscreteDist, q: DiscreteDist, tau) -> np.ndarray:

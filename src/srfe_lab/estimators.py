@@ -41,7 +41,13 @@ gradient takes one coordinate at a time on (J, n) temporaries, after
 _q_side_step has dropped x and log q.
 
 The second-moment tools at the bottom work on a finite support with a
-softmax-parameterized model, where everything can also be enumerated exactly.
+softmax-parameterized model q, where everything can be enumerated exactly.
+_moment_pieces is the one place that tells the three estimator kinds
+apart: it gives each kind's per-outcome table, the law X is drawn from,
+the weights a, the divisor c, the squared score norms and the bound.
+exact_second_moment is the mean (1/tau^2) a ||score||^2 / c under that
+law, enumerated, and estimator_second_moment the same mean over n draws
+from it.
 """
 
 from __future__ import annotations
@@ -51,7 +57,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from srfe_lab.discrete import DiscreteDist, _check_tau_open, _logsumexp_terms
+from srfe_lab.discrete import (AbsoluteContinuityError, DiscreteDist,
+                               DisjointSupportError, _check_tau_open,
+                               _logsumexp_terms, _require_count)
 from srfe_lab.gaussians import (DiagonalGaussian, _log_norm, _log_prob_rows,
                                 _param_score_rows, _sum_rows, _transform_rows)
 
@@ -420,12 +428,19 @@ def _moment_pieces(kind: str, p: DiscreteDist, logits: np.ndarray,
         raise ValueError("support size mismatch")
     bridge = p.probs ** tau * q ** (1.0 - tau)
     f = float(bridge.sum())
+    if f == 0.0:
+        raise DisjointSupportError("p and q share no support, so F = 0")
     scores = softmax_scores(logits)
     norms2 = (scores * scores).sum(axis=1)
     if kind == "srfe_escort":
         law, a, c, s = bridge / f, np.ones(q.size), 1.0, 1.0
     else:
-        law, a = q, (p.probs / q) ** (2.0 * tau)
+        if np.any(p.support & (q == 0.0)):
+            raise AbsoluteContinuityError(
+                f"{kind!r} needs u = p/q, and q is 0 where p has mass")
+        # an outcome that q never draws adds 0, not the nan of 0/0
+        u = np.divide(p.probs, q, out=np.zeros(q.size), where=q > 0.0)
+        law, a = q, u ** (2.0 * tau)
         c, s = (f * f if kind == "srfe_q" else 1.0), float((q * a).sum())
     bound = 1.0 / (tau * tau) * float(norms2.max()) * s / c
     return law, a, c, norms2, bound
@@ -439,7 +454,9 @@ def exact_second_moment(kind: str, p: DiscreteDist, logits: np.ndarray,
     kind "srfe_escort": g = -(1/tau) score(X),                 X ~ escort
     kind "srfe_q":      g = -(1/tau) (u(X)^tau / F) score(X),  X ~ q
 
-    Bounds use C = max_j ||score_j||^2 (see _moment_pieces).
+    Bounds use C = max_j ||score_j||^2 (see _moment_pieces).  Raises
+    DisjointSupportError when F = 0, and AbsoluteContinuityError for "cr"
+    and "srfe_q" when q is 0 where p has mass.
     """
     law, a, c, norms2, bound = _moment_pieces(kind, p, logits, tau)
     total = float(((law * a) * norms2).sum())
@@ -450,8 +467,10 @@ def exact_second_moment(kind: str, p: DiscreteDist, logits: np.ndarray,
 def estimator_second_moment(kind: str, p: DiscreteDist, logits: np.ndarray,
                             tau: float, n: int,
                             rng: np.random.Generator) -> SecondMomentReport:
-    """Sampled mean ||g||^2 over n one-sample draws, with the analytic bound."""
+    """Sampled mean ||g||^2 over n one-sample draws, with the analytic bound;
+    n must be an integer >= 1, and the errors are exact_second_moment's."""
     law, a, c, norms2, bound = _moment_pieces(kind, p, logits, tau)
+    _require_count("n", n, 1)
     idx = rng.choice(law.size, size=n, p=law / law.sum())
     sq = 1.0 / (tau * tau) * a[idx] * norms2[idx] / c
     return SecondMomentReport(empirical=float(sq.mean()), bound=bound)

@@ -27,15 +27,14 @@ from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
-from .discrete import _check_tau_open
+from .discrete import _check_tau_open, _is_number, _require_count
 from .estimators import JOB_ERRORS
 from .evaluation import (N_ENTROPY, EvalMetrics, entropy_error, evaluate,
                          target_entropy)
 from .gaussians import ContaminatedMixture, GaussianMixture
 # train is unused here, but perfbench/bench_trace.py patches experiments.train
 # by name
-from .training import (TauSchedule, TrainConfig, _is_number, _map_shares,
-                       _require_count, train)
+from .training import TauSchedule, TrainConfig, _map_shares, train
 
 TARGET_MEANS = ((-3.0, 0.0), (3.0, 0.0), (0.0, 4.0))
 TARGET_VARIANCE = 0.5

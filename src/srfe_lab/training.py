@@ -67,7 +67,6 @@ from __future__ import annotations
 
 import ctypes
 import math
-import numbers
 import os
 import pickle
 import sys
@@ -76,7 +75,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from srfe_lab.discrete import _check_tau_open
+from srfe_lab.discrete import _check_tau_open, _is_number, _require_count
 # srfe_mc_step and the KL losses and gradients are the one-row case of the
 # stack kernels and unused here, but perfbench/bench_trace.py patches them
 # on training by name
@@ -196,16 +195,6 @@ class TrainConfig:
         if not (_is_number(lr) and 0.0 < lr < np.inf):
             raise ValueError(
                 f"learning_rate must be a positive number, got {lr!r}")
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _require_count(name: str, value, low: int) -> None:
-    if not (isinstance(value, numbers.Integral) and _is_number(value)
-            and value >= low):
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)

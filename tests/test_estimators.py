@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from srfe_lab import estimators
-from srfe_lab.discrete import DiscreteDist
+from srfe_lab.discrete import (AbsoluteContinuityError, DiscreteDist,
+                               DisjointSupportError)
 from srfe_lab.estimators import (
     _forward_rows,
     _pathwise_rows,
@@ -307,6 +308,26 @@ class TestSoftmax:
         np.testing.assert_allclose(q @ s, 0.0, atol=1e-15)
 
 
+def enumerated_second_moment(kind, p, logits, tau):
+    """sum_j law_j ||g(j)||^2 with g(j) written out per outcome from the
+    formulas of exact_second_moment's docstring."""
+    q = softmax(logits)
+    k = q.size
+    f = sum(p[j] ** tau * q[j] ** (1 - tau) for j in range(k))
+    total = 0.0
+    for j in range(k):
+        score = np.eye(k)[j] - q
+        u = p[j] / q[j]
+        if kind == "cr":
+            law, g = q[j], -(1 / tau) * u ** tau * score
+        elif kind == "srfe_escort":
+            law, g = p[j] ** tau * q[j] ** (1 - tau) / f, -(1 / tau) * score
+        else:
+            law, g = q[j], -(1 / tau) * (u ** tau / f) * score
+        total += law * float(g @ g)
+    return total
+
+
 class TestSecondMoments:
     def test_frozen_instance(self):
         p = DiscreteDist(np.array([0.6, 0.4]))
@@ -332,6 +353,18 @@ class TestSecondMoments:
                 rep = exact_second_moment(kind, p, z, tau)
                 assert rep.empirical <= rep.bound * (1 + 1e-12)
 
+    def test_enumeration_oracle(self):
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            size = int(rng.integers(2, 7))
+            p = DiscreteDist.from_unnormalized(rng.dirichlet(np.ones(size)))
+            z = rng.normal(size=size)
+            tau = float(rng.uniform(0.1, 0.9))
+            for kind in estimators._KINDS:
+                assert exact_second_moment(kind, p, z, tau).empirical == \
+                    pytest.approx(enumerated_second_moment(kind, p.probs, z,
+                                                           tau), rel=1e-12)
+
     def test_ratio_identity(self):
         # the plain-sampling variant carries exactly a 1/F^2 penalty
         rng = np.random.default_rng(37)
@@ -355,6 +388,19 @@ class TestSecondMoments:
             assert rep.empirical == pytest.approx(expect, rel=0.02)
             assert rep.bound == pytest.approx(
                 exact_second_moment(kind, p, z, 0.5).bound, abs=1e-14)
+        # above, "cr" and "srfe_escort" both give 2.0, so a law paired with
+        # the wrong kind would pass; here the three moments lie at least
+        # 30% apart, and 10^6 draws land within 0.1% of each, so rel 0.01
+        # leaves room for sampling noise and none for a swapped law
+        p = DiscreteDist(np.array([0.7, 0.2, 0.1]))
+        z = np.array([-0.5, 0.2, 0.6])
+        for kind, expect in (("cr", 3.178), ("srfe_escort", 2.233),
+                             ("srfe_q", 4.616)):
+            exact = exact_second_moment(kind, p, z, 0.6).empirical
+            assert exact == pytest.approx(expect, abs=1e-3)
+            rep = estimator_second_moment(kind, p, z, 0.6, 1_000_000,
+                                          np.random.default_rng(41))
+            assert rep.empirical == pytest.approx(exact, rel=0.01)
 
     def test_starved_support_separates_estimators(self):
         # as one model weight vanishes under a heavy target point, the
@@ -373,6 +419,49 @@ class TestSecondMoments:
             prev = cr.empirical
             if k == 6:
                 assert cr.empirical > 100 * esc.empirical
+
+    @pytest.mark.parametrize("kind", ["cr", "srfe_escort", "srfe_q"])
+    def test_disjoint_support_raises(self, kind):
+        # softmax underflows to q = (0, 1) against p = (1, 0), so F = 0
+        p = DiscreteDist(np.array([1.0, 0.0]))
+        with pytest.raises(DisjointSupportError):
+            exact_second_moment(kind, p, np.array([-800.0, 0.0]), 0.5)
+        with pytest.raises(DisjointSupportError):
+            estimator_second_moment(kind, p, np.array([-800.0, 0.0]), 0.5,
+                                    10, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("kind", ["cr", "srfe_q"])
+    def test_model_without_target_mass_raises(self, kind):
+        # softmax underflows to q = (1, 0) where p = (0.6, 0.4) has mass
+        p = DiscreteDist(np.array([0.6, 0.4]))
+        with pytest.raises(AbsoluteContinuityError):
+            exact_second_moment(kind, p, np.array([0.0, -800.0]), 0.5)
+
+    @pytest.mark.parametrize("probs, expect", [
+        # q = (1, 0) against p = (0.6, 0.4): only the escort kind is defined
+        ((0.6, 0.4), {"srfe_escort": (0.0, 8.0)}),
+        # q = (1, 0) against p = (1, 0): the outcome q never draws adds 0
+        ((1.0, 0.0), {"cr": (0.0, 8.0), "srfe_escort": (0.0, 8.0),
+                      "srfe_q": (0.0, 8.0)}),
+    ])
+    def test_underflowed_model_stays_finite_and_quiet(self, probs, expect):
+        p = DiscreteDist(np.array(probs))
+        z = np.array([0.0, -800.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kind, (empirical, bound) in expect.items():
+                rep = exact_second_moment(kind, p, z, 0.5)
+                assert (rep.empirical, rep.bound) == (empirical, bound)
+                rep = estimator_second_moment(kind, p, z, 0.5, 10,
+                                              np.random.default_rng(0))
+                assert (rep.empirical, rep.bound) == (empirical, bound)
+
+    @pytest.mark.parametrize("n", [0, -1, 2.5, True, "10", None])
+    def test_draw_count_validation(self, n):
+        p = DiscreteDist(np.array([0.6, 0.4]))
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            estimator_second_moment("cr", p, np.zeros(2), 0.5, n,
+                                    np.random.default_rng(0))
 
     def test_kind_and_tau_validation(self):
         p = DiscreteDist(np.array([0.5, 0.5]))

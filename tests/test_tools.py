@@ -166,6 +166,10 @@ def test_output_comparison_runs_a_sweep_whose_cells_all_fail(monkeypatch,
                     [("exp4_overflow_seed0", args)])
     run = tmp_path / "work" / "exp4_overflow_seed0"
     assert (run / "stdout.txt").read_text().startswith("exit 1\n")
+    # one line per failed cell, and no numpy warning beside them
+    stderr = (run / "stderr.txt").read_text().splitlines()
+    assert len(stderr) == 12
+    assert all(line.startswith("warning: cell ") for line in stderr)
     rows = (run / "exp4.csv").read_text().splitlines()[1:]
     assert len(rows) == 12
     assert all(row.split(",")[4:10] == ["-1", "nan", "nan", "nan", "nan",

@@ -24,9 +24,11 @@ each in its own temporary directory, on a fixed matrix:
     --dump-loss, seed 0 (the whole comparison then took about 90-120 s on
     2 CPUs).
 
-Every run writes under its own directory, named after the run, and its exit
-code and stdout go to stdout.txt there (stderr is not compared).  The two
-file sets are then compared byte for byte: prints the number of identical
+Every run writes under its own directory, named after the run; its exit
+code and stdout go to stdout.txt there, and its stderr to stderr.txt, with
+the path of the tree it ran from replaced by <tree> so that a warning which
+names a source file reads the same from both trees.  The two file sets are
+then compared byte for byte: prints the number of identical
 files, or each missing, extra or differing file with its first differing
 line, and exits 1 on any difference.  This tree's uncommitted files are
 run as they are.  Standard library only.
@@ -105,6 +107,8 @@ def run_matrix(tree: Path, work: Path, matrix) -> None:
                               text=True)
         (work / name / "stdout.txt").write_text(
             f"exit {proc.returncode}\n{proc.stdout}")
+        (work / name / "stderr.txt").write_text(
+            proc.stderr.replace(str(tree), "<tree>"))
 
 
 def first_difference(a: bytes, b: bytes) -> str:
