@@ -441,7 +441,8 @@ def _moment_pieces(kind: str, p: DiscreteDist, logits: np.ndarray,
         # an outcome that q never draws adds 0, not the nan of 0/0
         u = np.divide(p.probs, q, out=np.zeros(q.size), where=q > 0.0)
         law, a = q, u ** (2.0 * tau)
-        c, s = (f * f if kind == "srfe_q" else 1.0), float((q * a).sum())
+        c = f * f if kind == "srfe_q" else 1.0
+        s = float((q * a).sum())
     bound = 1.0 / (tau * tau) * float(norms2.max()) * s / c
     return law, a, c, norms2, bound
 
