@@ -142,17 +142,18 @@ def _log(x: np.ndarray) -> np.ndarray:
         return np.log(x)
 
 
-def _logsumexp_terms(a: np.ndarray, axis: int = -1):
+def _logsumexp_terms(a: np.ndarray, axis: int = -1, scratch: bool = False):
     """(log sum exp(a), the shifted terms exp(a - m), their sum) along axis.
 
     m is the max along axis, kept as a length-1 axis; a row whose max is not
     finite is not shifted, so an all -inf row gives -inf.  The terms are
-    shifted and exponentiated inside the one array returned; a is not
-    written.
+    shifted and exponentiated inside the one array returned: a new array,
+    or a itself when scratch is true (for a caller that has no further use
+    for a, so that no second array of its size is made).
     """
     m = a.max(axis=axis, keepdims=True)
     m[~np.isfinite(m)] = 0.0
-    e = np.subtract(a, m)
+    e = np.subtract(a, m, out=a if scratch else None)
     np.exp(e, out=e)
     s = e.sum(axis=axis)
     lse = _log(s)
@@ -204,16 +205,27 @@ def _require_count(name: str, value, low: int) -> None:
 
 
 def _log_terms(p: DiscreteDist, q: DiscreteDist, tau) -> np.ndarray:
-    """tau log p_i + (1 - tau) log q_i on the joint support, -inf off it."""
+    """tau log p_i + (1 - tau) log q_i on the joint support, -inf off it.
+
+    Built in one new array of the broadcast shape: tau log p is written
+    into it, (1 - tau) log q added, and the entries off the joint support
+    set to -inf, so a batch holds it and one product at most.
+    """
     lp, lq = _logs(p, q)
     t = _last_axis(tau)
+    terms = np.empty(np.broadcast(t, lp, lq).shape)
     with np.errstate(invalid="ignore"):  # 0 * -inf off the support
-        return np.where(p.support & q.support, t * lp + (1.0 - t) * lq, -np.inf)
+        np.multiply(t, lp, out=terms)
+        terms += (1.0 - t) * lq
+    np.copyto(terms, -np.inf, where=~(p.support & q.support))
+    return terms
 
 
 def _log_overlap(p: DiscreteDist, q: DiscreteDist, tau) -> np.ndarray:
-    """log F(tau) over the joint support, -inf when the supports are disjoint."""
-    return _logsumexp(_log_terms(p, q, tau))
+    """log F(tau) over the joint support, -inf when the supports are disjoint.
+
+    The log terms are reduced in their own buffer."""
+    return _logsumexp_terms(_log_terms(p, q, tau), scratch=True)[0]
 
 
 def _nonzero_overlap(log_f: np.ndarray, what: str) -> np.ndarray:

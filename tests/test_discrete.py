@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import kl_mixed_partial_analytic, srfe_mixed_partial_analytic
+from srfe_lab.checks import TAU_GRID_9, dirichlet_pair
 from srfe_lab.discrete import (
     AbsoluteContinuityError,
     DiscreteDist,
@@ -282,6 +283,31 @@ class TestBroadcasting:
         np.testing.assert_array_equal(
             srfe_discrete(p, q, tau[:, None] * np.ones(2)),
             [[srfe_discrete(p, q, float(t))] * 2 for t in tau])
+
+    def test_shapes_that_differ_broadcast_together(self):
+        # one p against a batch of q with a zero entry, at a column of
+        # weights: the result has the shape of all three together
+        p = PAIR_B[0]
+        q = DiscreteDist(np.array([[0.5, 0.25, 0.25], [0.0, 0.4, 0.6]]))
+        tau = np.array([0.2, 0.5, 0.8])[:, None]
+        for kernel in (chernoff_coefficient, srfe_discrete, cr_associated):
+            np.testing.assert_array_equal(
+                kernel(p, q, tau),
+                [[kernel(p, DiscreteDist(row), float(t)) for row in q.probs]
+                 for t in tau[:, 0]])
+
+    def test_a_batch_holds_its_terms_and_one_product(self, traced_peak_mb):
+        # verify's kl_upper_bounds batch: 1000 pairs on 6 points at 9
+        # weights, a (9, 1000, 6) buffer of 0.41 MiB.  The log terms are
+        # built in one such buffer, beside which only (1 - tau) log q is
+        # batch-sized, and reduced in place: 0.92 MiB (2.2 buffers, with
+        # log p, log q and the (9, 1000) results).  Separate arrays for
+        # tau log p, (1 - tau) log q, the masked terms and the shifted
+        # copy held 1.03 MiB (2.5 buffers); the bound sits between the two
+        p, q = dirichlet_pair(np.random.default_rng(0), 6, n=1000)
+        tau = np.asarray(TAU_GRID_9)[:, None]
+        srfe_discrete(p, q, tau)
+        assert traced_peak_mb(lambda: srfe_discrete(p, q, tau)) < 0.97
 
     def test_one_disjoint_row_raises(self):
         p = DiscreteDist(np.array([[0.5, 0.5], [1.0, 0.0], [0.2, 0.8]]))
