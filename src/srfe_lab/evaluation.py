@@ -71,14 +71,16 @@ def ess(q: DiagonalGaussian, target, n: int, rng: np.random.Generator) -> float:
 def target_entropy(target, n: int, rng: np.random.Generator) -> float:
     """Monte Carlo entropy of target: -mean log p over n target draws.
 
-    The log densities of each block of BLOCK_ROWS draws are written over the
-    block's first coordinate (a read-only sample is copied first).  A row's
-    log density does not depend on the other rows, so the mean is the
-    one-pass mean exactly.
+    The log densities of each block of BLOCK_ROWS // 4 draws are written
+    over the block's first coordinate (a read-only sample is copied first),
+    so a pass's (components, rows) temporaries stay small beside the draws.
+    A row's log density does not depend on the other rows, so the mean is
+    the one-pass mean exactly.
     """
     xs = np.require(target.sample(n, rng), np.float64, "W")
-    for start in range(0, n, BLOCK_ROWS):
-        block = xs[start:start + BLOCK_ROWS]
+    block_rows = BLOCK_ROWS // 4
+    for start in range(0, n, block_rows):
+        block = xs[start:start + block_rows]
         block[:, 0] = target.log_prob(block)
     return _finite("target entropy estimate", -float(np.mean(xs[:, 0])))
 
