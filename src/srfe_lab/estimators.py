@@ -439,8 +439,12 @@ def _moment_pieces(kind: str, p: DiscreteDist, logits: np.ndarray,
             raise AbsoluteContinuityError(
                 f"{kind!r} needs u = p/q, and q is 0 where p has mass")
         # an outcome that q never draws adds 0, not the nan of 0/0
-        u = np.divide(p.probs, q, out=np.zeros(q.size), where=q > 0.0)
+        with np.errstate(over="ignore"):
+            u = np.divide(p.probs, q, out=np.zeros(q.size), where=q > 0.0)
         law, a = q, u ** (2.0 * tau)
+        # p/q overflows where q is subnormal, though u^(2 tau) need not
+        big = np.isinf(u)
+        a[big] = np.exp(2.0 * tau * (np.log(p.probs[big]) - np.log(q[big])))
         c = f * f if kind == "srfe_q" else 1.0
         s = float((q * a).sum())
     bound = 1.0 / (tau * tau) * float(norms2.max()) * s / c

@@ -456,6 +456,30 @@ class TestSecondMoments:
                                               np.random.default_rng(0))
                 assert (rep.empirical, rep.bound) == (empirical, bound)
 
+    @pytest.mark.parametrize("kind", ["cr", "srfe_q"])
+    def test_subnormal_model_mass_keeps_its_weight(self, kind):
+        # softmax gives q_2 = e^-740, about 4.2e-322 and subnormal, so
+        # p_2 / q_2 overflows while the outcome's term q_2 u_2^(2 tau) =
+        # p_2^0.6 q_2^0.4, about 1.9e-129, is finite and dominates
+        p, logits, tau = np.array([0.5, 0.5]), np.array([0.0, -740.0]), 0.3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = exact_second_moment(kind, DiscreteDist(p), logits, tau)
+        # the same sum in the log domain, with log q from the logits
+        log_q = logits - np.logaddexp.reduce(logits)
+        q = np.exp(log_q)
+        norms2 = ((np.eye(2) - q) ** 2).sum(axis=1)
+        terms = np.exp(log_q + 2.0 * tau * (np.log(p) - log_q))
+        f = np.exp(tau * np.log(p) + (1.0 - tau) * log_q).sum()
+        c = f * f if kind == "srfe_q" else 1.0
+        # a subnormal q_2 keeps about two significant digits (85 units of
+        # the least subnormal), which moves q_2^0.4 by up to 0.24%
+        assert 1e-129 < terms[1] < 1e-128
+        assert rep.empirical == pytest.approx(
+            (terms * norms2).sum() / (tau * tau * c), rel=5e-3)
+        assert rep.bound == pytest.approx(
+            norms2.max() * terms.sum() / (tau * tau * c), rel=1e-12)
+
     @pytest.mark.parametrize("n", [0, -1, 2.5, True, "10", None])
     def test_draw_count_validation(self, n):
         p = DiscreteDist(np.array([0.6, 0.4]))
