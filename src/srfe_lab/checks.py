@@ -441,13 +441,9 @@ def _stack_by_size(cases: list[tuple]) -> list[tuple]:
     return [tuple(map(np.stack, zip(*group))) for group in groups.values()]
 
 
-def run_all(seed: int = 0, inject_failure: bool = False) -> list[CheckReport]:
-    """The full battery, deterministic for a given seed.
-
-    inject_failure adds a negative-control report that must fail: the
-    observed values of the sigma = 1 curvature check against zero
-    thresholds.
-    """
+def _battery(seed: int) -> list:
+    """The checks of run_all(seed) as zero-argument calls, one per report
+    and in report order, with every random input already drawn."""
     rng = np.random.default_rng(seed)
     worked_p = DiscreteDist(np.array([0.5, 0.5]))
     worked_q = DiscreteDist(np.array([0.25, 0.75]))
@@ -480,24 +476,33 @@ def run_all(seed: int = 0, inject_failure: bool = False) -> list[CheckReport]:
                        f"{len(grad_draws)} random softmax instances, worst "
                        f"errors {[float(f'{w:.2e}') for w in worst]}")
 
-    reports = [
-        check_kl_limits(worked_p, worked_q),
-        check_expansions(worked_p, worked_q),
-        check_fisher_metric(0.5),
-        check_fisher_metric(1.0),
-        check_fisher_metric(2.0),
-        check_fisher_metric_simplex(),
-        tail_sweep(),
-        check_tail_bounds_mc(seed=seed + 1),
-        check_kl_upper_bounds(*kl_pairs),
-        grad_sweep(),
-        check_monotone_equivalence(seed=seed + 2),
-        check_not_f_divergence(0.3),
-        check_not_f_divergence(0.5),
-        check_not_f_divergence(0.9),
-        check_second_moment_bounds(moment_p, moment_logits),
+    return [
+        lambda: check_kl_limits(worked_p, worked_q),
+        lambda: check_expansions(worked_p, worked_q),
+        lambda: check_fisher_metric(0.5),
+        lambda: check_fisher_metric(1.0),
+        lambda: check_fisher_metric(2.0),
+        check_fisher_metric_simplex,
+        tail_sweep,
+        lambda: check_tail_bounds_mc(seed=seed + 1),
+        lambda: check_kl_upper_bounds(*kl_pairs),
+        grad_sweep,
+        lambda: check_monotone_equivalence(seed=seed + 2),
+        lambda: check_not_f_divergence(0.3),
+        lambda: check_not_f_divergence(0.5),
+        lambda: check_not_f_divergence(0.9),
+        lambda: check_second_moment_bounds(moment_p, moment_logits),
     ]
 
+
+def run_all(seed: int = 0, inject_failure: bool = False) -> list[CheckReport]:
+    """The full battery, deterministic for a given seed.
+
+    inject_failure adds a negative-control report that must fail: the
+    observed values of the sigma = 1 curvature check against zero
+    thresholds.
+    """
+    reports = [check() for check in _battery(seed)]
     if inject_failure:
         observed = check_fisher_metric(1.0).observed
         reports.append(_report("injected_failure", (observed <= 0.0).all(),

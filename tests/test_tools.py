@@ -1,11 +1,14 @@
 """The code-line counter of tools/count_code_lines.py, which measures the
 size of src/srfe_lab: docstrings, comments and blank lines are not code,
 and every line of a statement is.  The claim rule of tools/bench_pairs.py's
-summary, on hand-made runs.  A smoke run of tools/working_set.py, and the
+summary, on hand-made runs.  A smoke run of tools/working_set.py, its
+fitting stages and one stage per verify check, and the
 density-grid runs, the run whose cells all fail and the nine-trial exp2
 run of tools/compare_outputs.py's matrix."""
 import importlib.util
 from pathlib import Path
+
+from srfe_lab.checks import run_all
 
 _TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -124,16 +127,25 @@ def test_a_tie_counts_for_neither_side():
 
 def test_working_set_reports_a_peak_per_stage():
     peaks = load_tool("working_set").measure()
-    assert list(peaks) == [
+    fitting = [name for name in peaks if not name.startswith("verify.")]
+    assert fitting == [
         "step.exp1.sample", "step.exp1.normal", "step.exp4.normal",
         "target_entropy.mixture", "target_entropy.w=0",
         "target_entropy.w=0.1", "target_entropy.w=0.2",
         "target_entropy.w=0.3", "evaluate"]
-    # every stage holds at least its own draws: 5000 x 2, 10^5 x 2 and
-    # 10^4 x 2 doubles
-    assert all(peaks[name] > 0.07 for name in peaks)
-    assert all(peaks[name] > 1.5 for name in peaks
+    # every fitting stage holds at least its own draws: 5000 x 2, 10^5 x 2
+    # and 10^4 x 2 doubles
+    assert all(peaks[name] > 0.07 for name in fitting)
+    assert all(peaks[name] > 1.5 for name in fitting
                if name.startswith("target_entropy."))
+    # one verify stage per report of the battery, in report order
+    assert [name for name in peaks if name.startswith("verify.")] == [
+        f"verify.{report.name}" for report in run_all(0)]
+    # the (9, 1000, 6) log-overlap batch of kl_upper_bounds (0.41 MiB) is
+    # held beside one product of its size, and the tail check holds one
+    # block of BLOCK_ROWS normals (0.0625 MiB)
+    assert 0.82 < peaks["verify.kl_upper_bounds"] < 1.2
+    assert peaks["verify.tail_bounds_mc"] > 0.0625
 
 
 def test_output_comparison_runs_density_grid(monkeypatch):

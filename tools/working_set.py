@@ -1,4 +1,5 @@
-"""Print, as JSON, the tracemalloc peak of each stage of a fitting share.
+"""Print, as JSON, the tracemalloc peak of each stage of a fitting share
+and of each check of the verify battery.
 
     python3 tools/working_set.py
 
@@ -11,7 +12,9 @@ and split over two shares as on a 2-CPU host:
   - target_entropy.<target>: one N_ENTROPY-draw estimate on the seed 2
     stream, for the mixture and for exp4's four contaminated targets;
   - evaluate: evaluation.evaluate of the model at the training start
-    (mu 0, log sigma 0) on exp4's w = 0.2 target, seed 0.
+    (mu 0, log sigma 0) on exp4's w = 0.2 target, seed 0;
+  - verify.<check>: each check of checks.run_all(0), named after its
+    report, on the inputs that run_all(0) draws for it.
 
 A stage's peak is the most memory, in MiB, that it held at once above
 what was held when it was called, as tracemalloc sees it (numpy reports
@@ -38,7 +41,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from srfe_lab import experiments  # noqa: E402
+from srfe_lab import checks, experiments  # noqa: E402
 from srfe_lab.evaluation import N_ENTROPY, evaluate, target_entropy  # noqa: E402
 from srfe_lab.gaussians import DiagonalGaussian  # noqa: E402
 from srfe_lab.training import _split, _Stack  # noqa: E402
@@ -90,6 +93,8 @@ def stages() -> dict:
     q = DiagonalGaussian(mu=np.zeros(2), log_sigma=np.zeros(2))
     out["evaluate"] = lambda: partial(evaluate, q, contaminated[0.2], mixture,
                                       0, math.nan)
+    for i, report in enumerate(checks.run_all(0)):
+        out[f"verify.{report.name}"] = lambda i=i: checks._battery(0)[i]
     return out
 
 
