@@ -44,10 +44,12 @@ The second-moment tools at the bottom work on a finite support with a
 softmax-parameterized model q, where everything can be enumerated exactly.
 _moment_pieces is the one place that tells the three estimator kinds
 apart: it gives each kind's per-outcome table, the law X is drawn from,
-the weights a, the divisor c, the squared score norms and the bound.
+the terms law * a, the divisor c, the squared score norms and the bound.
+It reads every term from the log-overlap kernel of srfe_lab.discrete, in
+the log domain, and broadcasts a batch as the discrete kernels do.
 exact_second_moment is the mean (1/tau^2) a ||score||^2 / c under that
-law, enumerated, and estimator_second_moment the same mean over n draws
-from it.
+law, enumerated, for one instance or a batch, and estimator_second_moment
+the same mean over n draws from it, for one instance.
 """
 
 from __future__ import annotations
@@ -57,9 +59,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from srfe_lab.discrete import (AbsoluteContinuityError, DiscreteDist,
-                               DisjointSupportError, _check_tau_open,
-                               _logsumexp_terms, _require_count)
+from srfe_lab.discrete import (DiscreteDist, _check_tau_open,
+                               _float_or_array, _log_overlap, _log_terms,
+                               _logsumexp_terms, _nonzero_overlap,
+                               _require_absolutely_continuous, _require_count)
 from srfe_lab.gaussians import (DiagonalGaussian, _log_norm, _log_prob_rows,
                                 _param_score_rows, _sum_rows, _transform_rows)
 
@@ -402,16 +405,17 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def softmax_scores(logits: np.ndarray) -> np.ndarray:
-    """Rows are grad_theta log q_theta(j) = e_j - q for the softmax family."""
+    """Rows are grad_theta log q_theta(j) = e_j - q for the softmax family,
+    one (k, k) block per row of logits."""
     q = softmax(logits)
-    return np.eye(q.size) - q[None, :]
+    return np.eye(q.shape[-1]) - q[..., None, :]
 
 
-def _moment_pieces(kind: str, p: DiscreteDist, logits: np.ndarray,
-                   tau: float):
+def _moment_pieces(kind: str, p: DiscreteDist, logits: np.ndarray, tau):
     """The per-outcome table of kind that both second-moment tools read,
-    after kind and tau validation: the law X is drawn from, the weights a,
-    the divisor c, the squared score norms and the analytic bound.
+    after kind and tau validation: the law X is drawn from, the terms
+    law_j a_j, the divisor c, the squared score norms and the analytic
+    bound.
 
     Every kind has g(j) = -(1/tau) sqrt(a_j / c) score_j, so E||g||^2 =
     (1/tau^2) sum_j law_j a_j ||score_j||^2 / c.  The escort kind draws
@@ -419,63 +423,68 @@ def _moment_pieces(kind: str, p: DiscreteDist, logits: np.ndarray,
     with a = u^(2 tau), u = p/q, and c = 1 for "cr", F^2 for "srfe_q".
     With C = max_j ||score_j||^2, the bound is (C/tau^2) sum_j q_j a_j / c
     for the q kinds and C/tau^2 for the escort kind.
+
+    Every term comes from discrete's log-overlap kernel: the escort law is
+    exp(tau log p + (1 - tau) log q - log F), and q_j a_j = p_j^(2 tau)
+    q_j^(1 - 2 tau) is the kernel's term at weight 2 tau, so no ratio p/q
+    is formed.  p, logits (..., k) and tau broadcast as in the discrete
+    kernels.
     """
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
     _check_tau_open(tau)
-    q = softmax(logits)
-    if p.size != q.size:
-        raise ValueError("support size mismatch")
-    bridge = p.probs ** tau * q ** (1.0 - tau)
-    f = float(bridge.sum())
-    if f == 0.0:
-        raise DisjointSupportError("p and q share no support, so F = 0")
+    q = DiscreteDist(softmax(logits))
+    log_f = _nonzero_overlap(_log_overlap(p, q, tau), "second moment")
     scores = softmax_scores(logits)
-    norms2 = (scores * scores).sum(axis=1)
+    norms2 = (scores * scores).sum(axis=-1)
     if kind == "srfe_escort":
-        law, a, c, s = bridge / f, np.ones(q.size), 1.0, 1.0
+        law = terms = np.exp(_log_terms(p, q, tau) - log_f[..., None])
+        # sum_j law_j a_j = 1, in the batch shape
+        c, s = 1.0, np.ones(terms.shape[:-1])
     else:
-        if np.any(p.support & (q == 0.0)):
-            raise AbsoluteContinuityError(
-                f"{kind!r} needs u = p/q, and q is 0 where p has mass")
-        # an outcome that q never draws adds 0, not the nan of 0/0
-        with np.errstate(over="ignore"):
-            u = np.divide(p.probs, q, out=np.zeros(q.size), where=q > 0.0)
-        law, a = q, u ** (2.0 * tau)
-        # p/q overflows where q is subnormal, though u^(2 tau) need not
-        big = np.isinf(u)
-        a[big] = np.exp(2.0 * tau * (np.log(p.probs[big]) - np.log(q[big])))
-        c = f * f if kind == "srfe_q" else 1.0
-        s = float((q * a).sum())
-    bound = 1.0 / (tau * tau) * float(norms2.max()) * s / c
-    return law, a, c, norms2, bound
+        _require_absolutely_continuous(
+            p, q, f"{kind!r} needs u = p/q, and q is 0 where p has mass")
+        law, terms = q.probs, np.exp(_log_terms(p, q, 2.0 * tau))
+        c = np.exp(2.0 * log_f) if kind == "srfe_q" else 1.0
+        s = terms.sum(axis=-1)
+    bound = 1.0 / (tau * tau) * norms2.max(axis=-1) * s / c
+    return law, terms, c, norms2, bound
 
 
 def exact_second_moment(kind: str, p: DiscreteDist, logits: np.ndarray,
-                        tau: float) -> SecondMomentReport:
+                        tau) -> SecondMomentReport:
     """Enumerated E||g||^2 and its analytic bound for one-sample estimators.
 
     kind "cr":          g = -(1/tau) u(X)^tau score(X),        X ~ q
     kind "srfe_escort": g = -(1/tau) score(X),                 X ~ escort
     kind "srfe_q":      g = -(1/tau) (u(X)^tau / F) score(X),  X ~ q
 
-    Bounds use C = max_j ||score_j||^2 (see _moment_pieces).  Raises
-    DisjointSupportError when F = 0, and AbsoluteContinuityError for "cr"
-    and "srfe_q" when q is 0 where p has mass.
+    The enumerated mean is (1/tau^2) sum_j law_j a_j ||score_j||^2 / c over
+    the terms law_j a_j of _moment_pieces, all formed in the log domain, and
+    the bounds use C = max_j ||score_j||^2.  p and logits of shape (..., k)
+    and tau broadcast against the batch shape; the report holds floats for
+    one instance and arrays for a batch.  Raises DisjointSupportError when
+    F = 0, and AbsoluteContinuityError for "cr" and "srfe_q" when q is 0
+    where p has mass.
     """
-    law, a, c, norms2, bound = _moment_pieces(kind, p, logits, tau)
-    total = float(((law * a) * norms2).sum())
-    return SecondMomentReport(empirical=1.0 / (tau * tau) * total / c,
-                              bound=bound)
+    _, terms, c, norms2, bound = _moment_pieces(kind, p, logits, tau)
+    total = (terms * norms2).sum(axis=-1)
+    return SecondMomentReport(
+        empirical=_float_or_array(1.0 / (tau * tau) * total / c),
+        bound=_float_or_array(bound))
 
 
 def estimator_second_moment(kind: str, p: DiscreteDist, logits: np.ndarray,
                             tau: float, n: int,
                             rng: np.random.Generator) -> SecondMomentReport:
-    """Sampled mean ||g||^2 over n one-sample draws, with the analytic bound;
-    n must be an integer >= 1, and the errors are exact_second_moment's."""
-    law, a, c, norms2, bound = _moment_pieces(kind, p, logits, tau)
+    """Sampled mean ||g||^2 over n one-sample draws, with the analytic bound,
+    for one instance (a batch of p, logits or tau raises a ValueError); n
+    must be an integer >= 1, and the errors are exact_second_moment's.
+    a = terms / law is taken at the drawn outcomes only."""
+    if p.probs.ndim != 1 or np.ndim(logits) != 1 or np.ndim(tau):
+        raise ValueError("estimator_second_moment takes a single instance")
+    law, terms, c, norms2, bound = _moment_pieces(kind, p, logits, tau)
     _require_count("n", n, 1)
     idx = rng.choice(law.size, size=n, p=law / law.sum())
-    sq = 1.0 / (tau * tau) * a[idx] * norms2[idx] / c
-    return SecondMomentReport(empirical=float(sq.mean()), bound=bound)
+    sq = 1.0 / (tau * tau) * (terms[idx] / law[idx]) * norms2[idx] / c
+    return SecondMomentReport(empirical=float(sq.mean()), bound=float(bound))

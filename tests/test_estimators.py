@@ -456,29 +456,57 @@ class TestSecondMoments:
                                               np.random.default_rng(0))
                 assert (rep.empirical, rep.bound) == (empirical, bound)
 
-    @pytest.mark.parametrize("kind", ["cr", "srfe_q"])
-    def test_subnormal_model_mass_keeps_its_weight(self, kind):
-        # softmax gives q_2 = e^-740, about 4.2e-322 and subnormal, so
-        # p_2 / q_2 overflows while the outcome's term q_2 u_2^(2 tau) =
-        # p_2^0.6 q_2^0.4, about 1.9e-129, is finite and dominates
-        p, logits, tau = np.array([0.5, 0.5]), np.array([0.0, -740.0]), 0.3
+    @pytest.mark.parametrize("kind, logits, tau, term_range", [
+        pytest.param(kind, *case, id=kind + suffix)
+        for suffix, *case in (
+            # softmax gives q_2 = e^-740, about 4.2e-322 and subnormal, so
+            # p_2 / q_2 overflows while the outcome's term q_2 u_2^(2 tau) =
+            # p_2^0.6 q_2^0.4, about 1.9e-129, is finite and dominates
+            ("", (0.0, -740.0), 0.3, (1e-129, 1e-128)),
+            # q_2 = e^-690 is normal, but at tau 0.9 u_2^1.8 overflows while
+            # the term p_2^1.8 q_2^-0.8, about 3.8e239, is finite
+            ("-690-tau0.9", (0.0, -690.0), 0.9, (1e239, 1e240)),
+            # q_2 rounds to the least subnormal, and both overflows meet
+            ("-745-tau0.9", (0.0, -745.0), 0.9, (1e258, 1e259)))
+        for kind in ("cr", "srfe_q")])
+    def test_subnormal_model_mass_keeps_its_weight(self, kind, logits, tau,
+                                                   term_range):
+        p, logits = np.array([0.5, 0.5]), np.array(logits)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rep = exact_second_moment(kind, DiscreteDist(p), logits, tau)
-        # the same sum in the log domain, with log q from the logits
-        log_q = logits - np.logaddexp.reduce(logits)
-        q = np.exp(log_q)
+        # the same sum in the log domain, over the q the model holds: a
+        # subnormal q_2 keeps few digits of e^logit (none at -745), and the
+        # moment is the model's as represented
+        q = softmax(logits)
+        log_q = np.log(q)
         norms2 = ((np.eye(2) - q) ** 2).sum(axis=1)
         terms = np.exp(log_q + 2.0 * tau * (np.log(p) - log_q))
         f = np.exp(tau * np.log(p) + (1.0 - tau) * log_q).sum()
         c = f * f if kind == "srfe_q" else 1.0
-        # a subnormal q_2 keeps about two significant digits (85 units of
-        # the least subnormal), which moves q_2^0.4 by up to 0.24%
-        assert 1e-129 < terms[1] < 1e-128
+        assert term_range[0] < terms[1] < term_range[1]
+        assert math.isfinite(rep.empirical) and math.isfinite(rep.bound)
         assert rep.empirical == pytest.approx(
-            (terms * norms2).sum() / (tau * tau * c), rel=5e-3)
+            (terms * norms2).sum() / (tau * tau * c), rel=1e-12)
         assert rep.bound == pytest.approx(
             norms2.max() * terms.sum() / (tau * tau * c), rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["cr", "srfe_escort", "srfe_q"])
+    def test_batch_matches_per_instance_calls(self, kind):
+        # p (2, 1, k), logits (3, k) and a tau column (2, 1) broadcast to a
+        # (2, 3) batch whose entry (i, j) is the call on p[i], logits[j] and
+        # tau[i]
+        rng = np.random.default_rng(43)
+        p = rng.dirichlet(np.ones(4), size=(2, 1))
+        logits = 2.0 * rng.standard_normal((3, 4))
+        tau = np.array([[0.3], [0.8]])
+        rep = exact_second_moment(kind, DiscreteDist(p), logits, tau)
+        assert rep.empirical.shape == rep.bound.shape == (2, 3)
+        for i, j in np.ndindex(2, 3):
+            one = exact_second_moment(kind, DiscreteDist(p[i, 0]), logits[j],
+                                      float(tau[i, 0]))
+            assert rep.empirical[i, j] == one.empirical
+            assert rep.bound[i, j] == one.bound
 
     @pytest.mark.parametrize("n", [0, -1, 2.5, True, "10", None])
     def test_draw_count_validation(self, n):
@@ -496,6 +524,12 @@ class TestSecondMoments:
         with pytest.raises(ValueError):
             estimator_second_moment("cr", p, np.zeros(3), 0.5, 10,
                                     np.random.default_rng(0))
+        # the sampled tool takes one instance
+        for logits, tau in ((np.zeros((2, 2)), 0.5),
+                            (np.zeros(2), np.array([0.3, 0.5]))):
+            with pytest.raises(ValueError, match="single instance"):
+                estimator_second_moment("cr", p, logits, tau, 10,
+                                        np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------

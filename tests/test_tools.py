@@ -1,11 +1,14 @@
 """The code-line counter of tools/count_code_lines.py, which measures the
 size of src/srfe_lab: docstrings, comments and blank lines are not code,
 and every line of a statement is.  The claim rule of tools/bench_pairs.py's
-summary, on hand-made runs.  A smoke run of tools/working_set.py, its
-fitting stages and one stage per verify check, and the
-density-grid runs, the run whose cells all fail and the nine-trial exp2
-run of tools/compare_outputs.py's matrix."""
+summary, on hand-made runs, and the environment it gives its children.
+A smoke run of tools/working_set.py, its fitting stages and one stage per
+verify check, and the density-grid runs, the run whose cells all fail and
+the nine-trial exp2 run of tools/compare_outputs.py's matrix, and its
+account of two differing verify reports."""
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 from srfe_lab.checks import run_all
@@ -13,8 +16,9 @@ from srfe_lab.checks import run_all
 _TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
-def load_tool(name):
-    spec = importlib.util.spec_from_file_location(name, _TOOLS / f"{name}.py")
+def load_tool(name, path=None):
+    spec = importlib.util.spec_from_file_location(
+        name, path or _TOOLS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -198,3 +202,51 @@ def test_output_comparison_aggregates_more_than_eight_trials(monkeypatch):
     # nine trials: more than the 8-term block of pairwise summation
     assert tool.CONFIGS["trials9.json"] == {
         "iterations": 20, "trials": 9, "tau_grid": [0.3, 0.7]}
+
+
+def test_bench_pairs_children_get_the_benchmark_environment(monkeypatch,
+                                                            tmp_path):
+    tool = load_tool("bench_pairs")
+    passed = []
+
+    def fake_run(cmd, **kwargs):
+        passed.append(kwargs["env"])
+        return subprocess.CompletedProcess(cmd, 0, '{"exit_code": 0}\n', "")
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    tool.run_child(tmp_path, "verify", 0, 150, tmp_path / "work")
+    perfbench = _TOOLS.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))  # for run.py's own imports
+    bench = load_tool("perfbench_run", perfbench / "run.py")
+    assert passed == [bench.thread_env()]
+
+
+def test_output_comparison_names_the_checks_that_moved(monkeypatch, tmp_path,
+                                                       capsys):
+    monkeypatch.syspath_prepend(str(_TOOLS))  # for its bench_pairs import
+    tool = load_tool("compare_outputs")
+
+    def record(name, observed, passed=True):
+        return {"name": name, "passed": passed, "observed": observed,
+                "threshold": [0.0] * len(observed), "details": ""}
+
+    reports = {
+        "parent": [record("kl_limits", [1.0, 2.0]),
+                   record("second_moment_bounds", [-0.5, 2e-16, 222.0]),
+                   record("expansions", [3.0])],
+        "change": [record("kl_limits", [1.0, 2.0]),
+                   record("second_moment_bounds",
+                          [-0.5, 1e-16, 222.0 + 2.5e-13]),
+                   record("expansions", [3.5], passed=False)]}
+    for side, records in reports.items():
+        (tmp_path / side / "verify_seed0").mkdir(parents=True)
+        (tmp_path / side / "verify_seed0" / "report.json").write_text(
+            json.dumps(records, indent=2))
+        (tmp_path / side / "verify_seed0" / "stdout.txt").write_text(
+            "exit 0\n")
+    assert tool.compare(tmp_path / "parent", tmp_path / "change") == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "differs: verify_seed0/report.json: checks second_moment_bounds "
+        "(max |d observed| 2.56e-13), expansions (max |d observed| 0.5, "
+        "passed True -> False)",
+        "1 files identical, 1 differences"]

@@ -12,8 +12,10 @@ Both sides run from paths of equal length because the checkout's location
 alone moves peak_rss_mb: one tree read verify at a median of 39.66 MB
 from a 10-character path and 39.76 / 39.72 MB from copies at 23- and
 35-character paths (5 runs each; fit-contam moved by -0.08 / -0.13 MB).
-Each side first runs one untimed warm-up child.  Children get the thread
-environment perfbench/run.py gives them (one worker, one BLAS thread).
+Each side first runs one untimed warm-up child.  Children get the
+environment perfbench/run.py gives its own children, from its
+thread_env(): one BLAS and OpenMP thread each, while the fits still fork
+one share per CPU.
 
 Prints one line per pair, then one JSON object: for setup_s, wall_s and
 peak_rss_mb, each side's runs, median and quartiles
@@ -22,8 +24,8 @@ change of the median in percent, the number of pairs in which this tree
 read lower, and whether that is a gain that may be claimed (see
 summary).  It also reports whether every child exited 0 and wrote
 the same output files, byte for byte.  This tree's uncommitted files are
-measured as they are.  Standard library only; perfbench/ is read, not
-changed.
+measured as they are.  Standard library only; perfbench/ is read and
+imported, not changed.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import os
 import shutil
 import statistics
 import subprocess
@@ -41,10 +42,11 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# perfbench/run.py imports its sibling modules by their bare names
+sys.path.append(str(ROOT / "perfbench"))
+from run import thread_env  # noqa: E402
+
 METRICS = ("setup_s", "wall_s", "peak_rss_mb")
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-               "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
-               "NUMEXPR_NUM_THREADS")
 
 
 def extract(rev: str, into: Path) -> None:
@@ -71,12 +73,10 @@ def copy_tree(into: Path) -> None:
 def run_child(tree: Path, workload: str, seed: int, iterations: int,
               work_dir: Path) -> dict:
     """One fresh bench_child.py from tree; its parsed result."""
-    env = dict(os.environ, SRFE_LAB_THREADS="1",
-               **dict.fromkeys(THREAD_VARS, "1"))
     proc = subprocess.run(
         [sys.executable, str(tree / "perfbench" / "bench_child.py"),
          workload, str(seed), str(iterations), str(work_dir), "run"],
-        cwd=tree, env=env, capture_output=True, text=True)
+        cwd=tree, env=thread_env(), capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"{tree}: child exited {proc.returncode}:\n"

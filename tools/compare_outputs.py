@@ -30,7 +30,11 @@ the path of the tree it ran from replaced by <tree> so that a warning which
 names a source file reads the same from both trees.  The two file sets are
 then compared byte for byte: prints the number of identical
 files, or each missing, extra or differing file with its first differing
-line, and exits 1 on any difference.  This tree's uncommitted files are
+line, and exits 1 on any difference.  For a differing verify report.json
+it prints instead the name of each check whose record differs, with the
+largest |difference| of that check's observed values and any pass flag
+that changed, so that a change to the last bits can be shown confined to
+one check.  This tree's uncommitted files are
 run as they are.  Standard library only.
 """
 
@@ -121,6 +125,30 @@ def first_difference(a: bytes, b: bytes) -> str:
             f"({len(left)} against {len(right)} lines)")
 
 
+def report_difference(a: bytes, b: bytes) -> str:
+    """The checks whose records differ between two verify reports, each
+    with the largest |difference| of its observed values; the first
+    differing line where the reports do not list the same checks."""
+    left, right = json.loads(a), json.loads(b)
+    if [r["name"] for r in left] != [r["name"] for r in right]:
+        return first_difference(a, b)
+    moved = []
+    for x, y in zip(left, right):
+        if x == y:
+            continue
+        if len(x["observed"]) == len(y["observed"]):
+            delta = max((abs(u - v) for u, v in zip(x["observed"],
+                                                    y["observed"])),
+                        default=0.0)
+            line = f"{x['name']} (max |d observed| {delta:.3g}"
+        else:
+            line = f"{x['name']} (observed lengths differ"
+        if x["passed"] != y["passed"]:
+            line += f", passed {x['passed']} -> {y['passed']}"
+        moved.append(line + ")")
+    return "checks " + ", ".join(moved)
+
+
 def compare(parent: Path, change: Path) -> int:
     """Print the comparison of the two trees' outputs; the number of
     differences."""
@@ -138,7 +166,9 @@ def compare(parent: Path, change: Path) -> int:
         if a == b:
             same += 1
         else:
-            print(f"differs: {rel}: {first_difference(a, b)}")
+            detail = (report_difference if rel.name == "report.json"
+                      else first_difference)(a, b)
+            print(f"differs: {rel}: {detail}")
             bad += 1
     print(f"{same} files identical, {bad} differences")
     return bad
