@@ -7,21 +7,27 @@ take -log of it over tau(1-tau).  Gradients are exact derivatives of that
 loss in (mu, log_sigma); when the clamp is active the loss is locally
 constant and the gradient is zero.
 
-Targets are duck-typed, with four members.  dim is the dimension d of
-their points.  On a batch x of shape (n, d), log_prob(x) gives the (n,) log
-densities and log_prob_and_score(x) gives them together with their (n, d)
-x-gradients, from one pass; sample(n, rng) draws (n, d) points.  The
-free-energy step and the reverse-KL loss and gradient read
+Targets are duck-typed, with four members and one optional one.  dim is
+the dimension d of their points.  On a batch x of shape (n, d),
+log_prob(x) gives the (n,) log densities and log_prob_and_score(x) gives
+them together with their (n, d) x-gradients, from one pass; sample(n, rng)
+draws (n, d) points.  The optional sample_blocks(n, rng) yields the draws
+of sample(n, rng) one block at a time, as (rows, points) pairs in the
+generator's stream order, rows indexing the block's rows of the (n, d)
+sample; srfe_lab.evaluation.target_entropy reads it where it is there.
+The free-energy step and the reverse-KL loss and gradient read
 log_prob_and_score, forward KL log_prob and the samples.  The Gaussian
-models in srfe_lab.gaussians provide all four.
+models in srfe_lab.gaussians provide all five.
 
 The kernels work on stacks: J models, theta of shape (J, 2, d) whose rows
 are (mu, log_sigma), fitted on one shared batch of n points.  _q_side_step
 is the one q-side step, for the stacks of srfe_lab.training and for a
-single fit alike: _q_rows makes x = mu + sigma eps and log q for every row,
-_target_rows makes one target pass per run of rows with one target, and
+single fit alike.  It takes one run of rows at a time, a run being the
+adjacent rows with one target: _q_rows makes x = mu + sigma eps and log q
+for the run's rows, _target_rows makes the run's one target pass, and
 _q_side_rows turns them into losses and pathwise gradients, in one array
-program for every row, reverse-KL (tau = 0) and clamped rows included.
+program for every row of the run, reverse-KL (tau = 0) and clamped rows
+included.
 _forward_rows does the same for forward KL on target samples and their
 log densities, which it takes from its caller: it calls no target, so a
 forward-KL stack of srfe_lab.training makes both its target calls where it
@@ -33,12 +39,14 @@ target pass.
 
 Buffers follow the rule of srfe_lab.gaussians: a call owns what it
 allocates, fills it in place, and never writes an argument, so a read-only
-noise batch shared between fits is safe.  Every per-point stack buffer is
-a C-ordered (d, J, n) or (J, n) array filled through out=, so each of its
-rows is one contiguous length-n row whose sum pairs its terms as a single
-fit's does: every row stays bit-identical to the fit stepped alone.  The
-gradient takes one coordinate at a time on (J, n) temporaries, after
-_q_side_step has dropped x and log q.
+noise batch shared between fits is safe.  Every per-point buffer is a
+C-ordered (d, m, n) or (m, n) array over the m rows of one target run (J
+rows for _forward_rows), so each of its rows is one contiguous length-n
+row whose sum pairs its terms as a single fit's does: every row stays
+bit-identical to the fit stepped alone.  A q-side step holds one run's
+buffers at a time, never the whole stack's, and a run's gradient takes
+one coordinate at a time on (m, n) temporaries, after x and log q are
+dropped.
 
 The second-moment tools at the bottom work on a finite support with a
 softmax-parameterized model q, where everything can be enumerated exactly.
@@ -158,16 +166,16 @@ def _q_rows(theta: np.ndarray, eps: np.ndarray):
     return x, _log_prob_rows(diff, sigma, log_norm, out=np.empty((J, n)))
 
 
-def _target_rows(target, x: np.ndarray, log_q: np.ndarray, r: np.ndarray,
-                 score: np.ndarray) -> None:
-    """One log_prob_and_score pass of target over the m rows of x (d, m, n),
-    a row slice of a stack's buffer: r = log p - log q into r (m, n), and
-    the score into the rows of score (d, m, n).  The pass sees the
-    (m n, d) transpose of the (d, m n) view of x."""
+def _target_rows(target, x: np.ndarray, log_q: np.ndarray):
+    """One log_prob_and_score pass of target over the m rows of x (d, m, n):
+    r = log p - log q as a new (m, n) array, and the score as a C-ordered
+    (d, m, n) array, a view of the pass's own where that is one.  The pass
+    sees the (m n, d) transpose of the (d, m n) view of x."""
     d, m, n = x.shape
     log_p, s = target.log_prob_and_score(x.reshape(d, m * n).T)
-    np.subtract(np.reshape(log_p, (m, n)), log_q, out=r)
-    np.copyto(score, np.asarray(s).T.reshape(d, m, n))
+    r = np.subtract(np.reshape(log_p, (m, n)), log_q)
+    return r, np.ascontiguousarray(np.asarray(s).T.reshape(d, m, n),
+                                   dtype=np.float64)
 
 
 def _pathwise_rows(score: np.ndarray, eps: np.ndarray, sigma: np.ndarray,
@@ -280,30 +288,39 @@ def _q_side_step(theta: np.ndarray, eps: np.ndarray, targets, taus,
     targets[j] at taus[j] (0 for reverse KL), with rows of one target
     adjacent.
 
-    Makes x and log q for every row (_q_rows), one log_prob_and_score pass
-    per run of rows whose target is one object, split where targets[j] is
-    not targets[j - 1] (_target_rows), and the losses and gradients
-    (_q_side_rows).  Returns the reports, the gradients, the second moments
-    (None unless moments) and {row: exception} for each row whose pass
-    raised one of JOB_ERRORS; those rows get harmless values (r = 0, score
-    0), and any other exception propagates.
+    The rows are taken one run at a time, a run being the rows whose
+    target is one object, split where targets[j] is not targets[j - 1]:
+    a run makes x and log q for its rows (_q_rows), one log_prob_and_score
+    pass (_target_rows), and its losses and gradients (_q_side_rows), and
+    its buffers go before the next run's are made.  Rows never read each
+    other, so each is what it is in any stack.  Returns the reports, the
+    gradients (J, 2, d), the second moments (None unless moments) and
+    {row: exception} for each row whose pass raised one of JOB_ERRORS;
+    those rows get harmless values (r = 0, score 0), and any other
+    exception propagates.
     """
-    x, log_q = _q_rows(theta, eps)
-    r, score = np.empty(log_q.shape), np.empty(x.shape)
+    J, _, d = theta.shape
+    reports, grad = [], np.empty((J, 2, d))
+    second = np.empty(J) if moments else None
     failed = {}
-    bounds = [0, *(j for j in range(1, len(targets))
-                   if targets[j] is not targets[j - 1]), len(targets)]
+    bounds = [0, *(j for j in range(1, J)
+                   if targets[j] is not targets[j - 1]), J]
     for start, stop in zip(bounds, bounds[1:]):
         rows = slice(start, stop)
+        x, log_q = _q_rows(theta[rows], eps)
         try:
-            _target_rows(targets[start], x[:, rows], log_q[rows], r[rows],
-                         score[:, rows])
+            r, score = _target_rows(targets[start], x, log_q)
         except JOB_ERRORS as exc:
-            r[rows] = 0.0
-            score[:, rows] = 0.0
+            r, score = np.zeros(log_q.shape), np.zeros(x.shape)
             failed.update(dict.fromkeys(range(start, stop), exc))
-    del x, log_q
-    return (*_q_side_rows(theta, eps, r, score, taus, moments), failed)
+        del x, log_q
+        run_reports, grad[rows], run_second = _q_side_rows(
+            theta[rows], eps, r, score, taus[start:stop], moments)
+        del r, score  # before the next run's x
+        reports += run_reports
+        if moments:
+            second[rows] = run_second
+    return reports, grad, second, failed
 
 
 def _forward_rows(theta: np.ndarray, xs: np.ndarray, log_p=None,

@@ -7,7 +7,8 @@ mean log likelihood.  Stochastic metrics draw from fixed offset seeds so a
 full evaluation is reproducible from one base seed.  The target-entropy
 estimate does not depend on the model, so a caller draws it once per target
 and seed (target_entropy) and supplies it to evaluate.  A non-finite
-estimate, ESS or held-out log likelihood raises FloatingPointError.
+estimate, ESS or held-out log likelihood raises FloatingPointError, and
+a draw count n that is not an integer >= 1 a ValueError.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from srfe_lab.discrete import _logsumexp
-from srfe_lab.gaussians import BLOCK_ROWS, DiagonalGaussian, GaussianMixture
+from srfe_lab.discrete import _logsumexp, _require_count
+from srfe_lab.gaussians import (DRAW_ROWS, DiagonalGaussian, GaussianMixture,
+                                _row_blocks)
 
 __all__ = ["EvalMetrics", "mode_coverage", "ess", "target_entropy",
            "entropy_error", "test_log_lik", "evaluate"]
@@ -59,6 +61,7 @@ def ess(q: DiagonalGaussian, target, n: int, rng: np.random.Generator) -> float:
     exactly when the weights are flat, and is 0.0 when no draw has target
     density (every log p is -inf).
     """
+    _require_count("n", n, 1)
     xs = q.sample(n, rng)
     logw = np.asarray(target.log_prob(xs)) - np.asarray(q.log_prob(xs))
     total = _logsumexp(logw)
@@ -68,21 +71,34 @@ def ess(q: DiagonalGaussian, target, n: int, rng: np.random.Generator) -> float:
     return float(np.exp(-_logsumexp(2.0 * logw)))
 
 
+def _draw_blocks(target, n: int, rng: np.random.Generator):
+    """target's n draws as (rows, points) blocks in stream order: its own
+    sample_blocks(n, rng), or else its sample(n, rng) in row slices of
+    DRAW_ROWS."""
+    blocks = getattr(target, "sample_blocks", None)
+    if blocks is not None:
+        yield from blocks(n, rng)
+        return
+    xs = target.sample(n, rng)
+    for rows in _row_blocks(n, DRAW_ROWS):
+        yield rows, xs[rows]
+
+
 def target_entropy(target, n: int, rng: np.random.Generator) -> float:
     """Monte Carlo entropy of target: -mean log p over n target draws.
 
-    The log densities of each block of BLOCK_ROWS // 4 draws are written
-    over the block's first coordinate (a read-only sample is copied first),
-    so a pass's (components, rows) temporaries stay small beside the draws.
-    A row's log density does not depend on the other rows, so the mean is
+    The draws come one block at a time from the target's sample_blocks
+    (see srfe_lab.estimators), and each block's log densities go into its
+    rows of one (n,) array, so an estimate holds that array, one block and
+    its pass, never the draws themselves; the draws are not written.  A
+    row's log density does not depend on the other rows, so the mean is
     the one-pass mean exactly.
     """
-    xs = np.require(target.sample(n, rng), np.float64, "W")
-    block_rows = BLOCK_ROWS // 4
-    for start in range(0, n, block_rows):
-        block = xs[start:start + block_rows]
-        block[:, 0] = target.log_prob(block)
-    return _finite("target entropy estimate", -float(np.mean(xs[:, 0])))
+    _require_count("n", n, 1)
+    log_p = np.empty(n)
+    for rows, points in _draw_blocks(target, n, rng):
+        log_p[rows] = target.log_prob(points)
+    return _finite("target entropy estimate", -float(np.mean(log_p)))
 
 
 def entropy_error(q: DiagonalGaussian, target_entropy: float) -> float:
@@ -93,6 +109,7 @@ def entropy_error(q: DiagonalGaussian, target_entropy: float) -> float:
 def test_log_lik(q: DiagonalGaussian, target, n: int,
                  rng: np.random.Generator) -> float:
     """Mean log q over n held-out target draws."""
+    _require_count("n", n, 1)
     xs = target.sample(n, rng)
     return float(np.mean(np.asarray(q.log_prob(xs))))
 

@@ -175,10 +175,10 @@ def _run_cells(cells: list[_Cell]) -> ExperimentResult:
     else "failed to evaluate: <text>".
     """
     # The estimates run last in a share, under the heap policy _map_shares
-    # sets, so their draws come from the heap the fit has grown instead of
+    # sets, so their arrays come from the heap the fit has grown instead of
     # being mapped and unmapped.  That is why an estimate holds only its
-    # draws and BLOCK_ROWS rows of temporaries: it sets the heap's peak
-    # with the stack steps (README, "Memory").
+    # log densities and one block of draws: it sets the heap's peak with
+    # the stack steps (README, "Memory").
     targets = {(id(c.target), c.train_cfg.seed): c.target for c in cells}
     keys = list(targets)
     modes = benchmark_target()

@@ -20,6 +20,16 @@ out= and augmented assignment, and never writes an argument; a read-only
 batch is accepted.  Per-point vectors are (d, n) C-ordered arrays, so an
 (n, d) result is the .T view of one and its .T rows are contiguous.
 
+Sampling: each model draws in one place, its generator sample_blocks(n,
+rng), which yields the n draws as (rows, points) blocks in the order it
+reads the random stream, DRAW_ROWS Gaussian draws or the outliers among
+BLOCK_ROWS uniform draws at a time; sample(n, rng) collects them into a
+new (n, d) result, the .T view of a (d, n) buffer.  The stream is the one
+a draw of all n rows at once reads, so blocks change no draw, and a caller
+that takes the blocks one at a time (srfe_lab.evaluation.target_entropy)
+never holds the whole sample.  A subclass that changes the draws
+overrides sample_blocks, which sample reads too.
+
 The mean-field Gaussian's row kernels (_transform_rows, _log_prob_rows,
 _param_score_rows) are module functions on parameter columns that
 broadcast against their rows: (d, 1) columns of one model on (d, n) rows,
@@ -52,10 +62,14 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 # ContaminatedMixture's outlier box is [BOX_LOW, BOX_HIGH]^d.
 BOX_LOW = -10.0
 BOX_HIGH = 10.0
-# Rows a large Monte Carlo pass (verify's tail check, a target-entropy
-# estimate, the mixture samplers) holds at a time: its working set stays a
-# few hundred kB per block, whatever its draw count.
+# Rows a large Monte Carlo pass (verify's tail check, the samplers' label
+# and flag draws) holds at a time: its working set stays a few hundred kB
+# per block, whatever its draw count.
 BLOCK_ROWS = 8192
+# Rows of points a sampler's block generator yields at a time, which a
+# target-entropy estimate hands to log_prob whole: a log-density pass over
+# one block holds about 0.2 MiB.
+DRAW_ROWS = BLOCK_ROWS // 4
 
 
 def _as_batch(x, dim: int) -> tuple[np.ndarray, bool]:
@@ -66,6 +80,21 @@ def _as_batch(x, dim: int) -> tuple[np.ndarray, bool]:
         return (arr[None, :], True) if arr.ndim == 1 else (arr, False)
     raise ValueError(f"expected a point of shape ({dim},) or a batch of shape "
                      f"(n, {dim}), got shape {arr.shape}")
+
+
+def _row_blocks(n: int, size: int):
+    """Consecutive slices of at most size rows that cover range(n)."""
+    for start in range(0, n, size):
+        yield slice(start, min(start + size, n))
+
+
+def _collect(blocks, n: int, dim: int) -> np.ndarray:
+    """The (n, dim) array of a block generator's (rows, points) blocks, as
+    the .T view of a (dim, n) buffer."""
+    out = np.empty((dim, n)).T
+    for rows, points in blocks:
+        out[rows] = points
+    return out
 
 
 def _frozen_vector(v, name: str) -> np.ndarray:
@@ -156,8 +185,15 @@ class DiagonalGaussian:
                               np.empty((self.dim, eb.shape[0])))
         return out.T[0] if single else out.T
 
+    def sample_blocks(self, n: int, rng: np.random.Generator):
+        """The draws of sample(n, rng) as (rows, points) blocks of DRAW_ROWS
+        rows, in stream order: mu + sigma eps on each block of normals."""
+        for rows in _row_blocks(n, DRAW_ROWS):
+            yield rows, self.transform(
+                rng.standard_normal((rows.stop - rows.start, self.dim)))
+
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return self.transform(rng.standard_normal((n, self.dim)))
+        return _collect(self.sample_blocks(n, rng), n, self.dim)
 
     def _diff_rows(self, xb: np.ndarray) -> np.ndarray:
         """x_j - mu_j, one length-n row per coordinate, in a new (d, n) array."""
@@ -269,20 +305,28 @@ class GaussianMixture:
             row /= denom
         return (float(lp[0]), score.T[0]) if single else (lp, score.T)
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+    def sample_blocks(self, n: int, rng: np.random.Generator):
+        """The draws of sample(n, rng) as (rows, points) blocks of DRAW_ROWS
+        rows, in stream order: first every row's component label, drawn
+        BLOCK_ROWS at a time with rng.choice and kept in the narrowest index
+        type, then the normals of one block at a time.  A block is built in
+        its noise array, scaled and then shifted by its means: IEEE multiply
+        and add commute, so each row is means[label] + sqrt(variance) *
+        noise exactly."""
         K = self.n_components
-        # the narrowest index type, not int64
-        comps = rng.choice(K, size=n, p=self.weights).astype(
-            np.min_scalar_type(K - 1))
-        # the draws are built in the noise array, the means added BLOCK_ROWS
-        # rows at a time: IEEE multiply and add commute, so this is
-        # means[comps] + sqrt(variance) * noise exactly
-        noise = rng.standard_normal((n, self.dim))
-        noise *= np.sqrt(self.variance)
-        for start in range(0, n, BLOCK_ROWS):
-            block = slice(start, start + BLOCK_ROWS)
-            noise[block] += self.means[comps[block]]
-        return noise
+        comps = np.empty(n, np.min_scalar_type(K - 1))
+        for rows in _row_blocks(n, BLOCK_ROWS):
+            comps[rows] = rng.choice(K, size=rows.stop - rows.start,
+                                     p=self.weights)
+        scale = np.sqrt(self.variance)
+        for rows in _row_blocks(n, DRAW_ROWS):
+            noise = rng.standard_normal((rows.stop - rows.start, self.dim))
+            noise *= scale
+            noise += self.means[comps[rows]]
+            yield rows, noise
+
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        return _collect(self.sample_blocks(n, rng), n, self.dim)
 
 
 @dataclass(frozen=True)
@@ -314,7 +358,10 @@ class ContaminatedMixture:
         base_lp += np.log1p(-self.outlier_weight)
         if self.outlier_weight == 0.0:
             return base_lp, None
-        inside = xb.T >= BOX_LOW
+        # a C-ordered (d, n) mask whatever the layout of xb, so the reduction
+        # over d ands whole rows; a mask in the layout of a C-ordered (n, d)
+        # batch reduces each point's d entries apart, 4-5 times slower
+        inside = np.greater_equal(xb.T, BOX_LOW, order="C")
         inside &= xb.T <= BOX_HIGH
         outside = ~inside.all(axis=0)
         # in the box the uniform part is one constant c, and
@@ -361,18 +408,37 @@ class ContaminatedMixture:
             np.multiply(score.T, share, out=score.T)
         return (float(out[0]), score[0]) if single else (out, score)
 
+    def sample_blocks(self, n: int, rng: np.random.Generator):
+        """The draws of sample(n, rng) as (rows, points) blocks, in stream
+        order: first every row's box flag (a uniform below outlier_weight),
+        drawn BLOCK_ROWS at a time, then the base mixture's blocks over all
+        n rows, which yield their rows without the flag, then uniform
+        points on the box for all n rows, BLOCK_ROWS at a time, which yield
+        the flagged rows.  The stream is the one a draw of every row from
+        both parts reads.  A block that keeps all its rows yields its slice
+        and points as they are, one that keeps some an index array and a
+        copy of those points, and one that keeps none is skipped."""
+        from_box = np.empty(n, dtype=bool)
+        for rows in _row_blocks(n, BLOCK_ROWS):
+            np.less(rng.random(rows.stop - rows.start), self.outlier_weight,
+                    out=from_box[rows])
+
+        def kept(rows, points, keep):
+            if keep.all():
+                yield rows, points
+            elif keep.any():
+                index = np.flatnonzero(keep)
+                yield index + rows.start, points[index]
+
+        for rows, points in self.base.sample_blocks(n, rng):
+            yield from kept(rows, points, ~from_box[rows])
+        for rows in _row_blocks(n, BLOCK_ROWS):
+            yield from kept(rows, rng.uniform(
+                BOX_LOW, BOX_HIGH, size=(rows.stop - rows.start, self.dim)),
+                from_box[rows])
+
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        # Fixed draw order keeps results reproducible for a given generator.
-        # The box uniforms are drawn BLOCK_ROWS rows at a time, which reads
-        # the stream one (n, d) draw reads.
-        from_box = rng.random(n) < self.outlier_weight
-        base_draws = self.base.sample(n, rng)
-        for start in range(0, n, BLOCK_ROWS):
-            block = slice(start, start + BLOCK_ROWS)
-            box_draws = rng.uniform(BOX_LOW, BOX_HIGH,
-                                    size=base_draws[block].shape)
-            np.copyto(base_draws[block], box_draws, where=from_box[block, None])
-        return base_draws
+        return _collect(self.sample_blocks(n, rng), n, self.dim)
 
 
 def srfe_equal_covariance(mu1, mu2, variance: float) -> float:

@@ -19,9 +19,10 @@ iteration of a stack is one call, _Stack.step: it draws the stream's next
 batch and takes one array program over all its jobs, built from the row
 kernels of srfe_lab.estimators.  theta and the Adam moments are (J, 2, d)
 arrays.  A srfe/reverse-KL stack draws eps and takes
-estimators._q_side_step, the q-side step a single fit takes too: x for
-every row is one C-ordered (d, J, n) buffer, with one target pass per
-distinct target over that target's rows.  A forward-KL stack calls its
+estimators._q_side_step, the q-side step a single fit takes too: it takes
+the rows one target run at a time, each run with its own C-ordered (d, m,
+n) buffer of x, one target pass over it and its own losses and gradients,
+so a step holds one run's buffers, not the whole stack's.  A forward-KL stack calls its
 target only where it draws: target.sample, then target.log_prob on those
 samples.  Adam then takes one step for the whole stack, failed rows
 included on a zero gradient, a row that step leaves non-finite fails too,
@@ -241,9 +242,9 @@ class _Stack:
         read-only batch, then step on it.  Returns (job, outcome) for each
         job that failed or finished at this step.
 
-        A srfe/reverse-KL stack draws eps and takes one q-side step (one
-        transform, one target pass per target, one weight and gradient
-        program).  A forward-KL stack draws target.sample, then
+        A srfe/reverse-KL stack draws eps and takes one q-side step (per
+        run of rows with one target: one transform, one target pass, one
+        weight and gradient program).  A forward-KL stack draws target.sample, then
         target.log_prob on those samples, its only calls of its target; one
         of JOB_ERRORS from either fails every row, which then steps on a
         zero gradient and leaves, as any failed row does."""

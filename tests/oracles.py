@@ -1,9 +1,15 @@
 """Plain-Python reference implementations used to cross-check the library.
 
 Scalar loops over math.* only, no numpy: the two computation routes share
-no code, so agreement is evidence rather than tautology.
+no code, so agreement is evidence rather than tautology.  The samplers at
+the bottom are the exception: they draw every row of a model at once, in
+whole numpy arrays with a new array per operation, as the library's
+samplers did before they streamed their draws in blocks, and a block
+sampler must read the same stream.
 """
 import math
+
+import numpy as np
 
 
 def overlap(p, q, tau):
@@ -72,3 +78,27 @@ def kl_mixed_partial_analytic(u, v):
     """d2 / du dv of KL((u, v, w) || uniform), w = 1-u-v: 1 / w, a function
     of w alone, as for every f-divergence."""
     return 1.0 / (1.0 - u - v)
+
+
+
+def diagonal_sample(q, n, rng):
+    """DiagonalGaussian's n draws: mu + sigma eps over one (n, d) draw."""
+    return q.mu + q.sigma * rng.standard_normal((n, q.dim))
+
+
+def mixture_sample(mix, n, rng):
+    """GaussianMixture's n draws: every component label, then one (n, d)
+    draw of normals, scaled and shifted by each row's mean."""
+    comps = rng.choice(mix.n_components, size=n, p=mix.weights)
+    noise = rng.standard_normal((n, mix.dim))
+    return mix.means[comps] + np.sqrt(mix.variance) * noise
+
+
+def contaminated_sample(con, n, rng, low=-10.0, high=10.0):
+    """ContaminatedMixture's n draws: every row's box flag, then a base draw
+    and a uniform point on [low, high]^d for every row, the flagged rows
+    taking the uniform one."""
+    from_box = rng.random(n) < con.outlier_weight
+    draws = mixture_sample(con.base, n, rng)
+    box = rng.uniform(low, high, size=(n, con.dim))
+    return np.where(from_box[:, None], box, draws)

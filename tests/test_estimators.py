@@ -809,8 +809,8 @@ def test_stacked_q_side_rows_match_one_row_calls(n):
         per_target = len(rows) // len(targets)
         for k, target in enumerate(targets):
             part = slice(k * per_target, (k + 1) * per_target)
-            _target_rows(target, x[:, part], log_q[part], r[part],
-                         score[:, part])
+            r[part], score[:, part] = _target_rows(target, x[:, part],
+                                                   log_q[part])
         reports, grad, second = _q_side_rows(theta, eps_in, r, score, taus,
                                              moments=True)
         for j, (target, q, tau) in enumerate(rows):
@@ -877,7 +877,7 @@ def test_q_side_step_matches_one_row_calls_without_warnings(n, monkeypatch):
 
     def recording_target_rows(target, x, *args):
         passes.append((target, x.shape[1]))
-        real_target_rows(target, x, *args)
+        return real_target_rows(target, x, *args)
 
     monkeypatch.setattr(estimators, "_target_rows", recording_target_rows)
     # rows with no support and clamped rows compute their weights too, and

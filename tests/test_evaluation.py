@@ -1,6 +1,7 @@
 """Fit diagnostics on hand-constructed models where every metric has a known
 value or a tight statistical band."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -124,30 +125,46 @@ class TestTargetEntropy:
         assert target_entropy(target, n, np.random.default_rng(5)) == one_pass
 
     def test_holds_the_sample_and_one_block(self, traced_peak_mb):
-        # the draws (1.53 MiB) and one block's log-density pass (about 0.19
-        # MiB at BLOCK_ROWS // 4 rows) hold 1.72 MiB, so the sampler's own
-        # peak sets it: 1.91 MiB for this target.  Blocks of BLOCK_ROWS
-        # rows (a 0.56 MiB pass) held 2.09 MiB, a separate (n,) array of
-        # log densities (0.76 MiB) 2.85 MiB, one pass over all 10^5 draws
-        # about 8.4 MiB, and samplers that built their draws from (n, d)
-        # temporaries 3.9 MiB
+        # the (n,) log densities (0.76 MiB) and the sampler's box flags
+        # (one byte a row, 0.10 MiB), beside either the component labels
+        # (0.10 MiB) and a block of DRAW_ROWS base draws, or a block of
+        # BLOCK_ROWS uniform draws (0.13 MiB), with the log-density pass
+        # over the block's rows: 1.22 MiB for this target.  Holding all
+        # 10^5 draws, with the log densities written over their first
+        # coordinate, held 1.91 MiB; a separate (n,) array beside them 2.85
+        # MiB, and one pass over all 10^5 draws about 8.4 MiB
         target = self.TARGETS["w=0.2"]
         rng = np.random.default_rng(2)
         assert traced_peak_mb(lambda: target_entropy(
-            target, N_ENTROPY, rng)) <= 1.95
+            target, N_ENTROPY, rng)) <= 1.3
 
-    def test_a_read_only_sample_is_copied(self):
+    def test_a_read_only_sample_is_not_written(self):
+        # the log densities go into their own array, whether the draws come
+        # from the target's block generator or, for a target without one,
+        # from its sample
         class ReadOnlyDraws(GaussianMixture):
+            def sample_blocks(self, n, rng):
+                for rows, points in super().sample_blocks(n, rng):
+                    points.flags.writeable = False
+                    yield rows, points
+
+        class ReadOnlySample:
+            dim = 2
+
+            def log_prob(self, x):
+                return BENCH.log_prob(x)
+
             def sample(self, n, rng):
-                xs = super().sample(n, rng)
+                xs = BENCH.sample(n, rng)
                 xs.flags.writeable = False
                 return xs
 
-        target = ReadOnlyDraws(means=MEANS, variance=0.5,
-                               weights=BENCH.weights)
         n = BLOCK_ROWS + 1
-        assert target_entropy(target, n, np.random.default_rng(5)) == \
-            target_entropy(BENCH, n, np.random.default_rng(5))
+        want = target_entropy(BENCH, n, np.random.default_rng(5))
+        for target in (ReadOnlyDraws(means=MEANS, variance=0.5,
+                                     weights=BENCH.weights),
+                       ReadOnlySample()):
+            assert target_entropy(target, n, np.random.default_rng(5)) == want
 
     def test_a_draw_off_the_support_is_an_error(self):
         # a draw where log p is -inf would make the estimate +inf
@@ -172,6 +189,26 @@ class TestTestLogLik:
         val = held_out_log_lik(narrow_model(MEANS[0]), BENCH, 2000,
                            np.random.default_rng(6))
         assert val < -15.0
+
+
+@pytest.mark.parametrize("n", [0, -1, 1.5, True])
+@pytest.mark.parametrize("metric", ["ess", "target_entropy", "test_log_lik"])
+def test_a_draw_count_must_be_an_integer_of_at_least_one(metric, n):
+    # n = 0 gave a silent NaN held-out log likelihood, and numpy's
+    # reduction, shape or type errors elsewhere
+    call = {"ess": lambda rng: ess(broad_model(), BENCH, n, rng),
+            "target_entropy": lambda rng: target_entropy(BENCH, n, rng),
+            "test_log_lik": lambda rng: held_out_log_lik(
+                broad_model(), BENCH, n, rng)}[metric]
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError,
+                           match=r"^n must be an integer >= 1, got "):
+            call(rng)
+    # and nothing was drawn
+    assert rng.bit_generator.state == state
 
 
 def bench_entropy(seed):

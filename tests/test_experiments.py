@@ -276,10 +276,11 @@ class EvaluateRaises(GaussianMixture):
 class EntropyRaises(GaussianMixture):
     """The benchmark mixture, but its target-entropy draw fails."""
 
-    def sample(self, n, rng):
+    def sample_blocks(self, n, rng):
+        # sample reads these blocks too
         if n == evaluation.N_ENTROPY:
             raise RuntimeError("sample failed on the entropy batch")
-        return super().sample(n, rng)
+        yield from super().sample_blocks(n, rng)
 
 
 class NanOnEssBatch(GaussianMixture):
@@ -309,10 +310,11 @@ def failing_at(stage, error):
                 raise error
             return super().log_prob_and_score(x)
 
-        def sample(self, n, rng):
+        def sample_blocks(self, n, rng):
+            # sample reads these blocks too
             if stage == "entropy" and n == evaluation.N_ENTROPY:
                 raise error
-            return super().sample(n, rng)
+            yield from super().sample_blocks(n, rng)
 
         def log_prob(self, x):
             if stage == "evaluate" and np.shape(x)[0] == evaluation.N_ESS:

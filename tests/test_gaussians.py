@@ -9,8 +9,13 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import oracles
+from srfe_lab.evaluation import N_ENTROPY
 from srfe_lab.gaussians import (
     BLOCK_ROWS,
+    BOX_HIGH,
+    BOX_LOW,
+    DRAW_ROWS,
     ContaminatedMixture,
     DiagonalGaussian,
     GaussianMixture,
@@ -395,38 +400,39 @@ def test_kernels_match_broadcast_formulas(n_components, d):
                                   np.log1p(-0.2) + near.log_prob(outside))
 
 
-def out_of_place_samples(mix, n, rng, outlier_weight=None):
-    """The draws of GaussianMixture.sample, or ContaminatedMixture.sample
-    with its base mix, in one shot over all n rows, each formula taking a
-    new array per operation."""
-    if outlier_weight is not None:
-        from_box = rng.random(n) < outlier_weight
-        base_draws = out_of_place_samples(mix, n, rng)
-        box_draws = rng.uniform(-10.0, 10.0, size=(n, mix.dim))
-        return np.where(from_box[:, None], box_draws, base_draws)
-    comps = rng.choice(mix.n_components, size=n, p=mix.weights)
-    noise = rng.standard_normal((n, mix.dim))
-    return mix.means[comps] + np.sqrt(mix.variance) * noise
-
-
-@pytest.mark.parametrize("n", [0, 1, 7, 5000, BLOCK_ROWS - 1, BLOCK_ROWS,
-                               BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5])
+@pytest.mark.parametrize("n", [0, 1, 7, DRAW_ROWS - 1, DRAW_ROWS + 1, 5000,
+                               BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                               3 * BLOCK_ROWS + 5, N_ENTROPY])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_samples_match_the_out_of_place_formulas(n, d):
-    # the samplers work BLOCK_ROWS rows at a time
+    # each sampler streams its draws in blocks, and must give the
+    # whole-array draws bit for bit and leave the generator where they
+    # leave it
     rng = np.random.default_rng(10 * n + d)
     mix = GaussianMixture(means=rng.normal(scale=3.0, size=(3, d)),
                           variance=0.7, weights=WEIGHTS)
-    for w in (None, 0.0, 0.2):
-        dist = mix if w is None else ContaminatedMixture(base=mix,
-                                                         outlier_weight=w)
+    cases = [(DiagonalGaussian(mu=rng.normal(size=d),
+                               log_sigma=rng.normal(scale=0.3, size=d)),
+              oracles.diagonal_sample),
+             (mix, oracles.mixture_sample)]
+    cases += [(ContaminatedMixture(base=mix, outlier_weight=w),
+               oracles.contaminated_sample) for w in (0.0, 0.2, 0.3)]
+    for dist, oracle in cases:
         got_rng, want_rng = (np.random.default_rng(n) for _ in range(2))
         got = dist.sample(n, got_rng)
-        want = out_of_place_samples(mix, n, want_rng, w)
+        want = oracle(dist, n, want_rng)
         assert got.shape == want.shape == (n, d)
         assert got.tobytes() == want.tobytes()
-        # and the generator is left where the formulas leave it
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        # the blocks cover every row once, a Gaussian block DRAW_ROWS rows
+        # at most and a block of uniform draws BLOCK_ROWS
+        covered = np.zeros(n, dtype=int)
+        for rows, points in dist.sample_blocks(n, np.random.default_rng(n)):
+            assert 0 < len(points) <= BLOCK_ROWS and points.shape[1] == d
+            if not isinstance(dist, ContaminatedMixture):
+                assert len(points) <= DRAW_ROWS
+            covered[rows] += 1
+        assert (covered == 1).all()
 
 
 def test_samples_of_300_components_match_the_formula():
@@ -436,8 +442,38 @@ def test_samples_of_300_components_match_the_formula():
                           variance=0.7, weights=rng.dirichlet(np.ones(300)))
     n = BLOCK_ROWS + 1
     got = mix.sample(n, np.random.default_rng(1))
-    want = out_of_place_samples(mix, n, np.random.default_rng(1))
+    want = oracles.mixture_sample(mix, n, np.random.default_rng(1))
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_box_mask_is_the_reduction_over_coordinates(d):
+    # rows with NaN, an infinity or a coordinate on a box face, beside
+    # random rows in and out of the box
+    rng = np.random.default_rng(d)
+    xs = rng.uniform(-12.0, 12.0, size=(300, d))
+    for k, value in enumerate((math.nan, math.inf, -math.inf, BOX_LOW,
+                               BOX_HIGH, np.nextafter(BOX_LOW, -math.inf),
+                               np.nextafter(BOX_HIGH, math.inf))):
+        xs[2 * k:2 * k + 2] = 0.5
+        xs[2 * k, 0] = xs[2 * k + 1, -1] = value
+    mix = ContaminatedMixture(base=GaussianMixture(
+        means=rng.normal(size=(3, d)), variance=0.7, weights=WEIGHTS),
+        outlier_weight=0.2)
+    # the mask as it was formed before: a reduction over the coordinates
+    want_outside = ~np.all((xs >= BOX_LOW) & (xs <= BOX_HIGH), axis=1)
+    got = {}
+    for name, layout in (("C", np.ascontiguousarray(xs)),
+                         ("F", np.asfortranarray(xs))):
+        with np.errstate(invalid="ignore"):
+            outside = mix._blend(layout, mix.base.log_prob(layout))[1]
+            got[name] = mix.log_prob(layout)
+        np.testing.assert_array_equal(outside, want_outside)
+    assert got["C"].tobytes() == got["F"].tobytes()
+    with np.errstate(invalid="ignore"):
+        np.testing.assert_array_equal(
+            got["C"][want_outside],
+            np.log1p(-0.2) + mix.base.log_prob(xs[want_outside]))
 
 
 class TestEqualCovarianceValue:

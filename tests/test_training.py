@@ -804,13 +804,15 @@ class TestShares:
         assert {jobs[i][1].batch_size for i in rows} == {5000}
         training._Stack(jobs, rows).step(1)  # first calls' caches untraced
         stack = training._Stack(jobs, rows)
-        # the step holds eps, x and the score (d, J, n) and log q and r (J,
-        # n), 1.45 MiB in all; x and log q are dropped before the gradient,
-        # whose (J, n) temporaries fit under the largest target pass (two
-        # rows, the K x 10^4 component terms and their pulls, 0.77 MiB).
-        # The gradient's two (d, J, n) buffers beside a live x and log q
-        # held 2.37 MiB.
-        assert traced_peak_mb(lambda: stack.step(1)) <= 2.25
+        # the step takes its four targets' runs one at a time, so it holds
+        # eps and one run's buffers, of at most two of the six rows: x and
+        # log q through the run's target pass (two rows, the K x 10^4
+        # component terms and their pulls, 0.77 MiB), then r, the score and
+        # the gradient's (m, n) temporaries.  That peaked at 1.07 MiB.  The
+        # whole stack's buffers at once held 2.22 MiB, and with the
+        # gradient's two (d, J, n) buffers beside a live x and log q 2.37
+        # MiB
+        assert traced_peak_mb(lambda: stack.step(1)) <= 1.15
 
     def test_exp2_shares_are_even(self, monkeypatch, tmp_path):
         jobs = sweep_jobs(experiments.run_exp2, monkeypatch, tmp_path)

@@ -13,6 +13,12 @@ and split over two shares as on a 2-CPU host:
     stream, for the mixture and for exp4's four contaminated targets;
   - evaluate: evaluation.evaluate of the model at the training start
     (mu 0, log sigma 0) on exp4's w = 0.2 target, seed 0;
+  - share.exp1 and share.exp4: share 0's whole pipeline at the
+    benchmark's SHARE_ITERATIONS iterations, as experiments._run_cells'
+    share function runs it: training._fit_lockstep over its stacks, then
+    evaluate on each fitted cell, then the target-entropy estimates of its
+    keys.  This is the heap that each fit workload's peak RSS follows in
+    perfbench/run.py (fit-mix runs exp1, fit-contam exp4);
   - verify.<check>: each check of checks.run_all(0), named after its
     report, on the inputs that run_all(0) draws for it.
 
@@ -44,9 +50,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from srfe_lab import checks, experiments  # noqa: E402
 from srfe_lab.evaluation import N_ENTROPY, evaluate, target_entropy  # noqa: E402
 from srfe_lab.gaussians import DiagonalGaussian  # noqa: E402
-from srfe_lab.training import _split, _Stack  # noqa: E402
+from srfe_lab.training import _fit_lockstep, _split, _Stack  # noqa: E402
 
 SHARES = 2
+# the iterations of perfbench/run.py's fit workloads
+SHARE_ITERATIONS = 150
 
 
 def traced_peak_mib(fn) -> float:
@@ -62,12 +70,32 @@ def traced_peak_mib(fn) -> float:
         tracemalloc.stop()
 
 
-def sweep_cells(run) -> list:
-    """The cells a sweep driver would run at the default config, without
-    running them."""
+def sweep_cells(run, **config) -> list:
+    """The cells a sweep driver would run at the default config, updated
+    by config, without running them."""
     with mock.patch.object(experiments, "_execute",
                            lambda cells, cfg, csv_name: cells):
-        return run(experiments.RunConfig())
+        return run(experiments.RunConfig(**config))
+
+
+class _ShareDone(Exception):
+    """Ends experiments._run_cells once share 0 has run."""
+
+
+def run_share_zero(cells: list) -> None:
+    """Share 0 of SHARES of experiments._run_cells over cells, in this
+    process, as training._map_shares runs it; the other shares do not
+    run."""
+    def share_zero(jobs, fn):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            fn(0, SHARES, _fit_lockstep(jobs, _split(jobs, SHARES)[0], None))
+        raise _ShareDone
+
+    with mock.patch.object(experiments, "_map_shares", share_zero):
+        try:
+            experiments._run_cells(cells)
+        except _ShareDone:
+            pass
 
 
 def stages() -> dict:
@@ -93,6 +121,10 @@ def stages() -> dict:
     q = DiagonalGaussian(mu=np.zeros(2), log_sigma=np.zeros(2))
     out["evaluate"] = lambda: partial(evaluate, q, contaminated[0.2], mixture,
                                       0, math.nan)
+    for name, run in (("exp1", experiments.run_exp1),
+                      ("exp4", experiments.run_exp4)):
+        out[f"share.{name}"] = lambda run=run: partial(
+            run_share_zero, sweep_cells(run, iterations=SHARE_ITERATIONS))
     for i, report in enumerate(checks.run_all(0)):
         out[f"verify.{report.name}"] = lambda i=i: checks._battery(0)[i]
     return out
